@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -65,44 +66,45 @@ def _load_text(args) -> SymbolString:
     raise InputError(f"no text found in {args.input}")
 
 
-def _out_stream(args):
-    if getattr(args, "output", None):
-        return open(args.output, "w", encoding="utf-8", newline="\n")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(args):
+    """The --output file, closed on exit even when the command raises, or
+    stdout."""
+    if not args.output:
+        yield sys.stdout
+        return
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
 
 
 def cmd_factorize(args) -> int:
     T = _load_text(args)
     factorize = FLAVOR_FLAGS[args.flavor]
     F = factorize(T)
-    out = _out_stream(args)
-    out.write(fz.format_factorization(F, len(T)))
-    out.write(f"{F.size} phrases\n")
-    if out is not sys.stdout:
-        out.close()
+    with _output(args) as out:
+        out.write(fz.format_factorization(F, len(T)))
+        out.write(f"{F.size} phrases\n")
     return 0
 
 
 def cmd_measure(args) -> int:
     T = _load_text(args)
-    out = _out_stream(args)
-    if args.what == "delta":
-        out.write(f"{ms.delta(T)}\n")
-    elif args.what == "attractor-min":
-        got = ms.smallest_attractor(T)
-        out.write(f"{len(got)}\n")
-        out.write(ms.format_attractor(got) + "\n")
-    elif args.what == "attractor-check":
-        if args.positions is None:
-            raise InputError("attractor-check needs --positions")
-        ok = ms.is_attractor(T, ms.parse_attractor(args.positions))
-        out.write(("true" if ok else "false") + "\n")
-    else:  # bms-min
-        scheme = ms.smallest_bms(T)
-        out.write(f"{scheme.size}\n")
-        out.write(fz.format_factorization(scheme, len(T)))
-    if out is not sys.stdout:
-        out.close()
+    with _output(args) as out:
+        if args.what == "delta":
+            out.write(f"{ms.delta(T)}\n")
+        elif args.what == "attractor-min":
+            got = ms.smallest_attractor(T)
+            out.write(f"{len(got)}\n")
+            out.write(ms.format_attractor(got) + "\n")
+        elif args.what == "attractor-check":
+            if args.positions is None:
+                raise InputError("attractor-check needs --positions")
+            ok = ms.is_attractor(T, ms.parse_attractor(args.positions))
+            out.write(("true" if ok else "false") + "\n")
+        else:  # bms-min
+            scheme = ms.smallest_bms(T)
+            out.write(f"{scheme.size}\n")
+            out.write(fz.format_factorization(scheme, len(T)))
     return 0
 
 
@@ -128,15 +130,13 @@ def cmd_repair(args) -> int:
         F = fz.lz_end_greedy(T)
         got, report = rp.lzend_repair(T, F, edit)
         payload = fz.format_factorization(got, report.n_out)
-    out = _out_stream(args)
-    out.write(rp.RepairReport.CSV_HEADER + "\n")
-    out.write(report.csv_row() + "\n")
-    if args.trace:
-        for idx, label, count in report.ledger:
-            out.write(f"# phrase {idx} {label} -> {count}\n")
-        out.write(payload if payload.endswith("\n") else payload + "\n")
-    if out is not sys.stdout:
-        out.close()
+    with _output(args) as out:
+        out.write(rp.RepairReport.CSV_HEADER + "\n")
+        out.write(report.csv_row() + "\n")
+        if args.trace:
+            for idx, label, count in report.ledger:
+                out.write(f"# phrase {idx} {label} -> {count}\n")
+            out.write(payload if payload.endswith("\n") else payload + "\n")
     return 0
 
 
@@ -182,6 +182,8 @@ def cmd_witness(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     kinds = ("sub", "ins", "del") if args.edit == "all" else (args.edit,)
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     records = []
     if args.exhaustive:
         if args.n is None or args.sigma is None:
@@ -192,6 +194,8 @@ def cmd_sensitivity(args) -> int:
             )
     elif args.witness:
         lo, hi = args.p_min, args.p_max if args.p_max is not None else args.p_min
+        if hi < lo:
+            raise InputError(f"--p-max {hi} is below --p-min {lo}")
         for p in range(lo, hi + 1):
             bundle = wt.lz_witness(p) if args.witness == "lz" else wt.lz78_witness(p)
             for kind in kinds:
@@ -215,13 +219,13 @@ def cmd_sensitivity(args) -> int:
             records.append(
                 sv.sensitivity_of_string(args.measure, T, kind, T.alphabet(), source="witness")
             )
-    out = _out_stream(args)
-    sv.write_csv(records, out)
-    if args.fit:
-        fit = sv.growth_fit(records)
-        out.write(f"# slope={fit.slope:.6f} intercept={fit.intercept:.6f} rms={fit.residual:.6f}\n")
-    if out is not sys.stdout:
-        out.close()
+    with _output(args) as out:
+        sv.write_csv(records, out)
+        if args.fit:
+            fit = sv.growth_fit(records)
+            out.write(
+                f"# slope={fit.slope:.6f} intercept={fit.intercept:.6f} rms={fit.residual:.6f}\n"
+            )
     return 0
 
 

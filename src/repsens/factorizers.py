@@ -16,7 +16,7 @@ by the test suite, not to any speed class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import config
 from .core import CapabilityError, InputError, SymbolString
@@ -56,58 +56,55 @@ class Factorization:
     def size(self) -> int:
         return len(self.phrases)
 
-    def boundaries(self) -> tuple[int, ...]:
-        """Phrase end positions, in order."""
-        return tuple(p.end for p in self.phrases)
-
-    def with_flavor(self, flavor: str) -> "Factorization":
-        return replace(self, flavor=flavor)
-
 
 def _require_nonempty(T: SymbolString) -> None:
     if len(T) == 0:
         raise InputError("cannot factorize the empty string")
 
 
-def _longest_match(hay: str, pos0: int, max_len: int, overlap: bool) -> int:
-    """Longest prefix of hay[pos0:] with an occurrence starting strictly left
-    of pos0 (overlap) or ending at/before pos0 (non-overlap).
+def _longest_match(hay: str, pos0: int, max_len: int, rule: str) -> tuple[int, int]:
+    """Longest prefix of hay[pos0:] with an admissible occurrence, and the
+    leftmost admissible start of that prefix (-1 when the length is 0).
 
-    Both predicates are monotone in the length, so binary search applies.
+    Admissible starts by ``rule``: ``"overlap"`` starts strictly left of
+    pos0, ``"nonoverlap"`` ends at/before pos0, ``"elsewhere"`` starts
+    anywhere but pos0.  Each predicate is monotone in the length, so binary
+    search applies, and the last successful search yields the source.
     """
-    lo, hi = 0, max_len
+    lo, hi, src0 = 0, max_len, -1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        end = pos0 - 1 + mid if overlap else pos0
-        if hay.find(hay[pos0 : pos0 + mid], 0, end) >= 0:
-            lo = mid
+        sub = hay[pos0 : pos0 + mid]
+        if rule == "elsewhere":
+            s = hay.find(sub)
+            if s == pos0:
+                s = hay.find(sub, pos0 + 1)
+        else:
+            s = hay.find(sub, 0, pos0 - 1 + mid if rule == "overlap" else pos0)
+        if s >= 0:
+            lo, src0 = mid, s
         else:
             hi = mid - 1
-    return lo
+    return lo, src0
 
 
-def _match_source0(hay: str, pos0: int, length: int, overlap: bool) -> int:
-    """Leftmost admissible occurrence start (0-based) for a match found by
-    :func:`_longest_match`."""
-    end = pos0 - 1 + length if overlap else pos0
-    s = hay.find(hay[pos0 : pos0 + length], 0, end)
-    assert s >= 0
-    return s
-
-
-def _lzss(T: SymbolString, overlap: bool, flavor: str) -> Factorization:
+def _greedy(T: SymbolString, rule: str, take_next: bool, flavor: str) -> Factorization:
+    """Greedy longest-match parsing.  With ``take_next`` a match also takes
+    the following symbol, unless the text ends inside the match."""
     _require_nonempty(T)
     n = len(T)
     hay = T.chars()
     phrases = []
     pos0 = 0
     while pos0 < n:
-        length = _longest_match(hay, pos0, n - pos0, overlap)
+        length, src0 = _longest_match(hay, pos0, n - pos0, rule)
         if length == 0:
             phrases.append(Phrase(pos0 + 1, 1, "literal"))
             pos0 += 1
+        elif take_next and pos0 + length < n:
+            phrases.append(Phrase(pos0 + 1, length + 1, "copylit", src0 + 1))
+            pos0 += length + 1
         else:
-            src0 = _match_source0(hay, pos0, length, overlap)
             phrases.append(Phrase(pos0 + 1, length, "copy", src0 + 1))
             pos0 += length
     return Factorization(tuple(phrases), flavor)
@@ -116,45 +113,32 @@ def _lzss(T: SymbolString, overlap: bool, flavor: str) -> Factorization:
 def lzss_overlapping(T: SymbolString) -> Factorization:
     """Greedy parsing into longest previously occurring prefixes; a copy's
     source may overlap the phrase itself."""
-    return _lzss(T, True, "lzss_overlap")
+    return _greedy(T, "overlap", False, "lzss_overlap")
 
 
 def lzss_nonoverlapping(T: SymbolString) -> Factorization:
     """Greedy parsing where every copy source lies entirely before the phrase."""
-    return _lzss(T, False, "lzss_nonoverlap")
-
-
-def _lz77(T: SymbolString, overlap: bool, flavor: str) -> Factorization:
-    _require_nonempty(T)
-    n = len(T)
-    hay = T.chars()
-    phrases = []
-    pos0 = 0
-    while pos0 < n:
-        length = _longest_match(hay, pos0, n - pos0, overlap)
-        if length == 0:
-            phrases.append(Phrase(pos0 + 1, 1, "literal"))
-            pos0 += 1
-        elif pos0 + length == n:
-            # text ends inside the match: no trailing literal
-            src0 = _match_source0(hay, pos0, length, overlap)
-            phrases.append(Phrase(pos0 + 1, length, "copy", src0 + 1))
-            pos0 += length
-        else:
-            src0 = _match_source0(hay, pos0, length, overlap)
-            phrases.append(Phrase(pos0 + 1, length + 1, "copylit", src0 + 1))
-            pos0 += length + 1
-    return Factorization(tuple(phrases), flavor)
+    return _greedy(T, "nonoverlap", False, "lzss_nonoverlap")
 
 
 def lz77_overlapping(T: SymbolString) -> Factorization:
     """Longest previous match extended by the following symbol, overlap allowed."""
-    return _lz77(T, True, "lz77_overlap")
+    return _greedy(T, "overlap", True, "lz77_overlap")
 
 
 def lz77_nonoverlapping(T: SymbolString) -> Factorization:
     """Longest fully-previous match extended by the following symbol."""
-    return _lz77(T, False, "lz77_nonoverlap")
+    return _greedy(T, "nonoverlap", True, "lz77_nonoverlap")
+
+
+def _jump_lower_bound(jumps: list[int]) -> list[int]:
+    """lb[i] = fewest phrases tiling positions i.. (0-based) when a phrase at
+    j may have any length up to max(1, jumps[j]); lb[len(jumps)] = 0."""
+    n = len(jumps)
+    lb = [0] * (n + 1)
+    for pos0 in range(n - 1, -1, -1):
+        lb[pos0] = 1 + min(lb[pos0 + 1 : pos0 + max(1, jumps[pos0]) + 1])
+    return lb
 
 
 def lz_end_greedy(T: SymbolString) -> Factorization:
@@ -167,7 +151,7 @@ def lz_end_greedy(T: SymbolString) -> Factorization:
     ends: set[int] = set()
     pos0 = 0
     while pos0 < n:
-        cap = _longest_match(hay, pos0, n - pos0, False)
+        cap, _ = _longest_match(hay, pos0, n - pos0, "nonoverlap")
         best_len = 0
         best_src0 = -1
         for length in range(cap, 0, -1):
@@ -246,7 +230,7 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
         )
     hay = T.chars()
 
-    maxlen = [_longest_match(hay, pos0, n - pos0, False) for pos0 in range(n)]
+    maxlen = [_longest_match(hay, pos0, n - pos0, "nonoverlap")[0] for pos0 in range(n)]
 
     ends_mask_cache: dict[tuple[int, int], int] = {}
 
@@ -267,10 +251,7 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
 
     # admissible lower bound: phrases needed if every position could jump its
     # longest fully-previous match (a superset of the really admissible moves)
-    lb = [0] * (n + 1)
-    for pos0 in range(n - 1, -1, -1):
-        jump = max(1, maxlen[pos0])
-        lb[pos0] = 1 + min(lb[pos0 + 1 : pos0 + jump + 1])
+    lb = _jump_lower_bound(maxlen)
 
     seed = lz_end_greedy(T)
     best_count = seed.size
@@ -341,8 +322,9 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
     if pos != n + 1:
         return f"phrases cover [1, {pos - 1}] but the text has length {n}"
 
-    ends = [p.end for p in F.phrases]
-    end_set = set(ends)
+    end_set = {p.end for p in F.phrases}
+    # (start, length) -> 1-based phrase index, for lz78 parent lookups
+    index = {(p.start, p.length): k for k, p in enumerate(F.phrases, 1)}
 
     for k, ph in enumerate(F.phrases, 1):
         p0 = ph.start - 1
@@ -398,27 +380,17 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
             if ph.kind == "copy":
                 if k != F.size:
                     return f"pure copy phrase {k} is only allowed at the end"
-                dup = _lz78_parent_index(F, ph.source, ph.length)
+                dup = index.get((ph.source, ph.length))
                 if dup is None or dup >= k:
                     return f"final phrase {k} does not duplicate an earlier phrase"
             else:
-                parent = _lz78_parent_index(F, ph.source, ph.length - 1)
+                parent = index.get((ph.source, ph.length - 1))
                 if parent is None or parent >= k:
                     return f"phrase {k} does not extend an earlier phrase"
     if F.flavor == "lz78":
         words = [hay[p.start - 1 : p.end] for p in F.phrases]
         if len(set(words[:-1])) != len(words) - 1:
             return "non-final phrases are not pairwise distinct"
-    return None
-
-
-def _lz78_parent_index(F: Factorization, start: int, length: int) -> int | None:
-    """1-based index of the phrase occupying [start, start+length-1], if any."""
-    for k, ph in enumerate(F.phrases, 1):
-        if ph.start == start and ph.length == length:
-            return k
-        if ph.start > start:
-            break
     return None
 
 

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 from . import config
 from .core import CapabilityError, InputError, SymbolString
-from .factorizers import Factorization, Phrase, check_factorization, lzss_overlapping
+from .factorizers import (
+    Factorization,
+    Phrase,
+    _jump_lower_bound,
+    _longest_match,
+    check_factorization,
+    lzss_overlapping,
+)
 
 AttractorSet = frozenset
 
@@ -239,20 +246,6 @@ def as_bms(F: Factorization) -> Factorization:
     return Factorization(tuple(phrases), "bms")
 
 
-def _self_repeat_len(hay: str, pos0: int, max_len: int) -> int:
-    """Longest prefix of hay[pos0:] occurring somewhere else in hay."""
-    lo, hi = 0, max_len
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        sub = hay[pos0 : pos0 + mid]
-        first = hay.find(sub)
-        if first != pos0 or hay.find(sub, pos0 + 1) >= 0:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
     """A minimum-size valid macro scheme, by exhaustive search.
 
@@ -273,12 +266,9 @@ def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
         raise InputError("cannot build a macro scheme for the empty string")
     hay = T.chars()
 
-    maxrep = [_self_repeat_len(hay, pos0, n - pos0) for pos0 in range(n)]
-
-    lb = [0] * (n + 1)
-    for pos0 in range(n - 1, -1, -1):
-        jump = max(1, maxrep[pos0])
-        lb[pos0] = 1 + min(lb[pos0 + 1 : pos0 + jump + 1])
+    # longest prefix at each position that occurs somewhere else in the text
+    maxrep = [_longest_match(hay, pos0, n - pos0, "elsewhere")[0] for pos0 in range(n)]
+    lb = _jump_lower_bound(maxrep)
 
     sources_cache: dict[tuple[int, int], list[int]] = {}
 

@@ -323,7 +323,7 @@ def bms_repair(T: SymbolString, S: Factorization, e: Edit):
     return scheme, report
 
 
-def _boundary_walk(hay: str, phrases, old_ends: list[int], w_start0: int, w_len: int):
+def _boundary_walk(phrases, old_ends: list[int], w_start0: int, w_len: int):
     """Split the text region [w_start0, w_start0 + w_len) into copy pieces
     whose sources end at phrase ends from ``old_ends``.
 
@@ -386,7 +386,6 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
     i = e.position
     kind = e.kind
     Tp = apply_edit(T, e)
-    hay = T.chars()
     hayp = Tp.chars()
     shift = _shift_fn(kind, i)
     phrases = F.phrases
@@ -423,7 +422,7 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
         w1_len = (i - fI.start + 1) if kind == "ins" else (i - fI.start)
         pieces = 0
         if w1_len > 0:
-            walked = _boundary_walk(hay, phrases, old_ends, fI.start - 1, w1_len)
+            walked = _boundary_walk(phrases, old_ends, fI.start - 1, w1_len)
             if len(walked) > edited_idx0:
                 raise AssertionError("internal: boundary walk exceeded its piece budget")
             at = fI.start

@@ -5,6 +5,7 @@ exhaustive maximization over strings, CSV reporting, and growth fitting.
 from __future__ import annotations
 
 import math
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,7 +143,6 @@ def canonical_strings(n: int, sigma: int) -> Iterator[tuple]:
 
 def _best_of_strings(args):
     measure_name, strings, edit_kind, sigma = args
-    fn = MEASURES[measure_name]
     best = None
     for syms in strings:
         T = SymbolString(syms)
@@ -224,8 +224,6 @@ def growth_fit(records) -> GrowthFit:
     slope is taken over all the given points, so lower-order terms of the
     increase bias it at small n and it is not the asymptotic exponent.
     """
-    import numpy as np
-
     points = []
     for r in records:
         if isinstance(r, SensitivityRecord):
@@ -237,12 +235,11 @@ def growth_fit(records) -> GrowthFit:
         raise InputError("growth fit needs positive increases")
     if len({n for n, _ in points}) < 4:
         raise InputError("growth fit needs at least 4 distinct sizes")
-    xs = np.log([float(n) for n, _ in points])
-    ys = np.log([float(g) for _, g in points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    rms = float(math.sqrt(float(np.mean(resid**2))))
-    return GrowthFit(float(slope), float(intercept), rms, len(points))
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(g) for _, g in points]
+    slope, intercept = statistics.linear_regression(xs, ys)
+    rms = math.sqrt(statistics.fmean((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)))
+    return GrowthFit(slope, intercept, rms, len(points))
 
 
 def write_csv(records, stream) -> None:

@@ -14,12 +14,13 @@ def _to_bytes(symbols):
     return bytes(symbols)
 
 
-def naive_longest_match(T, pos, overlap):
+def naive_longest_match_source(T, pos, overlap):
     """Longest prefix of T[pos:] occurring at a start strictly before pos
-    (overlap) or entirely before pos (non-overlap).  0-based."""
+    (overlap) or entirely before pos (non-overlap), with the leftmost start of
+    such an occurrence (None when the prefix is empty).  0-based."""
     data = _to_bytes(T)
     n = len(data)
-    best = 0
+    best, source = 0, None
     for s in range(pos):
         if data[s] != data[pos]:
             continue
@@ -28,37 +29,53 @@ def naive_longest_match(T, pos, overlap):
         while length < cap and data[s + length] == data[pos + length]:
             length += 1
         if length > best:
-            best = length
-    return best
+            best, source = length, s
+    return best, source
+
+
+def naive_longest_match(T, pos, overlap):
+    """Length part of :func:`naive_longest_match_source`."""
+    return naive_longest_match_source(T, pos, overlap)[0]
+
+
+def naive_lzss_phrases(T, overlap):
+    """Greedy longest-match phrases as (length, source) pairs; source is the
+    0-based leftmost admissible start, None for a literal."""
+    phrases = []
+    pos = 0
+    n = len(T)
+    while pos < n:
+        match, source = naive_longest_match_source(T, pos, overlap)
+        phrases.append((max(match, 1), source))
+        pos += max(match, 1)
+    return phrases
 
 
 def naive_lzss_lengths(T, overlap):
-    lengths = []
+    return [length for length, _ in naive_lzss_phrases(T, overlap)]
+
+
+def naive_lz77_phrases(T, overlap):
+    """Match-plus-symbol phrases as (length, source) pairs, as in
+    :func:`naive_lzss_phrases`; a match the text ends inside takes no symbol."""
+    phrases = []
     pos = 0
     n = len(T)
     while pos < n:
-        match = naive_longest_match(T, pos, overlap)
-        lengths.append(max(match, 1))
-        pos += max(match, 1)
-    return lengths
+        match, source = naive_longest_match_source(T, pos, overlap)
+        if match == 0:
+            length = 1
+        elif pos + match == n:
+            length = match
+        else:
+            length = match + 1
+        phrases.append((length, source))
+        pos += length
+    return phrases
 
 
 def naive_lz77_lengths(T, overlap):
-    lengths = []
-    pos = 0
-    n = len(T)
-    while pos < n:
-        match = naive_longest_match(T, pos, overlap)
-        if match == 0:
-            lengths.append(1)
-            pos += 1
-        elif pos + match == n:
-            lengths.append(match)
-            pos += match
-        else:
-            lengths.append(match + 1)
-            pos += match + 1
-    return lengths
+    return [length for length, _ in naive_lz77_phrases(T, overlap)]
 
 
 def naive_lzend_lengths(T):

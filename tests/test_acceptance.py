@@ -10,7 +10,6 @@ invariance itself is asserted in the module tests).
 import itertools
 import math
 import random
-import statistics
 import time
 from contextlib import contextmanager
 
@@ -122,10 +121,15 @@ def exponent_limit_failures(points, exponent, centre, tol):
 
 
 def loglog_slope(points):
-    """Least-squares log-log slope, computed independently of ``growth_fit``."""
+    """Least-squares log-log slope, computed independently of ``growth_fit``
+    by the explicit formula sum((x-xbar)(y-ybar)) / sum((x-xbar)^2)."""
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(gap) for _, gap in points]
-    return statistics.linear_regression(xs, ys).slope
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = sum((x - xbar) ** 2 for x in xs)
+    return sxy / sxx
 
 
 def test_criterion_3_growth_exponents():

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from repsens import cli
 from repsens.cli import main
 
 
@@ -191,3 +193,80 @@ def test_limit_env_rejects_garbage(monkeypatch):
     monkeypatch.setenv("REPSENS_LIMIT_BMS", "0")
     with pytest.raises(ValueError):
         config.bms_limit()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sensitivity_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(
+        capsys, "sensitivity", "--measure", "delta", "--exhaustive",
+        "--n", "4", "--sigma", "2", "--jobs", jobs,
+    )
+    assert code == 2 and out == ""
+    assert "error:" in err and "--jobs" in err
+
+
+def test_sensitivity_rejects_empty_p_range(capsys):
+    code, out, err = run(
+        capsys, "sensitivity", "--measure", "lz78", "--witness", "lz78",
+        "--p-min", "5", "--p-max", "4",
+    )
+    assert code == 2 and out == ""
+    assert "error:" in err and "--p-max" in err
+
+
+def test_output_file_closed_when_command_fails(tmp_path, capsys, monkeypatch):
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    target = tmp_path / "out.txt"
+    # attractor-check without --positions fails after the output is opened
+    code, _, err = run(
+        capsys, "measure", "--what", "attractor-check", "--text", "ab",
+        "--output", str(target),
+    )
+    assert code == 2 and "error:" in err
+    assert [fh.name for fh in opened] == [str(target)]
+    assert all(fh.closed for fh in opened)
+
+
+# sha256 of stdout for each README CLI line (the lz78 sweep shortened to
+# --p-max 12), plus lines that pin copy sources, the exact macro-scheme
+# search and the bms repair ledger
+GOLDEN_STDOUT = {
+    "factorize --flavor lz78 --text aaaa":
+        "ad26523a4fc60e93e9d0ee2d22b90a328432a0f129b228f24388465d8970ff2b",
+    "factorize --flavor lzend-opt --text abaabab":
+        "f47ba80f5ef237c954ebdd7943fa6e60e9bb0e46e65df69faef6ca01f5d9aceb",
+    "measure --what attractor-min --text baaaabbaaa":
+        "5d68d34af99cfbd7cc6c19816f488c4b17c8934c69f4173d518f245aeab0fbc9",
+    "measure --what delta --text abab":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "repair --proc lzend --edit sub --pos 2 --symbol 99 --text abab --trace":
+        "e2b25bac159605ed7eb95c17a764ba123303ee91635a60110c2e6f31dbb4a81a",
+    "witness --family lz78 --p 2":
+        "edf19d2d1b718a18ff3380d2c43c43322fdb6e40196b1f3d0eb74084974af4a2",
+    "sensitivity --measure delta --exhaustive --n 8 --sigma 2 --edit sub":
+        "7f5e4c593b1ca1ad6c4dae97615d3b9c2b6315770a321d36fcae89e7071c27a4",
+    "sensitivity --measure lz78 --witness lz78 --p-min 4 --p-max 12 --fit":
+        "bccefd814dbb10a402f4db80e3d90680fabf72890909e46103c16aa0b3d4c4cf",
+    "factorize --flavor lzss-overlap --text abaababaabaab":
+        "e59a5f4e6f84f7c3e363c31dea33e1f84ed8a00a3f14631f0c1e35b2bc2a72d6",
+    "factorize --flavor lz77-nonoverlap --text abaababaabaab":
+        "5a4c153669e57c2e967d18cbdeb5e448f62e09bffc5424b58ee167dde613ff82",
+    "measure --what bms-min --text abaababa":
+        "ea45120ace718af190ed024d10469a0d09c292c7618d9ba7e85d617154686e5f",
+    "repair --proc bms --edit sub --pos 3 --symbol 99 --text abaababaab --trace":
+        "fe6a7a53b288a0d76c3f29a3c016dd94017f882238a2cea6f2a843912a020d98",
+}
+
+
+@pytest.mark.parametrize("line", sorted(GOLDEN_STDOUT))
+def test_cli_output_golden(capsys, line):
+    code, out, err = run(capsys, *line.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[line], out

@@ -41,6 +41,11 @@ def lengths(F):
     return [p.length for p in F.phrases]
 
 
+def phrases0(F):
+    """(length, 0-based source) per phrase, None for a literal."""
+    return [(p.length, None if p.source is None else p.source - 1) for p in F.phrases]
+
+
 def test_lzss_overlapping_examples():
     assert lzss_overlapping(t("baaabbaaa")).size == 5
     assert lengths(lzss_overlapping(t("baaabbaaa"))) == [1, 1, 2, 1, 4]
@@ -96,7 +101,7 @@ def test_verify_rejects_broken_copy():
 
 def test_verify_rejects_overlap_reinterpreted_as_nonoverlap():
     T = t("aaaa")
-    F = lzss_overlapping(T).with_flavor("lzss_nonoverlap")
+    F = Factorization(lzss_overlapping(T).phrases, "lzss_nonoverlap")
     assert not verify_factorization(T, F)
 
 
@@ -115,10 +120,11 @@ def test_parsers_match_naive_references():
         sigma = (2, 4, 16)[trial % 3]
         syms = tuple(rng.randrange(sigma) for _ in range(n))
         T = SymbolString(syms)
-        assert lengths(lzss_overlapping(T)) == nv.naive_lzss_lengths(syms, True)
-        assert lengths(lzss_nonoverlapping(T)) == nv.naive_lzss_lengths(syms, False)
-        assert lengths(lz77_overlapping(T)) == nv.naive_lz77_lengths(syms, True)
-        assert lengths(lz77_nonoverlapping(T)) == nv.naive_lz77_lengths(syms, False)
+        # copies point at the leftmost admissible occurrence
+        assert phrases0(lzss_overlapping(T)) == nv.naive_lzss_phrases(syms, True)
+        assert phrases0(lzss_nonoverlapping(T)) == nv.naive_lzss_phrases(syms, False)
+        assert phrases0(lz77_overlapping(T)) == nv.naive_lz77_phrases(syms, True)
+        assert phrases0(lz77_nonoverlapping(T)) == nv.naive_lz77_phrases(syms, False)
         assert lengths(lz_end_greedy(T)) == nv.naive_lzend_lengths(syms)
         assert lengths(lz78(T)) == nv.naive_lz78_lengths(syms)
 
