@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import random
 import sys
@@ -68,13 +69,16 @@ def _load_text(args) -> SymbolString:
 
 @contextlib.contextmanager
 def _output(args):
-    """The --output file, closed on exit even when the command raises, or
-    stdout."""
+    """A buffer for the command's output, written to the --output file or to
+    stdout only once the command succeeds, so a failure leaves the file as
+    it was."""
+    buf = io.StringIO()
+    yield buf
     if not args.output:
-        yield sys.stdout
+        sys.stdout.write(buf.getvalue())
         return
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        yield fh
+        fh.write(buf.getvalue())
 
 
 def cmd_factorize(args) -> int:
@@ -184,6 +188,10 @@ def cmd_sensitivity(args) -> int:
     kinds = ("sub", "ins", "del") if args.edit == "all" else (args.edit,)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs != 1 and not args.exhaustive:
+        raise InputError("--jobs applies only to --exhaustive sweeps")
+    if not args.witness and (args.p_min is not None or args.p_max is not None):
+        raise InputError("--p-min and --p-max apply only to --witness sweeps")
     records = []
     if args.exhaustive:
         if args.n is None or args.sigma is None:
@@ -193,7 +201,8 @@ def cmd_sensitivity(args) -> int:
                 sv.exhaustive_sensitivity(args.measure, args.n, args.sigma, kind, jobs=args.jobs)
             )
     elif args.witness:
-        lo, hi = args.p_min, args.p_max if args.p_max is not None else args.p_min
+        lo = 2 if args.p_min is None else args.p_min
+        hi = lo if args.p_max is None else args.p_max
         if hi < lo:
             raise InputError(f"--p-max {hi} is below --p-min {lo}")
         for p in range(lo, hi + 1):
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens.add_argument("--edit", choices=("sub", "ins", "del", "all"), default="sub")
     p_sens.add_argument("--exhaustive", action="store_true")
     p_sens.add_argument("--witness", choices=("lz", "lz78"))
-    p_sens.add_argument("--p-min", type=int, default=2)
+    p_sens.add_argument("--p-min", type=int)
     p_sens.add_argument("--p-max", type=int)
     p_sens.add_argument("--random", dest="random_count", type=int, default=0,
                         help="number of random texts")

@@ -163,13 +163,51 @@ def enumerate_edits(T: SymbolString, alphabet: Iterable[int]) -> Iterator[Edit]:
         yield Edit("del", i)
 
 
+def _suffix_automaton(T: SymbolString) -> tuple[list[int], list[int], list[int]]:
+    """Suffix automaton of ``T`` (Blumer et al., TCS 1985): ``(link, length,
+    prefix_state)``.  State v > 0 stands for the substrings sharing one set of
+    end positions, of lengths ``length[link[v]] + 1`` to ``length[v]``;
+    ``prefix_state[i]`` is the state of ``T[:i+1]``."""
+    link = [-1]
+    length = [0]
+    trans: list[dict] = [{}]
+    prefix_state = []
+    last = 0
+    for c in T.symbols:
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        trans.append({})
+        p = last
+        while p != -1 and c not in trans[p]:
+            trans[p][c] = cur
+            p = link[p]
+        if p != -1:
+            q = trans[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                trans.append(dict(trans[q]))
+                while p != -1 and trans[p].get(c) == q:
+                    trans[p][c] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+        prefix_state.append(cur)
+    return link, length, prefix_state
+
+
 def distinct_substrings(T: SymbolString, k: int) -> int:
     """Number of distinct length-k substrings of ``T``."""
     n = len(T)
     if not 1 <= k <= n:
         raise InputError(f"substring length {k} out of range [1, {n}]")
-    hay = T.chars()
-    return len({hay[i : i + k] for i in range(n - k + 1)})
+    link, length, _ = _suffix_automaton(T)
+    return sum(length[link[v]] < k <= length[v] for v in range(1, len(length)))
 
 
 def format_symbolic(T: SymbolString) -> str:

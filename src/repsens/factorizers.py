@@ -352,7 +352,7 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
             return f"phrase {k} does not match its source"
 
         if F.flavor == "bms":
-            if ph.kind != "copy" or ph.length < 2:
+            if ph.length < 2:
                 return f"macro-scheme copy phrase {k} must have length >= 2"
             if ph.source == ph.start:
                 return f"phrase {k} is its own source"
@@ -367,8 +367,6 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
             if F.flavor == "lz77_nonoverlap" and ph.kind == "copy" and k != F.size:
                 return f"pure copy phrase {k} is only allowed at the end"
         elif F.flavor == "lzend":
-            if ph.kind != "copy":
-                return f"flavor lzend does not use copylit (phrase {k})"
             src_end = ph.source + ph.length - 1
             if src_end >= ph.start:
                 return f"phrase {k} source is not strictly previous"

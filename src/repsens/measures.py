@@ -5,9 +5,10 @@ bidirectional macro schemes, with exact smallest-set searches at desk scale.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from . import config
-from .core import CapabilityError, InputError, SymbolString
+from .core import CapabilityError, InputError, SymbolString, _suffix_automaton
 from .factorizers import (
     Factorization,
     Phrase,
@@ -20,100 +21,55 @@ from .factorizers import (
 AttractorSet = frozenset
 
 
-def _distinct_by_length(T: SymbolString) -> list[int]:
-    """d[k] = number of distinct length-k substrings, for k in 1..n.
-
-    Counted with a suffix automaton: every state covers one run of lengths,
-    so a difference array over those runs yields all the counts at once.
-    """
+def delta(T: SymbolString) -> Fraction:
+    """max over k of (distinct length-k substrings) / k, as an exact rational;
+    the counts come from a difference array over the automaton's length runs."""
     n = len(T)
-    link = [-1]
-    length = [0]
-    trans: list[dict] = [{}]
-    last = 0
-    for c in T.symbols:
-        cur = len(length)
-        length.append(length[last] + 1)
-        link.append(-1)
-        trans.append({})
-        p = last
-        while p != -1 and c not in trans[p]:
-            trans[p][c] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
-        else:
-            q = trans[p][c]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone = len(length)
-                length.append(length[p] + 1)
-                link.append(link[q])
-                trans.append(dict(trans[q]))
-                while p != -1 and trans[p].get(c) == q:
-                    trans[p][c] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
+    if n == 0:
+        raise InputError("substring complexity of the empty string is undefined")
+    link, length, _ = _suffix_automaton(T)
     diff = [0] * (n + 2)
     for v in range(1, len(length)):
         diff[length[link[v]] + 1] += 1
         diff[length[v] + 1] -= 1
-    counts = [0] * (n + 1)
-    running = 0
-    for k in range(1, n + 1):
-        running += diff[k]
-        counts[k] = running
-    return counts
+    counts = list(accumulate(diff))
+    return max(Fraction(counts[k], k) for k in range(1, n + 1))
 
 
-def delta(T: SymbolString) -> Fraction:
-    """max over k of (distinct length-k substrings) / k, as an exact rational."""
-    if len(T) == 0:
-        raise InputError("substring complexity of the empty string is undefined")
-    counts = _distinct_by_length(T)
-    return max(Fraction(counts[k], k) for k in range(1, len(T) + 1))
+def _coverage_masks(T: SymbolString) -> list[int]:
+    """For every suffix-automaton state, the bitmask of positions lying inside
+    at least one occurrence of its shortest substring (bit p-1 for position p).
 
-
-def _coverage_masks(T: SymbolString, reduce_minimal: bool = False) -> list[int]:
-    """For every distinct substring, the bitmask of positions lying inside at
-    least one of its occurrences (bit p-1 for position p).
-
-    A position set stabs every substring iff it intersects every mask.  With
-    ``reduce_minimal`` the list is cut down to the subset-minimal masks,
-    sorted by population count (worth it only for the smallest-set search).
+    A state's substrings share their end positions, so the shortest one's
+    occurrences lie inside the longer ones' and a position set stabs every
+    substring iff it intersects every mask.
     """
-    n = len(T)
-    hay = T.chars()
-    cover: dict[str, int] = {}
-    for i in range(n):
-        lo = (1 << i) - 1
-        for j in range(i + 1, n + 1):
-            mask = ((1 << j) - 1) ^ lo
-            key = hay[i:j]
-            cover[key] = cover.get(key, 0) | mask
-    masks = sorted(set(cover.values()), key=lambda m: (bin(m).count("1"), m))
-    if not reduce_minimal:
-        return masks
-    minimal: list[int] = []
-    for m in masks:
-        if not any(km & m == km for km in minimal):
-            minimal.append(m)
-    return minimal
+    link, length, prefix_state = _suffix_automaton(T)
+    ends = [0] * len(length)
+    for i, v in enumerate(prefix_state):
+        ends[v] |= 1 << i
+    states = sorted(range(1, len(length)), key=length.__getitem__, reverse=True)
+    for v in states:
+        ends[link[v]] |= ends[v]
+    masks = []
+    for v in states:
+        mask, span, shortest = ends[v], 1, length[link[v]] + 1
+        while span < shortest:  # spread each end bit over `shortest` positions
+            step = min(span, shortest - span)
+            mask |= mask >> step
+            span += step
+        masks.append(mask)
+    return masks
 
 
 def is_attractor(T: SymbolString, positions) -> bool:
     """True iff every distinct substring of ``T`` has an occurrence containing
     one of the positions."""
     n = len(T)
-    pos = frozenset(positions)
-    for p in pos:
+    pmask = 0
+    for p in frozenset(positions):
         if not 1 <= p <= n:
             raise InputError(f"attractor position {p} out of range [1, {n}]")
-    pmask = 0
-    for p in pos:
         pmask |= 1 << (p - 1)
     return all(m & pmask for m in _coverage_masks(T))
 
@@ -144,7 +100,10 @@ def smallest_attractor(T: SymbolString, limit: int | None = None) -> AttractorSe
         )
     if n == 0:
         return frozenset()
-    masks = _coverage_masks(T, reduce_minimal=True)
+    masks: list[int] = []
+    for m in sorted(set(_coverage_masks(T)), key=lambda m: (m.bit_count(), m)):
+        if not any(km & m == km for km in masks):
+            masks.append(m)
 
     def search(uncovered: list[int], chosen: list[int], left: int):
         if not uncovered:

@@ -215,6 +215,8 @@ def test_sensitivity_rejects_empty_p_range(capsys):
 
 
 def test_output_file_closed_when_command_fails(tmp_path, capsys, monkeypatch):
+    # output is buffered, so a failing command never opens --output and an
+    # existing file keeps its bytes
     opened = []
 
     def spy_open(*args, **kwargs):
@@ -224,14 +226,35 @@ def test_output_file_closed_when_command_fails(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "open", spy_open, raising=False)
     target = tmp_path / "out.txt"
-    # attractor-check without --positions fails after the output is opened
-    code, _, err = run(
-        capsys, "measure", "--what", "attractor-check", "--text", "ab",
-        "--output", str(target),
+    target.write_bytes(b"earlier output\n")
+    failing = [
+        ("measure", "--what", "attractor-check", "--text", "ab"),  # no --positions
+        ("measure", "--what", "attractor-min", "--text", "ab" * 11),  # over the cap
+    ]
+    for argv in failing:
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == "" and "error:" in err
+    assert opened == []
+    assert target.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("flag", [("--p-min", "9"), ("--p-max", "1")])
+def test_sensitivity_rejects_p_range_without_witness(capsys, flag):
+    code, out, err = run(
+        capsys, "sensitivity", "--measure", "delta", "--exhaustive",
+        "--n", "4", "--sigma", "2", *flag,
     )
-    assert code == 2 and "error:" in err
-    assert [fh.name for fh in opened] == [str(target)]
-    assert all(fh.closed for fh in opened)
+    assert code == 2 and out == ""
+    assert "error:" in err and "--witness" in err
+
+
+def test_sensitivity_rejects_jobs_without_exhaustive(capsys):
+    code, out, err = run(
+        capsys, "sensitivity", "--measure", "lz78", "--witness", "lz78",
+        "--p-min", "4", "--jobs", "2",
+    )
+    assert code == 2 and out == ""
+    assert "error:" in err and "--exhaustive" in err
 
 
 # sha256 of stdout for each README CLI line (the lz78 sweep shortened to

@@ -99,6 +99,15 @@ def test_verify_rejects_broken_copy():
     assert not verify_factorization(T, F)
 
 
+@pytest.mark.parametrize("flavor", ["lzend", "bms"])
+def test_check_rejects_copylit_by_kind(flavor):
+    # neither flavor uses match-plus-symbol phrases; the kind check answers
+    # before any per-flavor rule is reached
+    phrases = (Phrase(1, 1, "literal"), Phrase(2, 1, "literal"), Phrase(3, 3, "copylit", 1))
+    reason = check_factorization(t("ababa"), Factorization(phrases, flavor))
+    assert reason == f"copylit phrase 3 not allowed for flavor {flavor}"
+
+
 def test_verify_rejects_overlap_reinterpreted_as_nonoverlap():
     T = t("aaaa")
     F = Factorization(lzss_overlapping(T).phrases, "lzss_nonoverlap")

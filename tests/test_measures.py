@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from repsens import (
     enumerate_edits,
     is_attractor,
     lzss_nonoverlapping,
+    lzss_overlapping,
     smallest_attractor,
     smallest_bms,
 )
@@ -86,6 +88,56 @@ def test_attractor_position_bounds():
         is_attractor(t("ab"), {0})
     with pytest.raises(InputError):
         is_attractor(t("ab"), {3})
+
+
+def test_is_attractor_matches_naive_exhaustive():
+    # every position subset of every binary text up to length 8 and of every
+    # ternary text up to length 5
+    for sigma, nmax in ((2, 8), (3, 5)):
+        for n in range(1, nmax + 1):
+            for syms in itertools.product(range(sigma), repeat=n):
+                T = SymbolString(syms)
+                for r in range(n + 1):
+                    for combo in itertools.combinations(range(1, n + 1), r):
+                        assert is_attractor(T, combo) == nv.naive_is_attractor(syms, combo), (
+                            syms,
+                            combo,
+                        )
+
+
+def fibonacci_word(n):
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return SymbolString(b[:n])
+
+
+def test_is_attractor_long_texts():
+    # phrase ends of a left-to-right parse always attract; the positions of
+    # the 0s miss the substring "1"
+    rng = random.Random(43)
+    for T in (SymbolString(rng.randrange(2) for _ in range(2000)), fibonacci_word(2000)):
+        ends = {ph.end for ph in lzss_overlapping(T).phrases}
+        assert is_attractor(T, ends)
+        zeros = {i for i, s in enumerate(T.symbols, 1) if s == 0}
+        assert not is_attractor(T, zeros)
+
+
+# sha256 over the sorted smallest_attractor positions of every binary text of
+# length 1..10 and every ternary text of length 1..6: pins the sets the exact
+# search returns, not only their sizes
+SMALLEST_ATTRACTOR_DIGEST = "4ed6bd3fda0cbb4e7a4da5824657a87432250f52f844a71e9264d707edc6dd7f"
+
+
+def test_smallest_attractor_outputs_pinned():
+    h = hashlib.sha256()
+    for sigma, nmax in ((2, 10), (3, 6)):
+        for n in range(1, nmax + 1):
+            for syms in itertools.product(range(sigma), repeat=n):
+                got = sorted(smallest_attractor(SymbolString(syms)))
+                line = f"{sigma}:{' '.join(map(str, syms))}:{' '.join(map(str, got))}\n"
+                h.update(line.encode())
+    assert h.hexdigest() == SMALLEST_ATTRACTOR_DIGEST
 
 
 def test_smallest_attractor_is_minimal():
