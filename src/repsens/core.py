@@ -24,6 +24,13 @@ class CapabilityError(RuntimeError):
     """An input exceeds a configured exhaustive-search limit."""
 
 
+def _check_symbol(s: int) -> None:
+    if s < 0:
+        raise InputError(f"symbols must be non-negative, got {s}")
+    if s > MAX_SYMBOL:
+        raise InputError(f"symbol {s} exceeds the supported maximum {MAX_SYMBOL}")
+
+
 class SymbolString:
     """Immutable sequence of non-negative integer symbols.
 
@@ -35,13 +42,19 @@ class SymbolString:
 
     def __init__(self, symbols: Iterable[int] = ()):
         syms = tuple(int(s) for s in symbols)
-        for s in syms:
-            if s < 0:
-                raise InputError(f"symbols must be non-negative, got {s}")
-            if s > MAX_SYMBOL:
-                raise InputError(f"symbol {s} exceeds the supported maximum {MAX_SYMBOL}")
+        if syms and not 0 <= min(syms) <= max(syms) <= MAX_SYMBOL:
+            for s in syms:
+                _check_symbol(s)
         self.symbols = syms
         self._chars = None
+
+    @classmethod
+    def _trusted(cls, syms: tuple) -> "SymbolString":
+        """Wrap a tuple of symbols that are already known to be valid."""
+        self = object.__new__(cls)
+        self.symbols = syms
+        self._chars = None
+        return self
 
     @classmethod
     def from_text(cls, text: str) -> "SymbolString":
@@ -129,38 +142,51 @@ def check_edit(T: SymbolString, e: Edit) -> None:
 
 
 def apply_edit(T: SymbolString, e: Edit) -> SymbolString:
-    """The string obtained by performing ``e`` on ``T``."""
+    """The string obtained by performing ``e`` on ``T``.  Only the new
+    symbol is validated; the kept ones are valid already."""
     check_edit(T, e)
     syms = T.symbols
     i = e.position
+    if e.kind == "del":
+        return SymbolString._trusted(syms[: i - 1] + syms[i:])
+    c = int(e.symbol)
+    _check_symbol(c)
     if e.kind == "sub":
-        return SymbolString(syms[: i - 1] + (e.symbol,) + syms[i:])
-    if e.kind == "ins":
-        return SymbolString(syms[:i] + (e.symbol,) + syms[i:])
-    return SymbolString(syms[: i - 1] + syms[i:])
+        return SymbolString._trusted(syms[: i - 1] + (c,) + syms[i:])
+    return SymbolString._trusted(syms[:i] + (c,) + syms[i:])
 
 
-def enumerate_edits(T: SymbolString, alphabet: Iterable[int]) -> Iterator[Edit]:
-    """All single-character edits of ``T`` drawing symbols from ``alphabet``.
+def enumerate_edits(
+    T: SymbolString, alphabet: Iterable[int], kinds: Iterable[str] = EDIT_KINDS
+) -> Iterator[Edit]:
+    """All single-character edits of ``T`` drawing symbols from ``alphabet``,
+    restricted to the edit ``kinds`` (default: all three).
 
     Deterministic order: substitutions, then insertions, then deletions; within
-    a kind by position, then by symbol.  Substitutions that would rewrite a
-    symbol to itself are skipped.
+    a kind by position, then by symbol.  A kind filter keeps this order, so it
+    yields exactly the filtered full enumeration.  Substitutions that would
+    rewrite a symbol to itself are skipped.
     """
     sigma = sorted(set(alphabet))
     if not sigma:
         raise InputError("alphabet must be non-empty")
+    kinds = set(kinds)
+    if not kinds <= set(EDIT_KINDS):
+        raise InputError(f"edit kinds must be among {EDIT_KINDS}, got {kinds!r}")
     n = len(T)
     syms = T.symbols
-    for i in range(1, n + 1):
-        for c in sigma:
-            if c != syms[i - 1]:
-                yield Edit("sub", i, c)
-    for i in range(0, n + 1):
-        for c in sigma:
-            yield Edit("ins", i, c)
-    for i in range(1, n + 1):
-        yield Edit("del", i)
+    if "sub" in kinds:
+        for i in range(1, n + 1):
+            for c in sigma:
+                if c != syms[i - 1]:
+                    yield Edit("sub", i, c)
+    if "ins" in kinds:
+        for i in range(0, n + 1):
+            for c in sigma:
+                yield Edit("ins", i, c)
+    if "del" in kinds:
+        for i in range(1, n + 1):
+            yield Edit("del", i)
 
 
 def _suffix_automaton(T: SymbolString) -> tuple[list[int], list[int], list[int]]:

@@ -22,8 +22,12 @@ AttractorSet = frozenset
 
 
 def delta(T: SymbolString) -> Fraction:
-    """max over k of (distinct length-k substrings) / k, as an exact rational;
-    the counts come from a difference array over the automaton's length runs."""
+    """max over k of (distinct length-k substrings) / k, as an exact rational.
+
+    The counts come from a difference array over the automaton's length runs.
+    The maximizing k is picked by integer cross-multiplication (the first one
+    on ties), and only its ratio becomes a ``Fraction``.
+    """
     n = len(T)
     if n == 0:
         raise InputError("substring complexity of the empty string is undefined")
@@ -33,7 +37,11 @@ def delta(T: SymbolString) -> Fraction:
         diff[length[link[v]] + 1] += 1
         diff[length[v] + 1] -= 1
     counts = list(accumulate(diff))
-    return max(Fraction(counts[k], k) for k in range(1, n + 1))
+    best = 1
+    for k in range(2, n + 1):
+        if counts[k] * best > counts[best] * k:
+            best = k
+    return Fraction(counts[best], best)
 
 
 def _coverage_masks(T: SymbolString) -> list[int]:

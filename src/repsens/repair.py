@@ -61,6 +61,11 @@ def _check_repair_edit(T: SymbolString, e: Edit) -> None:
         raise InputError("substitution must write a different symbol")
 
 
+# (T.symbols, gamma) of the last input found to be an attractor: repairing
+# every edit of one text checks that text's attractor once.
+_last_attractor: tuple | None = None
+
+
 def attractor_repair(T: SymbolString, gamma, e: Edit):
     """Attractor for the edited text built from an attractor of the original.
 
@@ -70,10 +75,13 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     and the edited position itself.  Growth is at most
     floor(sqrt(m)) + ceil(sqrt(m)) + 2 positions, m the edited length.
     """
+    global _last_attractor
     _check_repair_edit(T, e)
     gamma = frozenset(gamma)
-    if not is_attractor(T, gamma):
-        raise InputError("the given position set is not an attractor of the text")
+    if (T.symbols, gamma) != _last_attractor:
+        if not is_attractor(T, gamma):
+            raise InputError("the given position set is not an attractor of the text")
+        _last_attractor = (T.symbols, gamma)
     n = len(T)
     i = e.position
     Tp = apply_edit(T, e)

@@ -108,17 +108,15 @@ def sensitivity_of_string(
         fresh = max(sigma | set(T.symbols), default=-1) + 1
         sigma.add(fresh)
     base = fn(T)
-    best = None  # (AS, edit, value)
-    for e in enumerate_edits(T, sigma):
-        if e.kind != edit_kind:
-            continue
+    best = None  # (value, edit); the largest value is the largest gain
+    for e in enumerate_edits(T, sigma, (edit_kind,)):
         value = fn(apply_edit(T, e))
-        gain = value - base
-        if best is None or gain > best[0]:
-            best = (gain, e, value)
+        if best is None or value > best[0]:
+            best = (value, e)
     if best is None:
         return SensitivityRecord(name, edit_kind, len(T), base, None, None, None, None, None, source)
-    gain, e, value = best
+    value, e = best
+    gain = value - base
     ms = Fraction(value) / Fraction(base) if base > 0 else None
     return SensitivityRecord(name, edit_kind, len(T), base, value, gain, ms, e, None, source)
 
@@ -141,12 +139,41 @@ def canonical_strings(n: int, sigma: int) -> Iterator[tuple]:
     yield from grow((), 0)
 
 
+def _renaming_key(symbols: tuple) -> bytes | tuple:
+    """First-occurrence canonical form: each new symbol takes the next unused
+    name, so texts equal up to renaming share one key."""
+    names: dict = {}
+    key = [names.setdefault(s, len(names)) for s in symbols]
+    return bytes(key) if len(names) <= 256 else tuple(key)
+
+
+def _renaming_memo(fn, capacity: int):
+    """``fn`` evaluated once per renaming class of its argument.  At most
+    ``capacity`` classes are stored (``memo`` holds them); once full the memo
+    stops inserting.  Equal values share one object."""
+    memo: dict = {}
+    values: dict = {}
+
+    def measure(T: SymbolString):
+        key = _renaming_key(T.symbols)
+        value = memo.get(key)
+        if value is None:
+            value = fn(T)
+            if len(memo) < capacity:
+                memo[key] = values.setdefault(value, value)
+        return value
+
+    measure.memo = memo
+    return measure
+
+
 def _best_of_strings(args):
-    measure_name, strings, edit_kind, sigma = args
+    measure_name, strings, edit_kind, sigma, capacity = args
+    fn = _renaming_memo(MEASURES[measure_name], capacity)
     best = None
     for syms in strings:
         T = SymbolString(syms)
-        rec = sensitivity_of_string(measure_name, T, edit_kind, range(sigma), source="exhaustive")
+        rec = sensitivity_of_string(fn, T, edit_kind, range(sigma), source="exhaustive")
         if rec.AS is None:
             continue
         key = (-rec.AS, syms)
@@ -169,9 +196,14 @@ def exhaustive_sensitivity(
     sigma-letter alphabet (plus one fresh symbol for the edit).
 
     All implemented measures depend only on the equality structure of the
-    text, so strings are enumerated up to symbol renaming.  The reduction is
+    text, so strings are enumerated up to symbol renaming, and the measure is
+    evaluated once per renaming class of the edited strings: a memo keyed by
+    the first-occurrence canonical form serves the repeats.  The memo lives
+    for one call (one chunk per worker under ``jobs``) and holds at most
+    ``config.exhaustive_budget()`` entries, the same cap as sigma**n; once
+    full it stops inserting and evaluates the rest afresh.  The reduction is
     a deterministic max (ties to the lexicographically smallest string), so
-    the worker count never changes the answer.
+    neither the worker count nor the memo changes the answer.
     """
     if measure not in MEASURES:
         raise InputError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
@@ -185,12 +217,12 @@ def exhaustive_sensitivity(
         )
     strings = list(canonical_strings(n, sigma))
     if jobs <= 1:
-        results = [_best_of_strings((measure, strings, edit_kind, sigma))]
+        results = [_best_of_strings((measure, strings, edit_kind, sigma, budget))]
     else:
         chunks = [strings[k::jobs] for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(
-                pool.map(_best_of_strings, [(measure, c, edit_kind, sigma) for c in chunks])
+                pool.map(_best_of_strings, [(measure, c, edit_kind, sigma, budget) for c in chunks])
             )
     best = None
     for res in results:

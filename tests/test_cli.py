@@ -259,7 +259,7 @@ def test_sensitivity_rejects_jobs_without_exhaustive(capsys):
 
 # sha256 of stdout for each README CLI line (the lz78 sweep shortened to
 # --p-max 12), plus lines that pin copy sources, the exact macro-scheme
-# search and the bms repair ledger
+# search, the bms repair ledger and exhaustive sweeps of every edit kind
 GOLDEN_STDOUT = {
     "factorize --flavor lz78 --text aaaa":
         "ad26523a4fc60e93e9d0ee2d22b90a328432a0f129b228f24388465d8970ff2b",
@@ -285,6 +285,18 @@ GOLDEN_STDOUT = {
         "ea45120ace718af190ed024d10469a0d09c292c7618d9ba7e85d617154686e5f",
     "repair --proc bms --edit sub --pos 3 --symbol 99 --text abaababaab --trace":
         "fe6a7a53b288a0d76c3f29a3c016dd94017f882238a2cea6f2a843912a020d98",
+    "sensitivity --measure lz78 --exhaustive --n 8 --sigma 2 --edit all":
+        "0d0fcf593d9717fab5b0c0f27cd3de6757d1f5722fade2a7b54dca5d7f48ab43",
+    "sensitivity --measure lzend --exhaustive --n 8 --sigma 2 --edit all":
+        "73da2a082d1024b480cd0fe07595b79cb6c95e2dad3b3c666f72d7d5880804e9",
+    "sensitivity --measure gamma --exhaustive --n 7 --sigma 2 --edit all":
+        "b23a8d4edc314e71c09c95c4cbe7fbf0d6fc0a2fdb1c43d4bd506a413cca4d90",
+    "sensitivity --measure bms --exhaustive --n 6 --sigma 2 --edit all":
+        "710bedf7150f90cf9a11aec89acfc2f9106883ad8a58de896535ca35ffbfecb7",
+    "sensitivity --measure lzend_opt --exhaustive --n 7 --sigma 2 --edit all":
+        "dd2fc2cc1867fc6c6b2bcb431fee1ee9459017c330dabdf274a66daefb6f5b80",
+    "sensitivity --measure lzend --exhaustive --n 7 --sigma 3 --edit all --jobs 2":
+        "b5a19db2fcf0343d3415f98c6ad87f3d8b47dcb1b6b7afa8dcc3e5bfe8bdcef5",
 }
 
 

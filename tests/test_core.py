@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive_oracles as nv
 from repsens import (
@@ -13,6 +15,7 @@ from repsens import (
     format_symbolic,
     parse_symbolic,
 )
+from repsens.core import EDIT_KINDS, MAX_SYMBOL
 
 
 def test_apply_edit_examples():
@@ -64,6 +67,41 @@ def test_edit_then_inverse_is_identity_exhaustive():
             for e in enumerate_edits(T, {0, 1, 2}):
                 back = _inverse(T, e)
                 assert apply_edit(apply_edit(T, e), back) == T
+
+
+@st.composite
+def texts_with_edits(draw):
+    """A text over 0..3 and one edit of it with a symbol from 0..4."""
+    syms = draw(st.lists(st.integers(0, 3), min_size=1, max_size=20))
+    T = SymbolString(syms)
+    return T, draw(st.sampled_from(list(enumerate_edits(T, range(5)))))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(texts_with_edits())
+def test_edit_then_inverse_is_identity_property(case):
+    T, e = case
+    assert apply_edit(apply_edit(T, e), _inverse(T, e)) == T
+
+
+def test_enumerate_edits_kind_filter_is_filtered_enumeration():
+    for T in (SymbolString([0]), SymbolString([0, 1, 0]), SymbolString([2, 2, 0, 1])):
+        full = list(enumerate_edits(T, {0, 1, 2}))
+        for r in range(len(EDIT_KINDS) + 1):
+            for kinds in itertools.permutations(EDIT_KINDS, r):
+                got = list(enumerate_edits(T, {0, 1, 2}, kinds))
+                assert got == [e for e in full if e.kind in kinds], kinds
+    assert list(enumerate_edits(T, {0, 1})) == list(enumerate_edits(T, {0, 1}, EDIT_KINDS))
+    with pytest.raises(InputError):
+        list(enumerate_edits(T, {0, 1}, ("sub", "swap")))
+
+
+def test_apply_edit_rejects_symbol_above_max():
+    T = SymbolString([1, 2, 3])
+    for e in (Edit("sub", 2, MAX_SYMBOL + 1), Edit("ins", 0, MAX_SYMBOL + 1)):
+        with pytest.raises(InputError, match="exceeds the supported maximum"):
+            apply_edit(T, e)
+    assert apply_edit(T, Edit("ins", 3, MAX_SYMBOL)).symbols == (1, 2, 3, MAX_SYMBOL)
 
 
 def test_enumerate_edits_counts():

@@ -3,8 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 import naive_oracles as nv
-from repsens import SymbolString, delta, distinct_substrings, is_attractor
+from repsens import MEASURES, SymbolString, delta, distinct_substrings, is_attractor
 
 # fixed examples and no example database, so every run checks the same inputs
 fixed = settings(derandomize=True, deadline=None, database=None)
@@ -56,3 +58,23 @@ def test_distinct_substrings_matches_naive(syms):
     T = SymbolString(syms)
     for k in range(1, len(syms) + 1):
         assert distinct_substrings(T, k) == nv.naive_distinct_substrings(syms, k)
+
+
+# longest text drawn per measure; the exact searches stay under their caps
+# (24, 20 and 16 symbols by default, see repsens.config)
+RENAMING_MAX_LEN = {"lzend_opt": 20, "gamma": 16, "bms": 13}
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_every_measure_invariant_under_renaming(name):
+    """The premise of the exhaustive sweep's renaming-class memo."""
+    fn = MEASURES[name]
+    syms = st.lists(st.integers(0, 3), min_size=1, max_size=RENAMING_MAX_LEN.get(name, 24))
+
+    @fixed
+    @given(syms, st.permutations(range(4)), st.integers(0, 300))
+    def check(syms, perm, shift):
+        renamed = [perm[s] + shift for s in syms]
+        assert fn(SymbolString(syms)) == fn(SymbolString(renamed))
+
+    check()

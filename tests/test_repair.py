@@ -68,6 +68,33 @@ def test_attractor_repair_rejects_non_attractor():
         attractor_repair(t("ab"), {1}, Edit("sub", 1, 99))
 
 
+def test_attractor_repair_checks_each_input_once(monkeypatch):
+    import repsens.repair as rp
+
+    calls = []
+
+    def counting_is_attractor(T, gamma):
+        calls.append((T.symbols, frozenset(gamma)))
+        return is_attractor(T, gamma)
+
+    monkeypatch.setattr(rp, "is_attractor", counting_is_attractor)
+    monkeypatch.setattr(rp, "_last_attractor", None)
+    T = t("abaabab")
+    gamma = smallest_attractor(T)
+    edits = list(real_edits(T, {97, 98, 99}))
+    for e in edits:
+        attractor_repair(T, gamma, e)
+    assert calls == [(T.symbols, frozenset(gamma))]
+    # non-attractors of this text and of another are checked and rejected on
+    # every call; they do not evict the checked input
+    for _ in range(2):
+        for text, positions in (("abaabab", {1}), ("ab", {1}), ("abaabab", {2})):
+            with pytest.raises(InputError, match="not an attractor"):
+                attractor_repair(t(text), positions, Edit("sub", 1, 99))
+        attractor_repair(T, gamma, edits[0])
+    assert len(calls) == 1 + 2 * 3
+
+
 def test_attractor_repair_exhaustive_small():
     for n in range(1, 10):
         for bits in itertools.product((0, 1), repeat=n - 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from repsens import (
     lz78_witness,
     sensitivity_of_string,
 )
+import repsens.sensitivity as sv
 from repsens.sensitivity import CSV_HEADER, canonical_strings, write_csv
 
 
@@ -109,6 +111,79 @@ def test_exhaustive_jobs_deterministic():
     assert serial.AS == parallel.AS
     assert serial.argmax_T == parallel.argmax_T
     assert serial.edit == parallel.edit
+
+
+def unmemoized_exhaustive(measure, n, sigma, kind):
+    """Reference for exhaustive_sensitivity: the raw measure on every
+    canonical string, ties to the smallest string."""
+    best = None
+    for syms in canonical_strings(n, sigma):
+        rec = sensitivity_of_string(
+            MEASURES[measure], SymbolString(syms), kind, range(sigma), source="exhaustive"
+        )
+        if rec.AS is not None and (best is None or rec.AS > best.AS):
+            best = dataclasses.replace(rec, measure=measure, argmax_T=SymbolString(syms))
+    return best
+
+
+# n per measure: the exact searches are the slow ones
+MEMO_N = {"lzend_opt": 7, "gamma": 7, "bms": 6}
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_exhaustive_memo_matches_unmemoized(measure):
+    n = MEMO_N.get(measure, 8)
+    for kind in ("sub", "ins", "del"):
+        want = unmemoized_exhaustive(measure, n, 2, kind)
+        got = exhaustive_sensitivity(measure, n, 2, kind)
+        assert got.csv_row() == want.csv_row(), kind
+        assert got.argmax_T == want.argmax_T, kind
+
+
+def spy_memos(monkeypatch):
+    """Record the measure callable of every sensitivity_of_string call."""
+    seen = []
+    original = sv.sensitivity_of_string
+
+    def spy(measure, *args, **kwargs):
+        seen.append(measure)
+        return original(measure, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "sensitivity_of_string", spy)
+    return seen
+
+
+@pytest.mark.parametrize("measure,kind", [("delta", "sub"), ("lz78", "ins"), ("lzend", "sub")])
+def test_exhaustive_memo_cap_binds_without_changing_answer(monkeypatch, measure, kind):
+    n = 8
+    free = exhaustive_sensitivity(measure, n, 2, kind)
+    seen = spy_memos(monkeypatch)
+    monkeypatch.setenv("REPSENS_LIMIT_EXHAUSTIVE", str(2**n))
+    capped = exhaustive_sensitivity(measure, n, 2, kind)
+    assert capped.csv_row() == free.csv_row()
+    assert capped.argmax_T == free.argmax_T
+    memos = {id(fn): fn.memo for fn in seen}
+    assert len(memos) == 1  # one memo for the whole call
+    (memo,) = memos.values()
+    assert len(memo) == 2**n  # full: the cap is what stopped it growing
+    assert len(set(map(type, memo))) == 1
+
+
+def test_exhaustive_memo_bounded_by_budget(monkeypatch):
+    seen = spy_memos(monkeypatch)
+    for budget in (2**6, 2**9):
+        monkeypatch.setenv("REPSENS_LIMIT_EXHAUSTIVE", str(budget))
+        exhaustive_sensitivity("delta", 6, 2, "ins")
+        assert 0 < len(seen[-1].memo) <= budget
+    assert len(seen[-1].memo) < 2**9  # an ample cap does not bind
+
+
+def test_exhaustive_jobs_match_serial_memoized():
+    for kind in ("sub", "ins", "del"):
+        serial = exhaustive_sensitivity("delta", 7, 2, kind, jobs=1)
+        parallel = exhaustive_sensitivity("delta", 7, 2, kind, jobs=2)
+        assert parallel.csv_row() == serial.csv_row()
+        assert parallel.argmax_T == serial.argmax_T
 
 
 def test_growth_fit_constant_records():
