@@ -2,6 +2,8 @@
 
 import os
 
+from .core import InputError
+
 DEFAULT_LZEND_OPT_LIMIT = 24
 DEFAULT_ATTRACTOR_LIMIT = 20
 DEFAULT_BMS_LIMIT = 16
@@ -15,9 +17,9 @@ def _env_int(name, default):
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
+        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+        raise InputError(f"{name} must be >= 1, got {value}")
     return value
 
 

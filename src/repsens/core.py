@@ -7,12 +7,12 @@ position arguments are 1-based and slices are inclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 EDIT_KINDS = ("sub", "ins", "del")
 
-# chr() ceiling; the substring matchers render symbols as codepoints.
+# chr() ceiling; the verifiers, exact searches and repairs render symbols as
+# codepoints.
 MAX_SYMBOL = 0x10FFFF
 
 
@@ -107,27 +107,63 @@ class SymbolString:
         return f"SymbolString({list(self.symbols)!r})"
 
 
-@dataclass(frozen=True)
 class Edit:
     """A single-character substitution, insertion, or deletion.
 
     Substitution and deletion positions index an existing symbol.  Insertion
     position ``i`` means "insert after position i", so ``i == 0`` prepends.
+    Immutable, hashable and picklable, with value equality.
     """
 
-    kind: str
-    position: int
-    symbol: int | None = None
+    __slots__ = ("kind", "position", "symbol")
 
-    def __post_init__(self):
-        if self.kind not in EDIT_KINDS:
-            raise InputError(f"edit kind must be one of {EDIT_KINDS}, got {self.kind!r}")
-        if self.kind == "del":
-            if self.symbol is not None:
+    def __init__(self, kind: str, position: int, symbol: int | None = None):
+        if kind not in EDIT_KINDS:
+            raise InputError(f"edit kind must be one of {EDIT_KINDS}, got {kind!r}")
+        if kind == "del":
+            if symbol is not None:
                 raise InputError("deletion carries no symbol")
-        else:
-            if self.symbol is None or self.symbol < 0:
-                raise InputError(f"{self.kind} edit needs a non-negative symbol")
+        elif symbol is None or symbol < 0:
+            raise InputError(f"{kind} edit needs a non-negative symbol")
+        _set_kind(self, kind)
+        _set_position(self, position)
+        _set_symbol(self, symbol)
+
+    @classmethod
+    def _trusted(cls, kind: str, position: int, symbol: int | None = None) -> "Edit":
+        """An edit whose fields are already known to be valid."""
+        self = object.__new__(cls)
+        _set_kind(self, kind)
+        _set_position(self, position)
+        _set_symbol(self, symbol)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Edit")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Edit")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.position, self.symbol)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Edit(kind={self.kind!r}, position={self.position!r}, symbol={self.symbol!r})"
+
+    def __reduce__(self):
+        return (Edit, self._key())
+
+
+# the slot setters, which bypass the immutability guard of __setattr__
+_set_kind, _set_position, _set_symbol = (Edit.__dict__[f].__set__ for f in Edit.__slots__)
 
 
 def check_edit(T: SymbolString, e: Edit) -> None:
@@ -173,37 +209,51 @@ def enumerate_edits(
     kinds = set(kinds)
     if not kinds <= set(EDIT_KINDS):
         raise InputError(f"edit kinds must be among {EDIT_KINDS}, got {kinds!r}")
+    if sigma[0] < 0 and kinds - {"del"}:
+        raise InputError(f"edit symbols must be non-negative, got {sigma[0]}")
     n = len(T)
     syms = T.symbols
+    trusted = Edit._trusted
     if "sub" in kinds:
         for i in range(1, n + 1):
             for c in sigma:
                 if c != syms[i - 1]:
-                    yield Edit("sub", i, c)
+                    yield trusted("sub", i, c)
     if "ins" in kinds:
         for i in range(0, n + 1):
             for c in sigma:
-                yield Edit("ins", i, c)
+                yield trusted("ins", i, c)
     if "del" in kinds:
         for i in range(1, n + 1):
-            yield Edit("del", i)
+            yield trusted("del", i)
 
 
-def _suffix_automaton(T: SymbolString) -> tuple[list[int], list[int], list[int]]:
+def _suffix_automaton(
+    T: SymbolString,
+) -> tuple[list[int], list[int], list[int], list[dict], list[int]]:
     """Suffix automaton of ``T`` (Blumer et al., TCS 1985): ``(link, length,
-    prefix_state)``.  State v > 0 stands for the substrings sharing one set of
-    end positions, of lengths ``length[link[v]] + 1`` to ``length[v]``;
-    ``prefix_state[i]`` is the state of ``T[:i+1]``."""
+    prefix_state, trans, firstpos)``.  State v > 0 stands for the substrings
+    sharing one set of end positions, of lengths ``length[link[v]] + 1`` to
+    ``length[v]``; ``prefix_state[i]`` is the state of ``T[:i+1]``.
+    ``trans[v]`` maps a symbol to the state reached by appending it, so
+    following any substring of ``T`` from the root (state 0) ends at its
+    state.  ``firstpos[v]`` is the smallest end position (1-based: the
+    length of the shortest prefix of ``T`` that has them as suffixes) of the
+    state's substrings; a clone inherits it from the state it splits, and
+    the root has 0."""
     link = [-1]
     length = [0]
     trans: list[dict] = [{}]
+    firstpos = [0]
     prefix_state = []
     last = 0
     for c in T.symbols:
         cur = len(length)
-        length.append(length[last] + 1)
+        end = length[last] + 1
+        length.append(end)
         link.append(0)
         trans.append({})
+        firstpos.append(end)
         p = last
         while p != -1 and c not in trans[p]:
             trans[p][c] = cur
@@ -217,6 +267,7 @@ def _suffix_automaton(T: SymbolString) -> tuple[list[int], list[int], list[int]]
                 length.append(length[p] + 1)
                 link.append(link[q])
                 trans.append(dict(trans[q]))
+                firstpos.append(firstpos[q])
                 while p != -1 and trans[p].get(c) == q:
                     trans[p][c] = clone
                     p = link[p]
@@ -224,7 +275,7 @@ def _suffix_automaton(T: SymbolString) -> tuple[list[int], list[int], list[int]]
                 link[cur] = clone
         last = cur
         prefix_state.append(cur)
-    return link, length, prefix_state
+    return link, length, prefix_state, trans, firstpos
 
 
 def distinct_substrings(T: SymbolString, k: int) -> int:
@@ -232,7 +283,7 @@ def distinct_substrings(T: SymbolString, k: int) -> int:
     n = len(T)
     if not 1 <= k <= n:
         raise InputError(f"substring length {k} out of range [1, {n}]")
-    link, length, _ = _suffix_automaton(T)
+    link, length = _suffix_automaton(T)[:2]
     return sum(length[link[v]] < k <= length[v] for v in range(1, len(length)))
 
 

@@ -9,9 +9,12 @@ Phrase kinds:
   match-plus-symbol phrase shape; also the parent-plus-symbol shape of
   dictionary parsing).
 
-Matching is done on a codepoint rendering of the text so the C-level string
-searcher does the scanning; correctness is pinned to naive reference parsers
-by the test suite, not to any speed class.
+The greedy parsers, and the match-length tables of the exact searches, walk
+one suffix automaton of the text (``core._suffix_automaton``): following the
+rest of the text from the root, each state's first end index tells whether
+the prefix read so far has an admissible earlier occurrence and where the
+leftmost one starts.  Correctness is pinned to naive reference parsers by the
+test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .core import CapabilityError, InputError, SymbolString
+from .core import CapabilityError, InputError, SymbolString, _suffix_automaton
 
 FLAVORS = (
     "lzss_overlap",
@@ -62,73 +65,65 @@ def _require_nonempty(T: SymbolString) -> None:
         raise InputError("cannot factorize the empty string")
 
 
-def _longest_match(hay: str, pos0: int, max_len: int, rule: str) -> tuple[int, int]:
-    """Longest prefix of hay[pos0:] with an admissible occurrence, and the
-    leftmost admissible start of that prefix (-1 when the length is 0).
-
-    Admissible starts by ``rule``: ``"overlap"`` starts strictly left of
-    pos0, ``"nonoverlap"`` ends at/before pos0, ``"elsewhere"`` starts
-    anywhere but pos0.  Each predicate is monotone in the length, so binary
-    search applies, and the last successful search yields the source.
-    """
-    lo, hi, src0 = 0, max_len, -1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        sub = hay[pos0 : pos0 + mid]
-        if rule == "elsewhere":
-            s = hay.find(sub)
-            if s == pos0:
-                s = hay.find(sub, pos0 + 1)
-        else:
-            s = hay.find(sub, 0, pos0 - 1 + mid if rule == "overlap" else pos0)
-        if s >= 0:
-            lo, src0 = mid, s
-        else:
-            hi = mid - 1
-    return lo, src0
-
-
-def _greedy(T: SymbolString, rule: str, take_next: bool, flavor: str) -> Factorization:
+def _greedy(T: SymbolString, overlap: bool, take_next: bool, flavor: str) -> Factorization:
     """Greedy longest-match parsing.  With ``take_next`` a match also takes
-    the following symbol, unless the text ends inside the match."""
+    the following symbol, unless the text ends inside the match.
+
+    From 0-based position i the walk reads T[i..j] from the root while the
+    prefix's leftmost occurrence starts before i (``overlap``) or ends before
+    i.  With ``firstpos`` the 1-based end of that occurrence, the tests read
+    ``firstpos <= j`` and ``firstpos <= i``.  Both are monotone in j, and the
+    leftmost occurrence is the copy's source.
+    """
     _require_nonempty(T)
-    n = len(T)
-    hay = T.chars()
+    syms = T.symbols
+    n = len(syms)
+    trans, firstpos = _suffix_automaton(T)[3:]
     phrases = []
-    pos0 = 0
-    while pos0 < n:
-        length, src0 = _longest_match(hay, pos0, n - pos0, rule)
+    i = 0
+    while i < n:
+        v = 0
+        j = i
+        while j < n:
+            w = trans[v][syms[j]]
+            if firstpos[w] > (j if overlap else i):
+                break
+            v = w
+            j += 1
+        length = j - i
         if length == 0:
-            phrases.append(Phrase(pos0 + 1, 1, "literal"))
-            pos0 += 1
-        elif take_next and pos0 + length < n:
-            phrases.append(Phrase(pos0 + 1, length + 1, "copylit", src0 + 1))
-            pos0 += length + 1
+            phrases.append(Phrase(i + 1, 1, "literal"))
+            i += 1
+            continue
+        source = firstpos[v] - length + 1
+        if take_next and j < n:
+            phrases.append(Phrase(i + 1, length + 1, "copylit", source))
+            i = j + 1
         else:
-            phrases.append(Phrase(pos0 + 1, length, "copy", src0 + 1))
-            pos0 += length
+            phrases.append(Phrase(i + 1, length, "copy", source))
+            i = j
     return Factorization(tuple(phrases), flavor)
 
 
 def lzss_overlapping(T: SymbolString) -> Factorization:
     """Greedy parsing into longest previously occurring prefixes; a copy's
     source may overlap the phrase itself."""
-    return _greedy(T, "overlap", False, "lzss_overlap")
+    return _greedy(T, True, False, "lzss_overlap")
 
 
 def lzss_nonoverlapping(T: SymbolString) -> Factorization:
     """Greedy parsing where every copy source lies entirely before the phrase."""
-    return _greedy(T, "nonoverlap", False, "lzss_nonoverlap")
+    return _greedy(T, False, False, "lzss_nonoverlap")
 
 
 def lz77_overlapping(T: SymbolString) -> Factorization:
     """Longest previous match extended by the following symbol, overlap allowed."""
-    return _greedy(T, "overlap", True, "lz77_overlap")
+    return _greedy(T, True, True, "lz77_overlap")
 
 
 def lz77_nonoverlapping(T: SymbolString) -> Factorization:
     """Longest fully-previous match extended by the following symbol."""
-    return _greedy(T, "nonoverlap", True, "lz77_nonoverlap")
+    return _greedy(T, False, True, "lz77_nonoverlap")
 
 
 def _jump_lower_bound(jumps: list[int]) -> list[int]:
@@ -141,40 +136,80 @@ def _jump_lower_bound(jumps: list[int]) -> list[int]:
     return lb
 
 
+def _match_lengths(T: SymbolString, rule: str) -> list[int]:
+    """For each 0-based start i, the length of the longest prefix of T[i:]
+    that also occurs ending before i (``"nonoverlap"``) or starting anywhere
+    but i (``"elsewhere"``), by one automaton walk per start.
+
+    A prefix occurs elsewhere iff its state has two end positions, i.e. its
+    first and last end position (``lastpos``, the largest end in the state's
+    suffix-link subtree) differ.
+    """
+    syms = T.symbols
+    n = len(syms)
+    link, length, _, trans, firstpos = _suffix_automaton(T)
+    elsewhere = rule == "elsewhere"
+    if elsewhere:
+        lastpos = firstpos[:]
+        for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
+            lastpos[link[v]] = max(lastpos[link[v]], lastpos[v])
+    lengths = []
+    for i in range(n):
+        v = 0
+        j = i
+        while j < n:
+            v = trans[v][syms[j]]
+            if (firstpos[v] == lastpos[v]) if elsewhere else (firstpos[v] > i):
+                break
+            j += 1
+        lengths.append(j - i)
+    return lengths
+
+
 def lz_end_greedy(T: SymbolString) -> Factorization:
     """Greedy parsing where every copy's source ends exactly at the end of an
-    earlier phrase."""
+    earlier phrase.
+
+    After each phrase its end e (1-based) is recorded as ``minend`` on the
+    states of the suffixes of T[:e], walking suffix links up from the
+    prefix's state until a state already holds an (earlier) end; the states
+    holding one are thus closed under suffix links.  The next phrase walks
+    T[i..] while the prefix occurs before i and takes the deepest state with
+    a ``minend``: the longest admissible copy, with its leftmost source
+    ending there.
+    """
     _require_nonempty(T)
-    n = len(T)
-    hay = T.chars()
+    syms = T.symbols
+    n = len(syms)
+    link, _, prefix_state, trans, firstpos = _suffix_automaton(T)
+    minend = [0] * len(link)  # smallest phrase end (1-based last position), 0 for none
     phrases = []
-    ends: set[int] = set()
-    pos0 = 0
-    while pos0 < n:
-        cap, _ = _longest_match(hay, pos0, n - pos0, "nonoverlap")
-        best_len = 0
-        best_src0 = -1
-        for length in range(cap, 0, -1):
-            sub = hay[pos0 : pos0 + length]
-            s = hay.find(sub, 0, pos0)
-            while s >= 0:
-                if (s + length) in ends:
-                    best_len, best_src0 = length, s
-                    break
-                s = hay.find(sub, s + 1, pos0)
-            if best_len:
+    i = 0
+    while i < n:
+        v = 0
+        j = i
+        best_len = best_end = 0
+        while j < n:
+            v = trans[v][syms[j]]
+            if firstpos[v] > i:
                 break
+            j += 1
+            if minend[v]:
+                best_len, best_end = j - i, minend[v]
         if best_len == 0:
-            if hay.find(hay[pos0], 0, pos0) >= 0:
+            if firstpos[trans[0][syms[i]]] <= i:
                 # a repeated symbol always has an occurrence ending at some
                 # earlier phrase end; reaching here means a parser bug
                 raise AssertionError("internal: repeated symbol with no boundary occurrence")
-            phrases.append(Phrase(pos0 + 1, 1, "literal"))
-            pos0 += 1
+            phrases.append(Phrase(i + 1, 1, "literal"))
+            i += 1
         else:
-            phrases.append(Phrase(pos0 + 1, best_len, "copy", best_src0 + 1))
-            pos0 += best_len
-        ends.add(pos0)
+            phrases.append(Phrase(i + 1, best_len, "copy", best_end - best_len + 1))
+            i += best_len
+        v = prefix_state[i - 1]
+        while v > 0 and not minend[v]:
+            minend[v] = i
+            v = link[v]
     return Factorization(tuple(phrases), "lzend")
 
 
@@ -230,7 +265,7 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
         )
     hay = T.chars()
 
-    maxlen = [_longest_match(hay, pos0, n - pos0, "nonoverlap")[0] for pos0 in range(n)]
+    maxlen = _match_lengths(T, "nonoverlap")
 
     ends_mask_cache: dict[tuple[int, int], int] = {}
 

@@ -13,7 +13,7 @@ from .factorizers import (
     Factorization,
     Phrase,
     _jump_lower_bound,
-    _longest_match,
+    _match_lengths,
     check_factorization,
     lzss_overlapping,
 )
@@ -31,7 +31,7 @@ def delta(T: SymbolString) -> Fraction:
     n = len(T)
     if n == 0:
         raise InputError("substring complexity of the empty string is undefined")
-    link, length, _ = _suffix_automaton(T)
+    link, length = _suffix_automaton(T)[:2]  # frees trans before the counts
     diff = [0] * (n + 2)
     for v in range(1, len(length)):
         diff[length[link[v]] + 1] += 1
@@ -52,7 +52,7 @@ def _coverage_masks(T: SymbolString) -> list[int]:
     occurrences lie inside the longer ones' and a position set stabs every
     substring iff it intersects every mask.
     """
-    link, length, prefix_state = _suffix_automaton(T)
+    link, length, prefix_state = _suffix_automaton(T)[:3]
     ends = [0] * len(length)
     for i, v in enumerate(prefix_state):
         ends[v] |= 1 << i
@@ -234,7 +234,7 @@ def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
     hay = T.chars()
 
     # longest prefix at each position that occurs somewhere else in the text
-    maxrep = [_longest_match(hay, pos0, n - pos0, "elsewhere")[0] for pos0 in range(n)]
+    maxrep = _match_lengths(T, "elsewhere")
     lb = _jump_lower_bound(maxrep)
 
     sources_cache: dict[tuple[int, int], list[int]] = {}

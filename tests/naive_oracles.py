@@ -78,28 +78,53 @@ def naive_lz77_lengths(T, overlap):
     return [length for length, _ in naive_lz77_phrases(T, overlap)]
 
 
-def naive_lzend_lengths(T):
-    """Greedy parsing whose copies must end at earlier phrase ends."""
+def naive_lzend_phrases(T):
+    """Greedy parsing whose copies must end at earlier phrase ends, as
+    (length, source) pairs; source is the 0-based leftmost start of an
+    occurrence ending at an earlier phrase end, None for a literal."""
     data = _to_bytes(T)
     n = len(data)
-    ends = []
-    lengths = []
+    ends = []  # increasing, so the first matching end gives the leftmost source
+    phrases = []
     pos = 0
     while pos < n:
         cap = naive_longest_match(T, pos, False)
-        best = 0
+        best, source = 0, None
         for length in range(cap, 0, -1):
             piece = data[pos : pos + length]
-            if any(e >= length and data[e - length : e] == piece for e in ends):
-                best = length
+            for e in ends:
+                if e >= length and data[e - length : e] == piece:
+                    best, source = length, e - length
+                    break
+            if best:
                 break
         if best == 0:
             assert data[pos] not in data[:pos]
             best = 1
-        lengths.append(best)
+        phrases.append((best, source))
         pos += best
         ends.append(pos)
-    return lengths
+    return phrases
+
+
+def naive_lzend_lengths(T):
+    return [length for length, _ in naive_lzend_phrases(T)]
+
+
+def naive_longest_repeat(T, pos):
+    """Longest prefix of T[pos:] that also occurs at a start other than pos
+    (before or after it, overlaps allowed).  0-based."""
+    data = _to_bytes(T)
+    n = len(data)
+    best = 0
+    for s in range(n):
+        if s == pos:
+            continue
+        length = 0
+        while pos + length < n and s + length < n and data[s + length] == data[pos + length]:
+            length += 1
+        best = max(best, length)
+    return best
 
 
 def naive_lz78_lengths(T):

@@ -195,6 +195,14 @@ def test_limit_env_rejects_garbage(monkeypatch):
         config.bms_limit()
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_reports_bad_limit_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("REPSENS_LIMIT_BMS", value)
+    code, out, err = run(capsys, "measure", "--what", "bms-min", "--text", "abab")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "REPSENS_LIMIT_BMS" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sensitivity_rejects_jobs_below_one(capsys, jobs):
     code, out, err = run(

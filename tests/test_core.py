@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -43,12 +44,42 @@ def test_apply_edit_position_errors():
 
 
 def test_edit_field_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="edit kind must be one of"):
         Edit("swap", 1, 0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^deletion carries no symbol$"):
         Edit("del", 1, 7)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^sub edit needs a non-negative symbol$"):
         Edit("sub", 1, None)
+    with pytest.raises(InputError, match="^ins edit needs a non-negative symbol$"):
+        Edit("ins", 0, -1)
+
+
+def test_edit_value_semantics():
+    e = Edit("sub", 3, 2)
+    assert repr(e) == "Edit(kind='sub', position=3, symbol=2)"
+    assert repr(Edit("del", 1)) == "Edit(kind='del', position=1, symbol=None)"
+    assert e == Edit("sub", 3, 2) and hash(e) == hash(Edit("sub", 3, 2))
+    assert e != Edit("sub", 3, 1) and e != Edit("ins", 3, 2)
+    assert e != ("sub", 3, 2)
+    assert len({e, Edit("sub", 3, 2), Edit("del", 3)}) == 2
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(e, protocol))
+        assert copy == e and type(copy) is Edit
+    for field in ("kind", "position", "symbol", "other"):
+        with pytest.raises(AttributeError):
+            setattr(e, field, 1)
+    with pytest.raises(AttributeError):
+        del e.kind
+    assert (e.kind, e.position, e.symbol) == ("sub", 3, 2)
+
+
+def test_enumerated_edits_equal_validated_ones():
+    T = SymbolString([0, 1, 1])
+    for e in enumerate_edits(T, {0, 1, 2}):
+        assert e == Edit(e.kind, e.position, e.symbol) and repr(e).startswith("Edit(")
+    with pytest.raises(InputError, match="non-negative"):
+        list(enumerate_edits(T, {-1, 0}))
+    assert len(list(enumerate_edits(T, {-1, 0}, ("del",)))) == 3
 
 
 def _inverse(T, e):

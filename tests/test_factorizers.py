@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -19,9 +20,11 @@ from repsens import (
     lz_end_optimal,
     lzss_nonoverlapping,
     lzss_overlapping,
+    lz_witness,
     parse_factorization,
     verify_factorization,
 )
+from repsens.factorizers import _match_lengths
 
 ALL_PARSERS = (
     lzss_overlapping,
@@ -134,8 +137,22 @@ def test_parsers_match_naive_references():
         assert phrases0(lzss_nonoverlapping(T)) == nv.naive_lzss_phrases(syms, False)
         assert phrases0(lz77_overlapping(T)) == nv.naive_lz77_phrases(syms, True)
         assert phrases0(lz77_nonoverlapping(T)) == nv.naive_lz77_phrases(syms, False)
-        assert lengths(lz_end_greedy(T)) == nv.naive_lzend_lengths(syms)
+        assert phrases0(lz_end_greedy(T)) == nv.naive_lzend_phrases(syms)
         assert lengths(lz78(T)) == nv.naive_lz78_lengths(syms)
+
+
+def test_match_tables_match_naive_exhaustive():
+    # the per-position tables of the exact searches: lz_end_optimal's longest
+    # fully-previous match and smallest_bms's longest repeat elsewhere
+    for n in range(1, 13):
+        for syms in itertools.product((0, 1), repeat=n):
+            T = SymbolString(syms)
+            assert _match_lengths(T, "nonoverlap") == [
+                nv.naive_longest_match(syms, i, False) for i in range(n)
+            ], syms
+            assert _match_lengths(T, "elsewhere") == [
+                nv.naive_longest_repeat(syms, i) for i in range(n)
+            ], syms
 
 
 def test_greedy_phrases_cannot_extend():
@@ -178,7 +195,7 @@ def test_lzend_optimal_regression_fixture():
 
 
 def test_lzend_optimal_matches_plain_backtracking():
-    for n in range(1, 10):
+    for n in range(1, 13):
         for bits in itertools.product((0, 1), repeat=n - 1):
             syms = (0,) + bits
             assert lz_end_optimal(SymbolString(syms)).size == nv.naive_lzend_optimal_size(syms)
@@ -219,3 +236,38 @@ def test_parse_factorization_rejects_garbage():
         parse_factorization("lz78 4\n")
     with pytest.raises(InputError):
         parse_factorization("nope 4 1\n1 1 4 copy 0\n")
+
+
+def _long_texts():
+    """Fibonacci and Thue-Morse prefixes (n=8192), the lz witness bases for
+    p<=12 and two seeded random texts (sigma 2 and 4, n=4096)."""
+    fib_a, fib_b = [0], [0, 1]
+    while len(fib_b) < 8192:
+        fib_a, fib_b = fib_b, fib_b + fib_a
+    yield SymbolString(fib_b[:8192])
+    yield SymbolString(bin(i).count("1") & 1 for i in range(8192))
+    for p in range(2, 13):
+        yield lz_witness(p).base
+    rng = random.Random(2024)
+    for sigma in (2, 4):
+        yield SymbolString(rng.randrange(sigma) for _ in range(4096))
+
+
+# sha256 over format_factorization of every _long_texts() parse, recorded
+# with the str.find matcher that the suffix-automaton walk replaced
+GOLDEN_LONG_PARSES = {
+    "lzss_overlapping": "aa4839326cb226dcb9bd32b10df39aeae49006d1626bfef0ccdd55e5c6e43076",
+    "lzss_nonoverlapping": "2ef52cdbb64471af194cc7c04be078f3de267c2d155984a5675906355aec7174",
+    "lz77_overlapping": "3d9087b6b24f7d1b00a3ba56bcba83e01eb12562cac6a65b157bc9b281277e1f",
+    "lz77_nonoverlapping": "52631c08c61878c2d871ed731367c7bb5ac93158cf2275cefb7c2c25c7613db3",
+    "lz_end_greedy": "ce730eb12c3d48774e97dfcb9a20ec19c1fc8702c51f6a1344d83bfcc071a808",
+    "lz78": "e0811d1ea9b47cf868c65db95b856f6485542b13e80260c2807a8d525546c438",
+}
+
+
+@pytest.mark.parametrize("fn", ALL_PARSERS, ids=lambda fn: fn.__name__)
+def test_long_parses_pinned(fn):
+    h = hashlib.sha256()
+    for T in _long_texts():
+        h.update(format_factorization(fn(T), len(T)).encode())
+    assert h.hexdigest() == GOLDEN_LONG_PARSES[fn.__name__]

@@ -211,7 +211,7 @@ def test_smallest_bms_examples():
 
 
 def test_smallest_bms_matches_naive():
-    for n in range(1, 9):
+    for n in range(1, 12):
         for bits in itertools.product((0, 1), repeat=n - 1):
             syms = (0,) + bits
             assert smallest_bms(SymbolString(syms)).size == nv.naive_smallest_bms_size(syms)
