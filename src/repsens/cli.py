@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
 import sys
 
@@ -54,16 +55,22 @@ def _add_input_args(sub):
 
 def _load_text(args) -> SymbolString:
     if args.text is not None:
-        return SymbolString.from_text(args.text)
+        try:  # the argument's own bytes, also when they are not UTF-8
+            return SymbolString.from_bytes(os.fsencode(args.text))
+        except UnicodeEncodeError as exc:
+            raise InputError(f"--text cannot be read as bytes: {exc}") from None
     if args.input is None:
         raise InputError("provide --text or --input")
     if args.format == "bytes":
         with open(args.input, "rb") as fh:
             return SymbolString.from_bytes(fh.read())
-    with open(args.input, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                return parse_symbolic(line)
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            for line in fh:
+                if line.strip():
+                    return parse_symbolic(line)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.input} is not UTF-8 symbolic text: {exc}") from None
     raise InputError(f"no text found in {args.input}")
 
 
@@ -192,6 +199,14 @@ def cmd_sensitivity(args) -> int:
         raise InputError("--jobs applies only to --exhaustive sweeps")
     if not args.witness and (args.p_min is not None or args.p_max is not None):
         raise InputError("--p-min and --p-max apply only to --witness sweeps")
+    given = {
+        "--exhaustive": args.exhaustive,
+        "--witness": args.witness,
+        "--random": args.random_count is not None,
+    }
+    sweeps = [flag for flag, on in given.items() if on]
+    if len(sweeps) > 1:
+        raise InputError(f"{' and '.join(sweeps)} are different sweeps; give one")
     records = []
     if args.exhaustive:
         if args.n is None or args.sigma is None:
@@ -212,10 +227,12 @@ def cmd_sensitivity(args) -> int:
                     args.measure, bundle.base, kind, bundle.base.alphabet(), source="witness"
                 )
                 records.append(rec)
-    elif args.random_count:
+    elif args.random_count is not None:
         rng = random.Random(args.seed)
         if args.n is None or args.sigma is None:
             raise InputError("--random needs --n and --sigma")
+        if min(args.random_count, args.n, args.sigma) < 1:
+            raise InputError("--random, --n and --sigma must be at least 1")
         for _ in range(args.random_count):
             T = SymbolString(rng.randrange(args.sigma) for _ in range(args.n))
             for kind in kinds:
@@ -286,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens.add_argument("--witness", choices=("lz", "lz78"))
     p_sens.add_argument("--p-min", type=int)
     p_sens.add_argument("--p-max", type=int)
-    p_sens.add_argument("--random", dest="random_count", type=int, default=0,
+    p_sens.add_argument("--random", dest="random_count", type=int,
                         help="number of random texts")
     p_sens.add_argument("--n", type=int)
     p_sens.add_argument("--sigma", type=int)

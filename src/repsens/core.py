@@ -1,19 +1,18 @@
 """Symbol strings, single-character edits, and substring utilities.
 
 Texts are sequences of non-negative integer symbols rather than bytes so that
-constructions needing large parametric alphabets stay exact.  All public
-position arguments are 1-based and slices are inclusive.
+constructions needing large parametric alphabets stay exact; symbols have no
+upper bound.  Every substring question is answered by one suffix automaton
+(``_suffix_automaton``).  All public position arguments are 1-based and
+slices are inclusive.
 """
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 EDIT_KINDS = ("sub", "ins", "del")
-
-# chr() ceiling; the verifiers, exact searches and repairs render symbols as
-# codepoints.
-MAX_SYMBOL = 0x10FFFF
 
 
 class InputError(ValueError):
@@ -24,11 +23,12 @@ class CapabilityError(RuntimeError):
     """An input exceeds a configured exhaustive-search limit."""
 
 
-def _check_symbol(s: int) -> None:
-    if s < 0:
-        raise InputError(f"symbols must be non-negative, got {s}")
-    if s > MAX_SYMBOL:
-        raise InputError(f"symbol {s} exceeds the supported maximum {MAX_SYMBOL}")
+def _integer(x, what: str) -> int:
+    """``x`` as an int, rejecting floats and other non-integral values."""
+    try:
+        return index(x)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {x!r}") from None
 
 
 class SymbolString:
@@ -38,22 +38,22 @@ class SymbolString:
     returns the empty string when ``i > j``.
     """
 
-    __slots__ = ("symbols", "_chars")
+    __slots__ = ("symbols",)
 
     def __init__(self, symbols: Iterable[int] = ()):
-        syms = tuple(int(s) for s in symbols)
-        if syms and not 0 <= min(syms) <= max(syms) <= MAX_SYMBOL:
-            for s in syms:
-                _check_symbol(s)
+        try:
+            syms = tuple(map(index, symbols))
+        except TypeError as exc:
+            raise InputError(f"symbols must be integers: {exc}") from None
+        if syms and min(syms) < 0:
+            raise InputError(f"symbols must be non-negative, got {min(syms)}")
         self.symbols = syms
-        self._chars = None
 
     @classmethod
     def _trusted(cls, syms: tuple) -> "SymbolString":
         """Wrap a tuple of symbols that are already known to be valid."""
         self = object.__new__(cls)
         self.symbols = syms
-        self._chars = None
         return self
 
     @classmethod
@@ -65,12 +65,6 @@ class SymbolString:
     def from_bytes(cls, data: bytes) -> "SymbolString":
         """One symbol per byte."""
         return cls(data)
-
-    def chars(self) -> str:
-        """Codepoint rendering used by the substring matchers."""
-        if self._chars is None:
-            self._chars = "".join(map(chr, self.symbols))
-        return self._chars
 
     def at(self, i: int) -> int:
         """The i-th symbol, 1-based."""
@@ -123,10 +117,13 @@ class Edit:
         if kind == "del":
             if symbol is not None:
                 raise InputError("deletion carries no symbol")
-        elif symbol is None or symbol < 0:
-            raise InputError(f"{kind} edit needs a non-negative symbol")
+        else:
+            if symbol is not None:
+                symbol = _integer(symbol, "edit symbol")
+            if symbol is None or symbol < 0:
+                raise InputError(f"{kind} edit needs a non-negative symbol")
         _set_kind(self, kind)
-        _set_position(self, position)
+        _set_position(self, _integer(position, "edit position"))
         _set_symbol(self, symbol)
 
     @classmethod
@@ -178,15 +175,14 @@ def check_edit(T: SymbolString, e: Edit) -> None:
 
 
 def apply_edit(T: SymbolString, e: Edit) -> SymbolString:
-    """The string obtained by performing ``e`` on ``T``.  Only the new
-    symbol is validated; the kept ones are valid already."""
+    """The string obtained by performing ``e`` on ``T``; an ``Edit`` carries
+    a valid symbol already."""
     check_edit(T, e)
     syms = T.symbols
     i = e.position
     if e.kind == "del":
         return SymbolString._trusted(syms[: i - 1] + syms[i:])
-    c = int(e.symbol)
-    _check_symbol(c)
+    c = e.symbol
     if e.kind == "sub":
         return SymbolString._trusted(syms[: i - 1] + (c,) + syms[i:])
     return SymbolString._trusted(syms[:i] + (c,) + syms[i:])
@@ -203,7 +199,7 @@ def enumerate_edits(
     yields exactly the filtered full enumeration.  Substitutions that would
     rewrite a symbol to itself are skipped.
     """
-    sigma = sorted(set(alphabet))
+    sigma = sorted({_integer(c, "edit symbol") for c in alphabet})
     if not sigma:
         raise InputError("alphabet must be non-empty")
     kinds = set(kinds)
@@ -276,6 +272,19 @@ def _suffix_automaton(
         last = cur
         prefix_state.append(cur)
     return link, length, prefix_state, trans, firstpos
+
+
+def _state_ends(link: list[int], length: list[int], prefix_state: list[int]) -> list[int]:
+    """For every automaton state, the bitmask of the 0-based end indices of
+    its substrings' occurrences (bit i for an occurrence ending at T[i]):
+    bit i set on ``prefix_state[i]``, then OR-ed up the suffix links, longest
+    state first."""
+    ends = [0] * len(length)
+    for i, v in enumerate(prefix_state):
+        ends[v] |= 1 << i
+    for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
+        ends[link[v]] |= ends[v]
+    return ends
 
 
 def distinct_substrings(T: SymbolString, k: int) -> int:

@@ -9,12 +9,13 @@ Phrase kinds:
   match-plus-symbol phrase shape; also the parent-plus-symbol shape of
   dictionary parsing).
 
-The greedy parsers, and the match-length tables of the exact searches, walk
-one suffix automaton of the text (``core._suffix_automaton``): following the
-rest of the text from the root, each state's first end index tells whether
-the prefix read so far has an admissible earlier occurrence and where the
-leftmost one starts.  Correctness is pinned to naive reference parsers by the
-test suite.
+The greedy parsers, and the match tables of the exact searches, walk one
+suffix automaton of the text (``core._suffix_automaton``): following the rest
+of the text from the root, each state's first end index tells whether the
+prefix read so far has an admissible earlier occurrence and where the
+leftmost one starts, and its end-position bitmask (``core._state_ends``)
+lists every occurrence.  The verifier compares symbol slices.  Correctness is
+pinned to naive reference parsers by the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .core import CapabilityError, InputError, SymbolString, _suffix_automaton
+from .core import CapabilityError, InputError, SymbolString, _state_ends, _suffix_automaton
 
 FLAVORS = (
     "lzss_overlap",
@@ -136,34 +137,29 @@ def _jump_lower_bound(jumps: list[int]) -> list[int]:
     return lb
 
 
-def _match_lengths(T: SymbolString, rule: str) -> list[int]:
-    """For each 0-based start i, the length of the longest prefix of T[i:]
-    that also occurs ending before i (``"nonoverlap"``) or starting anywhere
-    but i (``"elsewhere"``), by one automaton walk per start.
-
-    A prefix occurs elsewhere iff its state has two end positions, i.e. its
-    first and last end position (``lastpos``, the largest end in the state's
-    suffix-link subtree) differ.
+def _match_states(T: SymbolString, rule: str) -> tuple[list[list[int]], list[int]]:
+    """``(paths, ends)``: ``ends`` is ``core._state_ends`` of T's automaton,
+    and ``paths[i]`` lists the states of T[i:i+1], T[i:i+2], ... for as long
+    as the prefix also occurs ending before i (``"nonoverlap"``) or starting
+    anywhere but i (``"elsewhere"``, i.e. its state has two end bits).  So
+    ``len(paths[i])`` is the longest such match, by one walk per start.
     """
     syms = T.symbols
     n = len(syms)
-    link, length, _, trans, firstpos = _suffix_automaton(T)
+    link, length, prefix_state, trans, firstpos = _suffix_automaton(T)
+    ends = _state_ends(link, length, prefix_state)
     elsewhere = rule == "elsewhere"
-    if elsewhere:
-        lastpos = firstpos[:]
-        for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
-            lastpos[link[v]] = max(lastpos[link[v]], lastpos[v])
-    lengths = []
+    paths = []
     for i in range(n):
+        path = []
         v = 0
-        j = i
-        while j < n:
+        for j in range(i, n):
             v = trans[v][syms[j]]
-            if (firstpos[v] == lastpos[v]) if elsewhere else (firstpos[v] > i):
+            if (not ends[v] & (ends[v] - 1)) if elsewhere else (firstpos[v] > i):
                 break
-            j += 1
-        lengths.append(j - i)
-    return lengths
+            path.append(v)
+        paths.append(path)
+    return paths, ends
 
 
 def lz_end_greedy(T: SymbolString) -> Factorization:
@@ -263,30 +259,11 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
         raise CapabilityError(
             f"length {n} exceeds the exact LZ-End search limit {cap} (REPSENS_LIMIT_LZEND_OPT)"
         )
-    hay = T.chars()
-
-    maxlen = _match_lengths(T, "nonoverlap")
-
-    ends_mask_cache: dict[tuple[int, int], int] = {}
-
-    def ends_mask(pos0: int, length: int) -> int:
-        """Bitmask of end positions (bit e set) of occurrences of the length-
-        `length` prefix at pos0 that end at or before pos0."""
-        key = (pos0, length)
-        m = ends_mask_cache.get(key)
-        if m is None:
-            sub = hay[pos0 : pos0 + length]
-            m = 0
-            s = hay.find(sub, 0, pos0)
-            while s >= 0:
-                m |= 1 << (s + length)
-                s = hay.find(sub, s + 1, pos0)
-            ends_mask_cache[key] = m
-        return m
+    paths, ends = _match_states(T, "nonoverlap")
 
     # admissible lower bound: phrases needed if every position could jump its
     # longest fully-previous match (a superset of the really admissible moves)
-    lb = _jump_lower_bound(maxlen)
+    lb = _jump_lower_bound([len(path) for path in paths])
 
     seed = lz_end_greedy(T)
     best_count = seed.size
@@ -307,10 +284,13 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
         if prev is not None and prev <= count:
             return
         seen[key] = count
-        top = min(maxlen[pos0], n - pos0)
+        path = paths[pos0]
+        top = len(path)
         took_any = False
         for length in range(top, 0, -1):
-            hit = ends_mask(pos0, length) & bmask
+            # bit e: an occurrence of the candidate ends at 1-based position
+            # e, and so does a phrase so far (hence e <= pos0)
+            hit = (ends[path[length - 1]] << 1) & bmask
             if not hit:
                 continue
             took_any = True
@@ -341,7 +321,7 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
     """None when ``F`` is a structurally valid factorization of ``T`` for its
     flavor, otherwise a diagnostic reason."""
     n = len(T)
-    hay = T.chars()
+    syms = T.symbols
     if F.flavor not in FLAVORS:
         return f"unknown flavor {F.flavor!r}"
     if not F.phrases:
@@ -368,7 +348,7 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
                 return f"literal phrase {k} has length {ph.length}"
             if ph.source is not None:
                 return f"literal phrase {k} carries a source"
-            if F.flavor in _LZ_STYLE and hay.find(hay[p0], 0, p0) >= 0:
+            if F.flavor in _LZ_STYLE and syms.index(syms[p0]) < p0:
                 return f"literal phrase {k} repeats an earlier symbol"
             continue
         if ph.kind not in ("copy", "copylit"):
@@ -383,7 +363,7 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
         q0 = ph.source - 1
         if q0 < 0 or q0 + copied > n:
             return f"phrase {k} source [{ph.source}, {ph.source + copied - 1}] out of bounds"
-        if hay[q0 : q0 + copied] != hay[p0 : p0 + copied]:
+        if syms[q0 : q0 + copied] != syms[p0 : p0 + copied]:
             return f"phrase {k} does not match its source"
 
         if F.flavor == "bms":
@@ -421,7 +401,7 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
                 if parent is None or parent >= k:
                     return f"phrase {k} does not extend an earlier phrase"
     if F.flavor == "lz78":
-        words = [hay[p.start - 1 : p.end] for p in F.phrases]
+        words = [syms[p.start - 1 : p.end] for p in F.phrases]
         if len(set(words[:-1])) != len(words) - 1:
             return "non-final phrases are not pairwise distinct"
     return None
@@ -452,7 +432,7 @@ def parse_factorization(text: str) -> tuple[Factorization, int]:
     flavor, n_str, count_str = head
     if flavor not in FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
-    n, count = int(n_str), int(count_str)
+    n, count = _int_fields(lines[0], n_str, count_str)
     if len(lines) - 1 != count:
         raise InputError(f"header promises {count} phrases, found {len(lines) - 1}")
     phrases = []
@@ -461,8 +441,13 @@ def parse_factorization(text: str) -> tuple[Factorization, int]:
         if len(fields) != 5:
             raise InputError(f"bad phrase line: {ln!r}")
         _, start, length, kind, src = fields
-        source = int(src)
-        phrases.append(
-            Phrase(int(start), int(length), kind, None if source == 0 else source)
-        )
+        start, length, source = _int_fields(ln, start, length, src)
+        phrases.append(Phrase(start, length, kind, None if source == 0 else source))
     return Factorization(tuple(phrases), flavor), n
+
+
+def _int_fields(line: str, *fields: str) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise InputError(f"non-integer field in factorization line {line!r}") from None

@@ -8,12 +8,12 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import config
-from .core import CapabilityError, InputError, SymbolString, _suffix_automaton
+from .core import CapabilityError, InputError, SymbolString, _state_ends, _suffix_automaton
 from .factorizers import (
     Factorization,
     Phrase,
     _jump_lower_bound,
-    _match_lengths,
+    _match_states,
     check_factorization,
     lzss_overlapping,
 )
@@ -53,14 +53,9 @@ def _coverage_masks(T: SymbolString) -> list[int]:
     substring iff it intersects every mask.
     """
     link, length, prefix_state = _suffix_automaton(T)[:3]
-    ends = [0] * len(length)
-    for i, v in enumerate(prefix_state):
-        ends[v] |= 1 << i
-    states = sorted(range(1, len(length)), key=length.__getitem__, reverse=True)
-    for v in states:
-        ends[link[v]] |= ends[v]
+    ends = _state_ends(link, length, prefix_state)
     masks = []
-    for v in states:
+    for v in range(1, len(length)):
         mask, span, shortest = ends[v], 1, length[link[v]] + 1
         while span < shortest:  # spread each end bit over `shortest` positions
             step = min(span, shortest - span)
@@ -231,28 +226,10 @@ def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
         )
     if n == 0:
         raise InputError("cannot build a macro scheme for the empty string")
-    hay = T.chars()
-
-    # longest prefix at each position that occurs somewhere else in the text
-    maxrep = _match_lengths(T, "elsewhere")
+    # states of the prefixes at each position that occur somewhere else
+    paths, ends = _match_states(T, "elsewhere")
+    maxrep = [len(path) for path in paths]
     lb = _jump_lower_bound(maxrep)
-
-    sources_cache: dict[tuple[int, int], list[int]] = {}
-
-    def sources_for(pos0: int, length: int) -> list[int]:
-        key = (pos0, length)
-        got = sources_cache.get(key)
-        if got is None:
-            sub = hay[pos0 : pos0 + length]
-            occ = []
-            s = hay.find(sub)
-            while s >= 0:
-                if s != pos0:
-                    occ.append(s)
-                s = hay.find(sub, s + 1)
-            got = sorted(occ, key=lambda s: (s >= pos0, s))
-            sources_cache[key] = got
-        return got
 
     refmap = [0] * (n + 1)
     assigned = [False] * (n + 1)
@@ -293,7 +270,7 @@ def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
                 continue
             if length > maxrep[pos0]:
                 continue
-            for src0 in sources_for(pos0, length):
+            for src0 in _other_starts(ends[paths[pos0][length - 1]], pos0, length):
                 for j in range(length):
                     assigned[start + j] = True
                     refmap[start + j] = src0 + 1 + j
@@ -314,6 +291,19 @@ def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
         if found is not None:
             return Factorization(tuple(found), "bms")
     raise AssertionError("internal: the greedy parsing bound was not reachable")
+
+
+def _other_starts(ends: int, pos0: int, length: int) -> list[int]:
+    """0-based starts, ascending, of the length-``length`` occurrences whose
+    end bits (``core._state_ends``) are in ``ends``, except the one at pos0;
+    so the left ones come first."""
+    starts = []
+    ends &= ~(1 << (pos0 + length - 1))
+    while ends:
+        low = ends & -ends
+        starts.append(low.bit_length() - length)
+        ends ^= low
+    return starts
 
 
 def format_attractor(positions) -> str:

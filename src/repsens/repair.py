@@ -12,7 +12,7 @@ import bisect
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .core import Edit, InputError, SymbolString, apply_edit, check_edit
+from .core import Edit, InputError, SymbolString, _suffix_automaton, apply_edit, check_edit
 from .factorizers import Factorization, Phrase, check_factorization
 from .measures import bms_check, is_attractor
 
@@ -96,31 +96,28 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     grid.add((g * g + m) // 2)
 
     cap = _ceil_sqrt(m)
-    hay = T.chars()
-    hayp = Tp.chars()
+    syms = T.symbols
+    trans, firstpos = _suffix_automaton(Tp)[3:]
 
-    # intervals through the edited spot (original coordinates) whose content
-    # still occurs in the edited text; only maximal ones need a position
-    if e.kind == "ins":
-        spans = (
-            (a, b)
-            for a in range(max(1, i - cap + 2), i + 1)
-            for b in range(i + 1, min(n, a + cap - 1) + 1)
-        )
-    else:
-        spans = (
-            (a, b)
-            for a in range(max(1, i - cap + 1), i + 1)
-            for b in range(max(i, a), min(n, a + cap - 1) + 1)
-        )
-    candidates = [(a, b) for a, b in spans if hayp.find(hay[a - 1 : b]) >= 0]
-    candidates.sort(key=lambda ab: (ab[0], -ab[1]))
+    # intervals [a, b] through the edited spot (original coordinates, at most
+    # cap long) whose content still occurs in the edited text; only maximal
+    # ones need a position.  Walking T[a..] on the edited text's automaton
+    # gives the longest such b for each a, and its leftmost occurrence.
     short_points = set()
     best_b = 0
-    for a, b in candidates:
-        if b > best_b:
+    b_min = i + 1 if e.kind == "ins" else i
+    for a in range(max(1, b_min - cap + 1), i + 1):
+        v = 0
+        b = a - 1
+        for c in syms[a - 1 : min(n, a + cap - 1)]:
+            w = trans[v].get(c)
+            if w is None:
+                break
+            v = w
+            b += 1
+        if b >= b_min and b > best_b:
             best_b = b
-            j0 = hayp.find(hay[a - 1 : b])
+            j0 = firstpos[v] - (b - a + 1)
             short_points.add(j0 + (i - a + 1))
 
     if e.kind == "sub":
@@ -363,14 +360,14 @@ def _boundary_walk(phrases, old_ends: list[int], w_start0: int, w_len: int):
     return pieces
 
 
-def _single_char_phrase(hay_out: str, pos1: int, ends_so_far) -> Phrase:
+def _single_char_phrase(syms_out: tuple, pos1: int, ends_so_far) -> Phrase:
     """Phrase for one symbol of the edited text: a literal when the symbol is
     fresh, otherwise a copy whose source ends at an already-built phrase end."""
-    c = hay_out[pos1 - 1]
-    if hay_out.find(c, 0, pos1 - 1) < 0:
+    c = syms_out[pos1 - 1]
+    if syms_out.index(c) == pos1 - 1:
         return Phrase(pos1, 1, "literal")
     for end in ends_so_far:
-        if end <= pos1 - 1 and hay_out[end - 1] == c:
+        if end <= pos1 - 1 and syms_out[end - 1] == c:
             return Phrase(pos1, 1, "copy", end)
     raise AssertionError("internal: repeated symbol with no phrase-end occurrence")
 
@@ -394,7 +391,7 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
     i = e.position
     kind = e.kind
     Tp = apply_edit(T, e)
-    hayp = Tp.chars()
+    symsp = Tp.symbols
     shift = _shift_fn(kind, i)
     phrases = F.phrases
     t = F.size
@@ -440,7 +437,7 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
                 pieces += 1
         if kind != "del":
             pos1 = i if kind == "sub" else i + 1
-            emit(_single_char_phrase(hayp, pos1, ends_out))
+            emit(_single_char_phrase(symsp, pos1, ends_out))
             pieces += 1
         w2_len = fI.end - i
         if w2_len > 0:
@@ -450,7 +447,7 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
         tally["lzend:2"] = pieces
         ledger.append((edited_idx0 + 1, "lzend:2", pieces))
     else:
-        emit(_single_char_phrase(hayp, i + 1, ends_out))
+        emit(_single_char_phrase(symsp, i + 1, ends_out))
         tally["lzend:2"] = 1
         ledger.append((0, "lzend:2", 1))
 
@@ -473,7 +470,7 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
                     emit(Phrase(at, off, "copy", q))
                     at += off
                     pieces += 1
-                emit(_single_char_phrase(hayp, at, ends_out))
+                emit(_single_char_phrase(symsp, at, ends_out))
                 at += 1
                 pieces += 1
                 if L - off - 1 >= 1:
@@ -483,7 +480,7 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
             ledger.append((idx0 + 1, "lzend:3B", pieces))
         else:
             if q is None:
-                emit(_single_char_phrase(hayp, shift(p), ends_out))
+                emit(_single_char_phrase(symsp, shift(p), ends_out))
             else:
                 emit(Phrase(shift(p), L, "copy", shift(q)))
             tally["lzend:3A"] += 1

@@ -127,6 +127,12 @@ def naive_longest_repeat(T, pos):
     return best
 
 
+def naive_occurrences(T, pattern):
+    """Every 0-based start of ``pattern`` in T, ascending."""
+    m = len(pattern)
+    return [s for s in range(len(T) - m + 1) if tuple(T[s : s + m]) == tuple(pattern)]
+
+
 def naive_lz78_lengths(T):
     words = {(): None}
     lengths = []

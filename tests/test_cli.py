@@ -265,6 +265,38 @@ def test_sensitivity_rejects_jobs_without_exhaustive(capsys):
     assert "error:" in err and "--exhaustive" in err
 
 
+def test_symbolic_file_not_utf8_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 2 \xff 3\n")
+    code, out, err = run(capsys, "measure", "--what", "delta", "--input", str(path),
+                         "--format", "symbolic")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_text_argument_is_read_as_its_bytes(capsys):
+    # a non-UTF-8 argv byte arrives as a surrogate escape and stays one symbol
+    code, out, _ = run(capsys, "factorize", "--flavor", "lz78", "--text", "a\udcffb")
+    assert code == 0 and out.splitlines()[0] == "lz78 3 3"
+    code, out, err = run(capsys, "measure", "--what", "delta", "--text", "\ud800")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra", [
+    ("--random", "2", "--n", "3", "--sigma", "0"),
+    ("--random", "2", "--n", "0", "--sigma", "2"),
+    ("--random", "-1", "--n", "3", "--sigma", "2"),
+    ("--random", "0", "--n", "3", "--sigma", "2"),
+    ("--random", "2", "--n", "3", "--sigma", "2", "--exhaustive"),
+    ("--random", "2", "--n", "3", "--sigma", "2", "--witness", "lz78"),
+    ("--exhaustive", "--n", "3", "--sigma", "2", "--witness", "lz78"),
+])
+def test_sensitivity_rejects_bad_random_sweeps(capsys, extra):
+    code, out, err = run(capsys, "sensitivity", "--measure", "delta", "--text", "ab", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 # sha256 of stdout for each README CLI line (the lz78 sweep shortened to
 # --p-max 12), plus lines that pin copy sources, the exact macro-scheme
 # search, the bms repair ledger and exhaustive sweeps of every edit kind

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,27 @@ from repsens import (
     InputError,
     SymbolString,
     apply_edit,
+    attractor_repair,
+    bms_repair,
+    delta,
     distinct_substrings,
     enumerate_edits,
     format_symbolic,
+    is_attractor,
+    lz77_nonoverlapping,
+    lz77_overlapping,
+    lz78,
+    lz_end_greedy,
+    lz_end_optimal,
+    lzend_repair,
+    lzss_nonoverlapping,
+    lzss_overlapping,
     parse_symbolic,
+    smallest_attractor,
+    smallest_bms,
 )
-from repsens.core import EDIT_KINDS, MAX_SYMBOL
+from repsens.core import EDIT_KINDS
+from repsens.measures import as_bms
 
 
 def test_apply_edit_examples():
@@ -52,6 +68,24 @@ def test_edit_field_validation():
         Edit("sub", 1, None)
     with pytest.raises(InputError, match="^ins edit needs a non-negative symbol$"):
         Edit("ins", 0, -1)
+
+
+def test_non_integer_symbols_and_positions_rejected():
+    # floats used to be truncated (symbols) or to fail later in slicing
+    # (positions); True and False pass as the integers they are
+    for bad in ([1.7, 2], [0, "1"], [None]):
+        with pytest.raises(InputError, match="must be integers"):
+            SymbolString(bad)
+    with pytest.raises(InputError, match="edit symbol must be an integer"):
+        Edit("sub", 1, 2.5)
+    with pytest.raises(InputError, match="edit position must be an integer"):
+        Edit("sub", 1.5, 2)
+    with pytest.raises(InputError, match="edit position must be an integer"):
+        Edit("del", "1")
+    with pytest.raises(InputError, match="edit symbol must be an integer"):
+        list(enumerate_edits(SymbolString([0, 1]), [0, 0.5]))
+    assert SymbolString([True, 2]).symbols == (1, 2)
+    assert Edit("sub", 2, False) == Edit("sub", 2, 0)
 
 
 def test_edit_value_semantics():
@@ -127,12 +161,48 @@ def test_enumerate_edits_kind_filter_is_filtered_enumeration():
         list(enumerate_edits(T, {0, 1}, ("sub", "swap")))
 
 
-def test_apply_edit_rejects_symbol_above_max():
-    T = SymbolString([1, 2, 3])
-    for e in (Edit("sub", 2, MAX_SYMBOL + 1), Edit("ins", 0, MAX_SYMBOL + 1)):
-        with pytest.raises(InputError, match="exceeds the supported maximum"):
-            apply_edit(T, e)
-    assert apply_edit(T, Edit("ins", 3, MAX_SYMBOL)).symbols == (1, 2, 3, MAX_SYMBOL)
+HUGE = 2**40
+
+
+def _renamed(e, rename):
+    return e if e.kind == "del" else Edit(e.kind, e.position, rename[e.symbol])
+
+
+def test_huge_symbols_match_renamed_small_forms():
+    # symbols have no upper bound: a text over symbols above 2**40 parses,
+    # measures and repairs exactly like its renaming to 0, 1, 2, ...
+    assert apply_edit(SymbolString([1, 2]), Edit("ins", 2, HUGE**2)).symbols == (1, 2, HUGE**2)
+    rng = random.Random(43)
+    parsers = (lzss_overlapping, lzss_nonoverlapping, lz77_overlapping,
+               lz77_nonoverlapping, lz_end_greedy, lz_end_optimal, lz78, smallest_bms)
+    for _ in range(40):
+        n = rng.randint(1, 13)
+        small = [rng.randrange(3) for _ in range(n)]
+        rename = {c: HUGE + rng.randrange(HUGE) * 7 + c for c in range(4)}
+        S, H = SymbolString(small), SymbolString(rename[c] for c in small)
+        for parse in parsers:
+            assert parse(S) == parse(H), parse.__name__
+        assert delta(S) == delta(H)
+        gamma = smallest_attractor(S)
+        assert smallest_attractor(H) == gamma
+        positions = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        assert is_attractor(S, positions) == is_attractor(H, positions)
+        scheme, greedy = as_bms(lzss_nonoverlapping(S)), lz_end_greedy(S)
+        for e in rng.sample(list(enumerate_edits(S, range(4))), 6):
+            if e.kind == "sub" and S.at(e.position) == e.symbol:
+                continue
+            big = _renamed(e, rename)
+            assert apply_edit(H, big) == SymbolString(
+                rename[c] for c in apply_edit(S, e).symbols
+            )
+            for repair, cert in ((attractor_repair, gamma), (bms_repair, scheme),
+                                 (lzend_repair, greedy)):
+                got, report = repair(S, cert, e)
+                got_h, report_h = repair(H, cert, big)
+                assert got_h == got, repair.__name__
+                assert (report_h.output_size, report_h.bound, report_h.ledger) == (
+                    report.output_size, report.bound, report.ledger
+                )
 
 
 def test_enumerate_edits_counts():

@@ -24,7 +24,8 @@ from repsens import (
     parse_factorization,
     verify_factorization,
 )
-from repsens.factorizers import _match_lengths
+from repsens.factorizers import _match_states
+from repsens.measures import _other_starts
 
 ALL_PARSERS = (
     lzss_overlapping,
@@ -147,12 +148,28 @@ def test_match_tables_match_naive_exhaustive():
     for n in range(1, 13):
         for syms in itertools.product((0, 1), repeat=n):
             T = SymbolString(syms)
-            assert _match_lengths(T, "nonoverlap") == [
+            assert [len(path) for path in _match_states(T, "nonoverlap")[0]] == [
                 nv.naive_longest_match(syms, i, False) for i in range(n)
             ], syms
-            assert _match_lengths(T, "elsewhere") == [
+            assert [len(path) for path in _match_states(T, "elsewhere")[0]] == [
                 nv.naive_longest_repeat(syms, i) for i in range(n)
             ], syms
+
+
+def test_match_state_occurrences_match_naive_exhaustive():
+    # the occurrence sets behind lz_end_optimal's phrase-end masks and
+    # smallest_bms's source candidates, for every matched prefix
+    for n in range(1, 11):
+        for syms in itertools.product((0, 1), repeat=n):
+            T = SymbolString(syms)
+            for rule in ("nonoverlap", "elsewhere"):
+                paths, ends = _match_states(T, rule)
+                for i, path in enumerate(paths):
+                    for length, v in enumerate(path, 1):
+                        starts = nv.naive_occurrences(syms, syms[i : i + length])
+                        assert ends[v] == sum(1 << (s + length - 1) for s in starts)
+                        others = [s for s in starts if s != i]
+                        assert _other_starts(ends[v], i, length) == others, (syms, i, length)
 
 
 def test_greedy_phrases_cannot_extend():
@@ -236,6 +253,11 @@ def test_parse_factorization_rejects_garbage():
         parse_factorization("lz78 4\n")
     with pytest.raises(InputError):
         parse_factorization("nope 4 1\n1 1 4 copy 0\n")
+    # non-integer fields are an InputError, not a bare ValueError
+    for text in ("lz78 four 1\n1 1 4 copy 0\n", "lz78 4 1\n1 1 4.0 copy 0\n",
+                 "lz78 4 1\n1 1 4 copy x\n"):
+        with pytest.raises(InputError, match="non-integer field"):
+            parse_factorization(text)
 
 
 def _long_texts():

@@ -17,7 +17,9 @@ from repsens import (
     bms_is_valid,
     delta,
     enumerate_edits,
+    format_factorization,
     is_attractor,
+    lz_end_optimal,
     lzss_nonoverlapping,
     lzss_overlapping,
     smallest_attractor,
@@ -138,6 +140,24 @@ def test_smallest_attractor_outputs_pinned():
                 line = f"{sigma}:{' '.join(map(str, syms))}:{' '.join(map(str, got))}\n"
                 h.update(line.encode())
     assert h.hexdigest() == SMALLEST_ATTRACTOR_DIGEST
+
+
+# sha256 over format_factorization (sources included) of lz_end_optimal and
+# smallest_bms on every binary text of length 1..10 and every ternary text of
+# length 1..6, recorded with the str.find substring index that the automaton
+# end masks replaced: pins the parses the exact referees return
+REFEREE_DIGEST = "54dc8a744449be676779e85530263cd6527ad0e854e91b60ff64482b449ec160"
+
+
+def test_exact_referee_outputs_pinned():
+    h = hashlib.sha256()
+    for sigma, nmax in ((2, 10), (3, 6)):
+        for n in range(1, nmax + 1):
+            for syms in itertools.product(range(sigma), repeat=n):
+                T = SymbolString(syms)
+                for fn in (lz_end_optimal, smallest_bms):
+                    h.update(format_factorization(fn(T), n).encode())
+    assert h.hexdigest() == REFEREE_DIGEST
 
 
 def test_smallest_attractor_is_minimal():

@@ -6,7 +6,21 @@ from hypothesis import strategies as st
 import pytest
 
 import naive_oracles as nv
-from repsens import MEASURES, SymbolString, delta, distinct_substrings, is_attractor
+from repsens import (
+    MEASURES,
+    Factorization,
+    Phrase,
+    SymbolString,
+    delta,
+    distinct_substrings,
+    format_factorization,
+    format_symbolic,
+    is_attractor,
+    parse_factorization,
+    parse_symbolic,
+)
+from repsens.factorizers import FLAVORS
+from repsens.measures import format_attractor, parse_attractor
 
 # fixed examples and no example database, so every run checks the same inputs
 fixed = settings(derandomize=True, deadline=None, database=None)
@@ -78,3 +92,39 @@ def test_every_measure_invariant_under_renaming(name):
         assert fn(SymbolString(syms)) == fn(SymbolString(renamed))
 
     check()
+
+
+@st.composite
+def factorizations(draw):
+    """Any tiling of [1, n] into phrases, valid for its flavor or not: the
+    text form carries structure only (a literal's source is written as 0)."""
+    shapes = draw(st.lists(
+        st.tuples(st.integers(1, 9), st.sampled_from(("literal", "copy", "copylit")),
+                  st.integers(1, 2**40)),
+        max_size=12,
+    ))
+    phrases, start = [], 1
+    for length, kind, source in shapes:
+        phrases.append(Phrase(start, length, kind, None if kind == "literal" else source))
+        start += length
+    return Factorization(tuple(phrases), draw(st.sampled_from(FLAVORS))), start - 1
+
+
+@fixed
+@given(factorizations())
+def test_factorization_text_round_trip(case):
+    F, n = case
+    assert parse_factorization(format_factorization(F, n)) == (F, n)
+
+
+@fixed
+@given(st.frozensets(st.integers(1, 2**40)))
+def test_attractor_text_round_trip(positions):
+    assert parse_attractor(format_attractor(positions)) == positions
+
+
+@fixed
+@given(st.lists(st.integers(0, 2**70)))
+def test_symbolic_text_round_trip(syms):
+    T = SymbolString(syms)
+    assert parse_symbolic(format_symbolic(T)) == T
