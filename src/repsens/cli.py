@@ -48,7 +48,6 @@ def _add_input_args(sub):
     sub.add_argument(
         "--format",
         choices=("bytes", "symbolic"),
-        default="bytes",
         help="file format for --input (default: bytes)",
     )
 
@@ -61,7 +60,7 @@ def _load_text(args) -> SymbolString:
             raise InputError(f"--text cannot be read as bytes: {exc}") from None
     if args.input is None:
         raise InputError("provide --text or --input")
-    if args.format == "bytes":
+    if args.format != "symbolic":
         with open(args.input, "rb") as fh:
             return SymbolString.from_bytes(fh.read())
     try:
@@ -207,6 +206,12 @@ def cmd_sensitivity(args) -> int:
     sweeps = [flag for flag, on in given.items() if on]
     if len(sweeps) > 1:
         raise InputError(f"{' and '.join(sweeps)} are different sweeps; give one")
+    for flag, value in (("--text", args.text), ("--input", args.input), ("--format", args.format)):
+        if value is not None and sweeps:
+            raise InputError(f"{flag} applies only to a single-text sweep, not to {sweeps[0]}")
+    for flag, value in (("--n", args.n), ("--sigma", args.sigma)):
+        if value is not None and not (args.exhaustive or args.random_count is not None):
+            raise InputError(f"{flag} applies only to --exhaustive and --random sweeps")
     records = []
     if args.exhaustive:
         if args.n is None or args.sigma is None:

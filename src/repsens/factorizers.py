@@ -9,6 +9,14 @@ Phrase kinds:
   match-plus-symbol phrase shape; also the parent-plus-symbol shape of
   dictionary parsing).
 
+Each parser family has one loop, which emits plain ``(start, length, kind,
+source)`` tuples: ``_greedy`` for LZSS/LZ77, ``_lz_end`` for greedy LZ-End and
+``_lz78``.  The public factorizers build a ``Factorization`` of ``Phrase``
+objects from them; the sweeps' size path (``sensitivity.MEASURES``) only
+counts them.  ``_lz78`` can also continue from a position with a given trie
+and log its insertions, so a sweep re-parses each edited text only from the
+phrase holding the edit and then takes the insertions out again.
+
 The greedy parsers, and the match tables of the exact searches, walk one
 suffix automaton of the text (``core._suffix_automaton``): following the rest
 of the text from the root, each state's first end index tells whether the
@@ -21,6 +29,7 @@ pinned to naive reference parsers by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 
 from . import config
 from .core import CapabilityError, InputError, SymbolString, _state_ends, _suffix_automaton
@@ -66,9 +75,10 @@ def _require_nonempty(T: SymbolString) -> None:
         raise InputError("cannot factorize the empty string")
 
 
-def _greedy(T: SymbolString, overlap: bool, take_next: bool, flavor: str) -> Factorization:
-    """Greedy longest-match parsing.  With ``take_next`` a match also takes
-    the following symbol, unless the text ends inside the match.
+def _greedy(T: SymbolString, overlap: bool, take_next: bool) -> list[tuple]:
+    """The one LZSS/LZ77 loop: greedy longest-match parsing into
+    ``(start, length, kind, source)`` tuples.  With ``take_next`` a match
+    also takes the following symbol, unless the text ends inside the match.
 
     From 0-based position i the walk reads T[i..j] from the root while the
     prefix's leftmost occurrence starts before i (``overlap``) or ends before
@@ -76,7 +86,6 @@ def _greedy(T: SymbolString, overlap: bool, take_next: bool, flavor: str) -> Fac
     ``firstpos <= j`` and ``firstpos <= i``.  Both are monotone in j, and the
     leftmost occurrence is the copy's source.
     """
-    _require_nonempty(T)
     syms = T.symbols
     n = len(syms)
     trans, firstpos = _suffix_automaton(T)[3:]
@@ -93,38 +102,44 @@ def _greedy(T: SymbolString, overlap: bool, take_next: bool, flavor: str) -> Fac
             j += 1
         length = j - i
         if length == 0:
-            phrases.append(Phrase(i + 1, 1, "literal"))
+            phrases.append((i + 1, 1, "literal", None))
             i += 1
             continue
         source = firstpos[v] - length + 1
         if take_next and j < n:
-            phrases.append(Phrase(i + 1, length + 1, "copylit", source))
+            phrases.append((i + 1, length + 1, "copylit", source))
             i = j + 1
         else:
-            phrases.append(Phrase(i + 1, length, "copy", source))
+            phrases.append((i + 1, length, "copy", source))
             i = j
-    return Factorization(tuple(phrases), flavor)
+    return phrases
+
+
+def _factorization(T: SymbolString, phrases: list[tuple], flavor: str) -> Factorization:
+    """The public form of a loop's phrase tuples; the empty text has none."""
+    _require_nonempty(T)
+    return Factorization(tuple(starmap(Phrase, phrases)), flavor)
 
 
 def lzss_overlapping(T: SymbolString) -> Factorization:
     """Greedy parsing into longest previously occurring prefixes; a copy's
     source may overlap the phrase itself."""
-    return _greedy(T, True, False, "lzss_overlap")
+    return _factorization(T, _greedy(T, True, False), "lzss_overlap")
 
 
 def lzss_nonoverlapping(T: SymbolString) -> Factorization:
     """Greedy parsing where every copy source lies entirely before the phrase."""
-    return _greedy(T, False, False, "lzss_nonoverlap")
+    return _factorization(T, _greedy(T, False, False), "lzss_nonoverlap")
 
 
 def lz77_overlapping(T: SymbolString) -> Factorization:
     """Longest previous match extended by the following symbol, overlap allowed."""
-    return _greedy(T, True, True, "lz77_overlap")
+    return _factorization(T, _greedy(T, True, True), "lz77_overlap")
 
 
 def lz77_nonoverlapping(T: SymbolString) -> Factorization:
     """Longest fully-previous match extended by the following symbol."""
-    return _greedy(T, False, True, "lz77_nonoverlap")
+    return _factorization(T, _greedy(T, False, True), "lz77_nonoverlap")
 
 
 def _jump_lower_bound(jumps: list[int]) -> list[int]:
@@ -162,9 +177,10 @@ def _match_states(T: SymbolString, rule: str) -> tuple[list[list[int]], list[int
     return paths, ends
 
 
-def lz_end_greedy(T: SymbolString) -> Factorization:
-    """Greedy parsing where every copy's source ends exactly at the end of an
-    earlier phrase.
+def _lz_end(T: SymbolString) -> list[tuple]:
+    """The greedy LZ-End loop: parsing into ``(start, length, kind, source)``
+    tuples where every copy's source ends exactly at the end of an earlier
+    phrase.
 
     After each phrase its end e (1-based) is recorded as ``minend`` on the
     states of the suffixes of T[:e], walking suffix links up from the
@@ -174,7 +190,6 @@ def lz_end_greedy(T: SymbolString) -> Factorization:
     a ``minend``: the longest admissible copy, with its leftmost source
     ending there.
     """
-    _require_nonempty(T)
     syms = T.symbols
     n = len(syms)
     link, _, prefix_state, trans, firstpos = _suffix_automaton(T)
@@ -197,16 +212,65 @@ def lz_end_greedy(T: SymbolString) -> Factorization:
                 # a repeated symbol always has an occurrence ending at some
                 # earlier phrase end; reaching here means a parser bug
                 raise AssertionError("internal: repeated symbol with no boundary occurrence")
-            phrases.append(Phrase(i + 1, 1, "literal"))
+            phrases.append((i + 1, 1, "literal", None))
             i += 1
         else:
-            phrases.append(Phrase(i + 1, best_len, "copy", best_end - best_len + 1))
+            phrases.append((i + 1, best_len, "copy", best_end - best_len + 1))
             i += best_len
         v = prefix_state[i - 1]
         while v > 0 and not minend[v]:
             minend[v] = i
             v = link[v]
-    return Factorization(tuple(phrases), "lzend")
+    return phrases
+
+
+def lz_end_greedy(T: SymbolString) -> Factorization:
+    """Greedy parsing where every copy's source ends exactly at the end of an
+    earlier phrase."""
+    return _factorization(T, _lz_end(T), "lzend")
+
+
+def _lz78(
+    syms: tuple, pos0: int = 0, root: dict | None = None, undo: list | None = None
+) -> list[tuple]:
+    """The one LZ78 loop: dictionary parsing of ``syms[pos0:]`` into
+    ``(start, length, kind, source)`` tuples (1-based starts in ``syms``).
+
+    ``root`` is the dictionary trie to continue from (default: empty); a node
+    maps a symbol to ``(children, start)`` of the phrase ending there.  Every
+    phrase added to it is recorded as ``(node, symbol)`` in ``undo`` when one
+    is given, so a caller can take the additions out again.  The final phrase
+    is a ``copy`` of an earlier one when the text ends mid-walk; it depends
+    on where the text ends and adds nothing to the trie.
+    """
+    n = len(syms)
+    if root is None:
+        root = {}
+    phrases = []
+    while pos0 < n:
+        node = root
+        j = pos0
+        source = None
+        while j < n:
+            entry = node.get(syms[j])
+            if entry is None:
+                break
+            node, source = entry
+            j += 1
+        if j == n:
+            # exhausted mid-walk: the final phrase duplicates an earlier one
+            phrases.append((pos0 + 1, j - pos0, "copy", source))
+            break
+        if source is None:
+            phrases.append((pos0 + 1, 1, "literal", None))
+        else:
+            phrases.append((pos0 + 1, j - pos0 + 1, "copylit", source))
+        c = syms[j]
+        node[c] = ({}, pos0 + 1)
+        if undo is not None:
+            undo.append((node, c))
+        pos0 = j + 1
+    return phrases
 
 
 def lz78(T: SymbolString) -> Factorization:
@@ -215,34 +279,7 @@ def lz78(T: SymbolString) -> Factorization:
     Only the final phrase may duplicate an earlier phrase (when the text ends
     while still walking the dictionary).
     """
-    _require_nonempty(T)
-    n = len(T)
-    syms = T.symbols
-    root: dict = {}
-    phrases = []
-    pos0 = 0
-    while pos0 < n:
-        node = root
-        j = pos0
-        deepest_start = None
-        while j < n and syms[j] in node:
-            children, start = node[syms[j]]
-            deepest_start = start
-            node = children
-            j += 1
-        if j == n and deepest_start is not None and j > pos0:
-            # exhausted mid-walk: final phrase duplicates an earlier one
-            phrases.append(Phrase(pos0 + 1, j - pos0, "copy", deepest_start))
-            pos0 = j
-            continue
-        length = j - pos0 + 1
-        if length == 1:
-            phrases.append(Phrase(pos0 + 1, 1, "literal"))
-        else:
-            phrases.append(Phrase(pos0 + 1, length, "copylit", deepest_start))
-        node[syms[j]] = [{}, pos0 + 1]
-        pos0 = j + 1
-    return Factorization(tuple(phrases), "lz78")
+    return _factorization(T, _lz78(T.symbols), "lz78")
 
 
 def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
@@ -265,9 +302,9 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
     # longest fully-previous match (a superset of the really admissible moves)
     lb = _jump_lower_bound([len(path) for path in paths])
 
-    seed = lz_end_greedy(T)
-    best_count = seed.size
-    best_parse = [(p.length, p.source) for p in seed.phrases]
+    seed = _lz_end(T)
+    best_count = len(seed)
+    best_parse = [(length, src) for _, length, _, src in seed]
     seen: dict[tuple[int, int], int] = {}
 
     def dfs(pos0: int, bmask: int, count: int, acc: list) -> None:

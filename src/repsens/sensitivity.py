@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,24 +22,24 @@ from .core import (
     enumerate_edits,
 )
 from .factorizers import (
-    lz77_nonoverlapping,
-    lz77_overlapping,
-    lz78,
-    lz_end_greedy,
+    _greedy,
+    _lz78,
+    _lz_end,
+    lz78,  # noqa: F401  (a module attribute the bench self-test looks up)
     lz_end_optimal,
-    lzss_nonoverlapping,
-    lzss_overlapping,
 )
 from .measures import delta, smallest_attractor, smallest_bms
 
+# Sizes only: the parser loops' phrase tuples are counted without building a
+# Factorization; the exact searches build one per call.
 MEASURES = {
-    "lzss_overlap": lambda T: lzss_overlapping(T).size,
-    "lzss_nonoverlap": lambda T: lzss_nonoverlapping(T).size,
-    "lz77_overlap": lambda T: lz77_overlapping(T).size,
-    "lz77_nonoverlap": lambda T: lz77_nonoverlapping(T).size,
-    "lzend": lambda T: lz_end_greedy(T).size,
+    "lzss_overlap": lambda T: len(_greedy(T, True, False)),
+    "lzss_nonoverlap": lambda T: len(_greedy(T, False, False)),
+    "lz77_overlap": lambda T: len(_greedy(T, True, True)),
+    "lz77_nonoverlap": lambda T: len(_greedy(T, False, True)),
+    "lzend": lambda T: len(_lz_end(T)),
     "lzend_opt": lambda T: lz_end_optimal(T).size,
-    "lz78": lambda T: lz78(T).size,
+    "lz78": lambda T: len(_lz78(T.symbols)),
     "delta": delta,
     "gamma": lambda T: len(smallest_attractor(T)),
     "bms": lambda T: smallest_bms(T).size,
@@ -86,6 +87,76 @@ def _measure_fn(measure):
     return MEASURES[measure], measure
 
 
+def _lz78_resumed(T: SymbolString, edits: Iterable[Edit]) -> tuple[int, Iterator[tuple]]:
+    """The lz78 size of ``T`` and an iterator of ``(size, edit)`` over the
+    edited texts, each parsed only from the phrase of ``T`` holding the edit.
+
+    Every phrase of ``T`` that ends before the first changed index d is a
+    phrase of the edited text too, made from the same symbols against the
+    same dictionary.  A final ``copy`` phrase is never kept: it ends because
+    the text runs out.  The base trie holds the kept phrases; each edited
+    text is parsed from the next phrase's start with an undo log, and its
+    additions are taken out again.  In enumeration order of one kind, d never
+    decreases, so the base trie only grows; a smaller d starts it afresh.
+
+    A substitution or insertion of symbol c at d makes the walk from that
+    start read ``W = T[start:d]`` and then c.  Unless some phrase walk, of
+    ``T`` before d or of the edited text after it, stands at W and reads c,
+    the parse takes the same decisions as with a symbol no text has in c's
+    place.  So one parse of that placeholder text serves every such c at d,
+    and only the symbols read at W get a parse of their own.
+    """
+    syms = T.symbols
+    n = len(syms)
+    phrases = _lz78(syms)
+    # 0-based last index of each phrase; a final copy counts as ending at n
+    ends = [n if kind == "copy" else start + length - 2 for start, length, kind, _ in phrases]
+
+    def parse(text: tuple, resume: int, root: dict, undo: list) -> list[tuple]:
+        tail = _lz78(text, resume, root, undo)
+        for node, c in reversed(undo):
+            del node[c]
+        undo.clear()
+        return tail
+
+    def sizes():
+        root: dict = {}
+        kept = 0  # phrases of T in root
+        undo: list = []
+        shared = None, 0, ()  # (kind, position), size with the placeholder, symbols read at W
+        for e in edits:
+            d = e.position if e.kind == "ins" else e.position - 1
+            k = bisect_left(ends, d)
+            if k < kept:
+                root.clear()
+                kept = 0
+            if kept < k:  # phrases kept..k-1 of T, parsed again into root
+                _lz78(syms[: ends[k - 1] + 1], phrases[kept][0] - 1, root)
+                kept = k
+            resume = phrases[k][0] - 1 if k < len(phrases) else n
+            if e.kind != "del":
+                if shared[0] != (e.kind, e.position):
+                    # the placeholder -1 is a symbol no text has
+                    text = syms[:d] + (-1,) + syms[d + (e.kind == "sub") :]
+                    tail = parse(text, resume, root, undo)
+                    word = syms[resume:d]
+                    depth = d - resume
+                    read = {
+                        text[start - 1 + depth]
+                        for start, length, kind, _ in phrases[:k] + tail
+                        if (length if kind == "copy" else length - 1) >= depth
+                        and start - 1 + depth < len(text)
+                        and text[start - 1 : start - 1 + depth] == word
+                    }
+                    shared = (e.kind, e.position), k + len(tail), read
+                if e.symbol not in shared[2]:
+                    yield shared[1], e
+                    continue
+            yield k + len(parse(apply_edit(T, e).symbols, resume, root, undo)), e
+
+    return len(phrases), sizes()
+
+
 def sensitivity_of_string(
     measure,
     T: SymbolString,
@@ -98,7 +169,13 @@ def sensitivity_of_string(
 
     One symbol never occurring in ``T`` is added to the edit alphabet by
     default, since the worst growth typically needs a fresh symbol.  The
-    maximizer is the first edit in enumeration order, so reruns agree.
+    maximizer is the first edit in enumeration order, so reruns agree.  The
+    empty text (left by deleting the only symbol) measures 0 here.
+
+    Edits are streamed and only sizes are computed (the ``MEASURES`` path).
+    The ``"lz78"`` measure, given by name, parses ``T`` once and each edited
+    text only from the phrase holding the edit; the symbols that cannot
+    change that parse at a position share one (see ``_lz78_resumed``).
     """
     fn, name = _measure_fn(measure)
     if edit_kind not in ("sub", "ins", "del"):
@@ -107,10 +184,17 @@ def sensitivity_of_string(
     if include_fresh:
         fresh = max(sigma | set(T.symbols), default=-1) + 1
         sigma.add(fresh)
-    base = fn(T)
+    edits = enumerate_edits(T, sigma, (edit_kind,))
+    if measure == "lz78":
+        base, values = _lz78_resumed(T, edits)
+    else:
+        def size(U: SymbolString):
+            return fn(U) if len(U) else 0
+
+        base = size(T)
+        values = ((size(apply_edit(T, e)), e) for e in edits)
     best = None  # (value, edit); the largest value is the largest gain
-    for e in enumerate_edits(T, sigma, (edit_kind,)):
-        value = fn(apply_edit(T, e))
+    for value, e in values:
         if best is None or value > best[0]:
             best = (value, e)
     if best is None:

@@ -291,3 +291,77 @@ def naive_smallest_bms_size(T):
             if assign(0, [0] * (n + 1)):
                 return size
     raise AssertionError("unreachable")
+
+
+def naive_parse_valid(T, phrases, flavor):
+    """Whether ``phrases`` ((start, length, kind, source) with 1-based start
+    and source, source None for a literal) is a valid ``flavor`` parse of T,
+    read off the phrase definitions one phrase at a time.
+
+    Every flavor: the phrases tile T.  A literal is one symbol with no
+    source; in the LZ-style flavors it is the symbol's first occurrence.  A
+    copy repeats the text at its source, a copylit does so for all but its
+    last symbol.  Per flavor: LZSS copies start (overlap) or lie (non-overlap)
+    before the phrase; LZ77 also allows copylit, and a pure copy only last;
+    LZ-End copies lie before the phrase and end at an earlier phrase end;
+    LZ78 copylits extend an earlier phrase (its start is the source), a pure
+    copy is last and repeats an earlier phrase, and the other phrases are
+    pairwise distinct; macro-scheme copies have length >= 2 and are not
+    their own source.
+    """
+    T = list(T)
+    n = len(T)
+    pos = 1
+    for start, length, _, _ in phrases:
+        if start != pos or length < 1:
+            return False
+        pos += length
+    if pos != n + 1 or (n > 0 and not phrases):
+        return False
+    lz_style = flavor in (
+        "lzss_overlap", "lzss_nonoverlap", "lz77_overlap", "lz77_nonoverlap", "lzend"
+    )
+    earlier = []  # (start, length) of the phrases before the current one
+    for k, (start, length, kind, source) in enumerate(phrases):
+        last = k == len(phrases) - 1
+        word = T[start - 1 : start - 1 + length]
+        if kind == "literal":
+            if length != 1 or source is not None:
+                return False
+            if lz_style and word[0] in T[: start - 1]:
+                return False
+        elif kind in ("copy", "copylit"):
+            if source is None:
+                return False
+            if kind == "copylit" and flavor not in ("lz77_overlap", "lz77_nonoverlap", "lz78"):
+                return False
+            copied = length - 1 if kind == "copylit" else length
+            if copied < 1 or source < 1 or source - 1 + copied > n:
+                return False
+            if T[source - 1 : source - 1 + copied] != word[:copied]:
+                return False
+            if flavor in ("lzss_overlap", "lz77_overlap") and not source < start:
+                return False
+            if flavor in ("lzss_nonoverlap", "lz77_nonoverlap") and not source + copied - 1 < start:
+                return False
+            if flavor.startswith("lz77") and kind == "copy" and not last:
+                return False
+            if flavor == "lzend":
+                ends = {s + m - 1 for s, m in earlier}
+                if not (source + length - 1 < start and source + length - 1 in ends):
+                    return False
+            if flavor == "bms" and (length < 2 or source == start):
+                return False
+            if flavor == "lz78":
+                if kind == "copy" and not (last and (source, length) in earlier):
+                    return False
+                if kind == "copylit" and (source, length - 1) not in earlier:
+                    return False
+        else:
+            return False
+        earlier.append((start, length))
+    if flavor == "lz78":
+        words = [tuple(T[s - 1 : s - 1 + m]) for s, m, _, _ in phrases[:-1]]
+        if len(set(words)) != len(words):
+            return False
+    return True

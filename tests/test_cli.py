@@ -4,6 +4,7 @@ import json
 import pytest
 
 from repsens import cli
+from repsens import sensitivity as sv
 from repsens.cli import main
 
 
@@ -292,9 +293,45 @@ def test_text_argument_is_read_as_its_bytes(capsys):
     ("--exhaustive", "--n", "3", "--sigma", "2", "--witness", "lz78"),
 ])
 def test_sensitivity_rejects_bad_random_sweeps(capsys, extra):
-    code, out, err = run(capsys, "sensitivity", "--measure", "delta", "--text", "ab", *extra)
+    code, out, err = run(capsys, "sensitivity", "--measure", "delta", *extra)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (("--witness", "lz78", "--p-min", "2", "--p-max", "2", "--n", "5", "--sigma", "9", "--text", "zz"),
+     "--text"),
+    (("--witness", "lz78", "--text", "zz"), "--text"),
+    (("--exhaustive", "--n", "3", "--sigma", "2", "--text", "abcdef"), "--text"),
+    (("--random", "1", "--n", "3", "--sigma", "2", "--input", "in.txt"), "--input"),
+    (("--exhaustive", "--n", "3", "--sigma", "2", "--format", "symbolic"), "--format"),
+    (("--witness", "lz78", "--n", "5"), "--n"),
+    (("--witness", "lz78", "--sigma", "5"), "--sigma"),
+    (("--text", "ab", "--n", "3"), "--n"),
+    (("--text", "ab", "--sigma", "3"), "--sigma"),
+])
+def test_sensitivity_rejects_flags_the_sweep_ignores(capsys, extra, flag):
+    code, out, err = run(capsys, "sensitivity", "--measure", "lz78", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("measure", sorted(sv.MEASURES))
+def test_sensitivity_deleting_the_only_symbol(capsys, measure):
+    code, out, err = run(capsys, "sensitivity", "--measure", measure, "--exhaustive",
+                         "--n", "1", "--sigma", "2", "--edit", "del")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == f"{measure},del,1,1,0,-1,0,1,1,,exhaustive"
+
+
+def test_empty_text_still_rejected_outside_sweeps(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    commands = [("factorize", "--flavor", flavor) for flavor in sorted(cli.FLAVOR_FLAGS)]
+    commands += [("measure", "--what", "delta"), ("measure", "--what", "bms-min")]
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--input", str(empty))
+        assert code == 2 and out == "" and err.startswith("error:"), argv
 
 
 # sha256 of stdout for each README CLI line (the lz78 sweep shortened to

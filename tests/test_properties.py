@@ -1,4 +1,7 @@
-"""Property-based checks of the substring measures (hypothesis)."""
+"""Property-based checks of the substring measures and the parse checker
+(hypothesis)."""
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +14,23 @@ from repsens import (
     Factorization,
     Phrase,
     SymbolString,
+    as_bms,
+    check_factorization,
     delta,
     distinct_substrings,
     format_factorization,
     format_symbolic,
     is_attractor,
+    lz77_nonoverlapping,
+    lz77_overlapping,
+    lz78,
+    lz_end_greedy,
+    lz_end_optimal,
+    lzss_nonoverlapping,
+    lzss_overlapping,
     parse_factorization,
     parse_symbolic,
+    smallest_bms,
 )
 from repsens.factorizers import FLAVORS
 from repsens.measures import format_attractor, parse_attractor
@@ -128,3 +141,53 @@ def test_attractor_text_round_trip(positions):
 def test_symbolic_text_round_trip(syms):
     T = SymbolString(syms)
     assert parse_symbolic(format_symbolic(T)) == T
+
+
+def valid_parses(T):
+    """A valid parse of every flavor, from the parsers (two for lzend)."""
+    yield lzss_overlapping(T)
+    yield lzss_nonoverlapping(T)
+    yield lz77_overlapping(T)
+    yield lz77_nonoverlapping(T)
+    yield lz_end_greedy(T)
+    yield lz_end_optimal(T)
+    yield lz78(T)
+    yield smallest_bms(T) if len(T) <= 8 else as_bms(lzss_nonoverlapping(T))
+
+
+def single_field_mutations(ph, n):
+    """Every phrase that differs from ``ph`` in one field: start and length
+    by up to 2 either way, the other kinds, and every other source in
+    [0, n + 1] or none."""
+    for step in (-2, -1, 1, 2):
+        yield "start", dataclasses.replace(ph, start=ph.start + step)
+        yield "length", dataclasses.replace(ph, length=ph.length + step)
+    for kind in ("literal", "copy", "copylit"):
+        if kind != ph.kind:
+            yield "kind", dataclasses.replace(ph, kind=kind)
+    for source in [None, *range(n + 2)]:
+        if source != ph.source:
+            yield "source", dataclasses.replace(ph, source=source)
+
+
+@fixed
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=14))
+def test_check_factorization_rejects_single_field_mutations(syms):
+    """A start or length change always breaks the tiling.  A kind or source
+    change may give another valid parse (a second admissible occurrence, or
+    a final LZ77 copy read as copy-plus-symbol), so there the checker must
+    agree with a naive validity check written from the phrase definitions."""
+    T = SymbolString(syms)
+    n = len(syms)
+    for F in valid_parses(T):
+        assert check_factorization(T, F) is None
+        assert nv.naive_parse_valid(syms, [dataclasses.astuple(p) for p in F.phrases], F.flavor)
+        for k, ph in enumerate(F.phrases):
+            for field, changed in single_field_mutations(ph, n):
+                phrases = list(F.phrases)
+                phrases[k] = changed
+                verdict = check_factorization(T, Factorization(tuple(phrases), F.flavor))
+                naive = nv.naive_parse_valid(syms, [dataclasses.astuple(p) for p in phrases], F.flavor)
+                assert (verdict is None) == naive, (F.flavor, k, changed, verdict)
+                if field in ("start", "length"):
+                    assert verdict is not None, (F.flavor, k, changed)

@@ -4,20 +4,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repsens import (
     CapabilityError,
+    Edit,
     InputError,
     MEASURES,
     SymbolString,
     apply_edit,
+    enumerate_edits,
     exhaustive_sensitivity,
     growth_fit,
+    lz78,
     lz78_witness,
     sensitivity_of_string,
 )
 import repsens.sensitivity as sv
-from repsens.sensitivity import CSV_HEADER, canonical_strings, write_csv
+from repsens.factorizers import _lz78
+from repsens.sensitivity import CSV_HEADER, _lz78_resumed, canonical_strings, write_csv
 
 
 def test_witness_lower_bound_reached():
@@ -228,3 +234,114 @@ def test_csv_fraction_cells():
     cells = row.split(",")
     ms = Fraction(int(cells[6]), int(cells[7]))
     assert ms == rec.MS
+
+
+def lz78_size(U):
+    """The lz78 size, 0 for the empty text as in a sweep."""
+    return lz78(U).size if len(U) else 0
+
+
+def resumed_sizes(T, edits):
+    """The lz78 sizes of the edited texts as the resumed sweep computes them."""
+    base, sizes = _lz78_resumed(T, iter(edits))
+    assert base == lz78(T).size
+    return [size for size, _ in sizes]
+
+
+def test_lz78_resume_matches_full_parses():
+    rng = random.Random(71)
+    texts = [lz78_witness(p).base for p in range(1, 9)]
+    for _ in range(40):
+        n, sigma = rng.randint(1, 60), rng.randint(1, 5)
+        texts.append(SymbolString(rng.randrange(sigma) for _ in range(n)))
+    for T in texts:
+        sigma = set(T.symbols) | {max(T.symbols) + 1}
+        for kinds in (("sub",), ("ins",), ("del",), ("sub", "ins", "del")):
+            edits = list(enumerate_edits(T, sigma, kinds))
+            want = [lz78_size(apply_edit(T, e)) for e in edits]
+            assert resumed_sizes(T, edits) == want, (T.symbols, kinds)
+
+
+# (text, edit, lz78 size of the edited text); c is a symbol new to the text
+LZ78_EDGES = [
+    ("abaab", Edit("ins", 5, ord("a")), 4),  # after the last symbol, past a final copy
+    ("aabaab", Edit("ins", 6, ord("a")), 5),  # after the last symbol, past a final literal
+    ("abaab", Edit("del", 5), 3),  # the last symbol, a final copy
+    ("aabaab", Edit("del", 6), 3),  # the last symbol, a final literal
+    # a|ab|aa|b|ab: the final "ab" repeats phrase 2 because the text ends
+    ("aabaabab", Edit("sub", 7, ord("b")), 5),
+    ("aabaabab", Edit("sub", 8, ord("a")), 5),
+    ("aabaabab", Edit("ins", 7, ord("a")), 5),
+    ("aabaabab", Edit("del", 7), 5),
+    ("aabaabab", Edit("ins", 8, ord("a")), 5),
+    ("abaab", Edit("sub", 5, ord("c")), 4),  # the fresh symbol
+    ("aabaabab", Edit("sub", 3, ord("c")), 5),
+    ("abaab", Edit("ins", 0, ord("c")), 5),
+    ("a", Edit("del", 1), 0),  # the empty text
+]
+
+
+@pytest.mark.parametrize("text,edit,want", LZ78_EDGES)
+def test_lz78_resume_at_text_edges(text, edit, want):
+    T = SymbolString.from_text(text)
+    assert resumed_sizes(T, [edit]) == [want]
+    assert lz78_size(apply_edit(T, edit)) == want
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    st.lists(st.tuples(st.sampled_from(("sub", "ins", "del")), st.integers(0, 40), st.integers(0, 4)),
+             min_size=1, max_size=12),
+)
+def test_lz78_resume_property(syms, picks):
+    T = SymbolString(syms)
+    n = len(syms)
+    edits = []
+    for kind, pos, sym in picks:
+        if kind == "ins":
+            edits.append(Edit("ins", pos % (n + 1), sym))
+        elif kind == "del":
+            edits.append(Edit("del", pos % n + 1))
+        elif sym != syms[pos % n]:
+            edits.append(Edit("sub", pos % n + 1, sym))
+    assert resumed_sizes(T, edits) == [lz78_size(apply_edit(T, e)) for e in edits]
+
+
+def test_lz78_loop_resumes_from_any_phrase_and_undoes():
+    rng = random.Random(73)
+    for _ in range(60):
+        syms = tuple(rng.randrange(rng.randint(1, 4)) for _ in range(rng.randint(1, 50)))
+        full = _lz78(syms)
+        for k, (start, _, kind, _) in enumerate(full):
+            if kind == "copy":
+                continue
+            root = {}
+            assert _lz78(syms[: start - 1], 0, root) == full[:k]
+            before = repr(root)
+            undo = []
+            assert _lz78(syms, start - 1, root, undo) == full[k:]
+            assert len(undo) == sum(kind != "copy" for _, _, kind, _ in full[k:])
+            for node, c in reversed(undo):
+                del node[c]
+            assert repr(root) == before
+
+
+@pytest.mark.parametrize("kind", ["sub", "ins", "del"])
+def test_lz78_by_name_matches_the_measure_function(kind):
+    rng = random.Random(79)
+    texts = [lz78_witness(p).base for p in (1, 3)]
+    texts += [SymbolString(rng.randrange(3) for _ in range(rng.randint(1, 30))) for _ in range(30)]
+    for T in texts:
+        by_name = sensitivity_of_string("lz78", T, kind, T.alphabet())
+        by_fn = sensitivity_of_string(MEASURES["lz78"], T, kind, T.alphabet())
+        assert by_name.csv_row() == by_fn.csv_row().replace("<lambda>", "lz78", 1)
+        assert by_name.edit == by_fn.edit
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_deleting_the_only_symbol_leaves_measure_zero(measure):
+    # by name and as a plain function; the CLI test covers exhaustive sweeps
+    for fn in (measure, MEASURES[measure]):
+        rec = sensitivity_of_string(fn, SymbolString([5]), "del", {5})
+        assert (rec.c_T, rec.c_Tprime, rec.AS) == (1, 0, -1)
