@@ -99,6 +99,8 @@ def cmd_factorize(args) -> int:
 
 def cmd_measure(args) -> int:
     T = _load_text(args)
+    if not len(T):
+        raise InputError("cannot measure the empty text")
     with _output(args) as out:
         if args.what == "delta":
             out.write(f"{ms.delta(T)}\n")

@@ -5,6 +5,11 @@ constructions needing large parametric alphabets stay exact; symbols have no
 upper bound.  Every substring question is answered by one suffix automaton
 (``_suffix_automaton``).  All public position arguments are 1-based and
 slices are inclusive.
+
+An edit is applied in one place, ``_edited``, on a tuple of symbols.  The
+sweeps stream plain ``(kind, position, symbol)`` fields from ``_edit_fields``
+and build an ``Edit`` only for their result; ``enumerate_edits`` and
+``apply_edit`` are the same pieces behind the public objects.
 """
 
 from __future__ import annotations
@@ -178,14 +183,50 @@ def apply_edit(T: SymbolString, e: Edit) -> SymbolString:
     """The string obtained by performing ``e`` on ``T``; an ``Edit`` carries
     a valid symbol already."""
     check_edit(T, e)
-    syms = T.symbols
-    i = e.position
-    if e.kind == "del":
-        return SymbolString._trusted(syms[: i - 1] + syms[i:])
-    c = e.symbol
-    if e.kind == "sub":
-        return SymbolString._trusted(syms[: i - 1] + (c,) + syms[i:])
-    return SymbolString._trusted(syms[:i] + (c,) + syms[i:])
+    return SymbolString._trusted(_edited(T.symbols, e.kind, e.position, e.symbol))
+
+
+def _edited(syms: tuple, kind: str, position: int, symbol: int | None) -> tuple:
+    """The symbols of ``syms`` after the edit with these fields, which are
+    known to be applicable: the one place an edit is performed."""
+    if kind == "del":
+        return syms[: position - 1] + syms[position:]
+    if kind == "sub":
+        return syms[: position - 1] + (symbol,) + syms[position:]
+    return syms[:position] + (symbol,) + syms[position:]
+
+
+def _edit_alphabet(alphabet: Iterable[int], kinds: set) -> list[int]:
+    """The edit symbols of ``alphabet``, sorted; InputError unless they are
+    integers, non-empty and (for a kind that writes one) non-negative, and
+    ``kinds`` are edit kinds."""
+    sigma = sorted({_integer(c, "edit symbol") for c in alphabet})
+    if not sigma:
+        raise InputError("alphabet must be non-empty")
+    if not kinds <= set(EDIT_KINDS):
+        raise InputError(f"edit kinds must be among {EDIT_KINDS}, got {kinds!r}")
+    if sigma[0] < 0 and kinds - {"del"}:
+        raise InputError(f"edit symbols must be non-negative, got {sigma[0]}")
+    return sigma
+
+
+def _edit_fields(syms: tuple, sigma: list[int], kinds) -> Iterator[tuple]:
+    """The ``(kind, position, symbol)`` fields of every edit of ``syms`` in
+    the order of ``enumerate_edits``, for a validated sorted ``sigma``."""
+    n = len(syms)
+    if "sub" in kinds:
+        for i in range(1, n + 1):
+            old = syms[i - 1]
+            for c in sigma:
+                if c != old:
+                    yield "sub", i, c
+    if "ins" in kinds:
+        for i in range(0, n + 1):
+            for c in sigma:
+                yield "ins", i, c
+    if "del" in kinds:
+        for i in range(1, n + 1):
+            yield "del", i, None
 
 
 def enumerate_edits(
@@ -197,31 +238,14 @@ def enumerate_edits(
     Deterministic order: substitutions, then insertions, then deletions; within
     a kind by position, then by symbol.  A kind filter keeps this order, so it
     yields exactly the filtered full enumeration.  Substitutions that would
-    rewrite a symbol to itself are skipped.
+    rewrite a symbol to itself are skipped.  The sweeps iterate the plain
+    fields (``_edit_fields``) and build an ``Edit`` only for their result.
     """
-    sigma = sorted({_integer(c, "edit symbol") for c in alphabet})
-    if not sigma:
-        raise InputError("alphabet must be non-empty")
     kinds = set(kinds)
-    if not kinds <= set(EDIT_KINDS):
-        raise InputError(f"edit kinds must be among {EDIT_KINDS}, got {kinds!r}")
-    if sigma[0] < 0 and kinds - {"del"}:
-        raise InputError(f"edit symbols must be non-negative, got {sigma[0]}")
-    n = len(T)
-    syms = T.symbols
+    sigma = _edit_alphabet(alphabet, kinds)
     trusted = Edit._trusted
-    if "sub" in kinds:
-        for i in range(1, n + 1):
-            for c in sigma:
-                if c != syms[i - 1]:
-                    yield trusted("sub", i, c)
-    if "ins" in kinds:
-        for i in range(0, n + 1):
-            for c in sigma:
-                yield trusted("ins", i, c)
-    if "del" in kinds:
-        for i in range(1, n + 1):
-            yield trusted("del", i)
+    for fields in _edit_fields(T.symbols, sigma, kinds):
+        yield trusted(*fields)
 
 
 def _suffix_automaton(

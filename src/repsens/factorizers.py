@@ -18,7 +18,8 @@ and log its insertions, so a sweep re-parses each edited text only from the
 phrase holding the edit and then takes the insertions out again.
 
 The greedy parsers, and the match tables of the exact searches, walk one
-suffix automaton of the text (``core._suffix_automaton``): following the rest
+suffix automaton of the text (``core._suffix_automaton``; an exact search
+builds it once and hands it to every loop it runs): following the rest
 of the text from the root, each state's first end index tells whether the
 prefix read so far has an admissible earlier occurrence and where the
 leftmost one starts, and its end-position bitmask (``core._state_ends``)
@@ -75,7 +76,9 @@ def _require_nonempty(T: SymbolString) -> None:
         raise InputError("cannot factorize the empty string")
 
 
-def _greedy(T: SymbolString, overlap: bool, take_next: bool) -> list[tuple]:
+def _greedy(
+    T: SymbolString, overlap: bool, take_next: bool, sa: tuple | None = None
+) -> list[tuple]:
     """The one LZSS/LZ77 loop: greedy longest-match parsing into
     ``(start, length, kind, source)`` tuples.  With ``take_next`` a match
     also takes the following symbol, unless the text ends inside the match.
@@ -84,11 +87,12 @@ def _greedy(T: SymbolString, overlap: bool, take_next: bool) -> list[tuple]:
     prefix's leftmost occurrence starts before i (``overlap``) or ends before
     i.  With ``firstpos`` the 1-based end of that occurrence, the tests read
     ``firstpos <= j`` and ``firstpos <= i``.  Both are monotone in j, and the
-    leftmost occurrence is the copy's source.
+    leftmost occurrence is the copy's source.  ``sa`` is T's automaton when
+    the caller has built it already.
     """
     syms = T.symbols
     n = len(syms)
-    trans, firstpos = _suffix_automaton(T)[3:]
+    trans, firstpos = (sa or _suffix_automaton(T))[3:]
     phrases = []
     i = 0
     while i < n:
@@ -152,16 +156,19 @@ def _jump_lower_bound(jumps: list[int]) -> list[int]:
     return lb
 
 
-def _match_states(T: SymbolString, rule: str) -> tuple[list[list[int]], list[int]]:
+def _match_states(
+    T: SymbolString, rule: str, sa: tuple | None = None
+) -> tuple[list[list[int]], list[int]]:
     """``(paths, ends)``: ``ends`` is ``core._state_ends`` of T's automaton,
     and ``paths[i]`` lists the states of T[i:i+1], T[i:i+2], ... for as long
     as the prefix also occurs ending before i (``"nonoverlap"``) or starting
     anywhere but i (``"elsewhere"``, i.e. its state has two end bits).  So
     ``len(paths[i])`` is the longest such match, by one walk per start.
+    ``sa`` is T's automaton when the caller has built it already.
     """
     syms = T.symbols
     n = len(syms)
-    link, length, prefix_state, trans, firstpos = _suffix_automaton(T)
+    link, length, prefix_state, trans, firstpos = sa or _suffix_automaton(T)
     ends = _state_ends(link, length, prefix_state)
     elsewhere = rule == "elsewhere"
     paths = []
@@ -177,7 +184,7 @@ def _match_states(T: SymbolString, rule: str) -> tuple[list[list[int]], list[int
     return paths, ends
 
 
-def _lz_end(T: SymbolString) -> list[tuple]:
+def _lz_end(T: SymbolString, sa: tuple | None = None) -> list[tuple]:
     """The greedy LZ-End loop: parsing into ``(start, length, kind, source)``
     tuples where every copy's source ends exactly at the end of an earlier
     phrase.
@@ -188,11 +195,12 @@ def _lz_end(T: SymbolString) -> list[tuple]:
     holding one are thus closed under suffix links.  The next phrase walks
     T[i..] while the prefix occurs before i and takes the deepest state with
     a ``minend``: the longest admissible copy, with its leftmost source
-    ending there.
+    ending there.  ``sa`` is T's automaton when the caller has built it
+    already.
     """
     syms = T.symbols
     n = len(syms)
-    link, _, prefix_state, trans, firstpos = _suffix_automaton(T)
+    link, _, prefix_state, trans, firstpos = sa or _suffix_automaton(T)
     minend = [0] * len(link)  # smallest phrase end (1-based last position), 0 for none
     phrases = []
     i = 0
@@ -287,7 +295,8 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
 
     The source constraint is circular (admissible sources depend on the phrase
     ends of the very parsing being built), so this is an exact branch-and-bound
-    search over parse prefixes, capped at a configured length.
+    search over parse prefixes, capped at a configured length.  Its match
+    table and its greedy seed walk one automaton of T.
     """
     _require_nonempty(T)
     n = len(T)
@@ -296,13 +305,14 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
         raise CapabilityError(
             f"length {n} exceeds the exact LZ-End search limit {cap} (REPSENS_LIMIT_LZEND_OPT)"
         )
-    paths, ends = _match_states(T, "nonoverlap")
+    sa = _suffix_automaton(T)
+    paths, ends = _match_states(T, "nonoverlap", sa)
 
     # admissible lower bound: phrases needed if every position could jump its
     # longest fully-previous match (a superset of the really admissible moves)
     lb = _jump_lower_bound([len(path) for path in paths])
 
-    seed = _lz_end(T)
+    seed = _lz_end(T, sa)
     best_count = len(seed)
     best_parse = [(length, src) for _, length, _, src in seed]
     seen: dict[tuple[int, int], int] = {}

@@ -12,10 +12,10 @@ from .core import CapabilityError, InputError, SymbolString, _state_ends, _suffi
 from .factorizers import (
     Factorization,
     Phrase,
+    _greedy,
     _jump_lower_bound,
     _match_states,
     check_factorization,
-    lzss_overlapping,
 )
 
 AttractorSet = frozenset
@@ -215,7 +215,8 @@ def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
     right; every copy picks a source among the other occurrences of its
     content (left candidates first, because an all-leftward assignment can
     never cycle).  Partial reference chains are walked to cut wiring that
-    already loops, and the full termination check runs at each leaf.
+    already loops, and the full termination check runs at each leaf.  The
+    match table and the LZSS upper bound walk one automaton of T.
     """
     n = len(T)
     cap = config.bms_limit() if limit is None else limit
@@ -227,13 +228,14 @@ def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
     if n == 0:
         raise InputError("cannot build a macro scheme for the empty string")
     # states of the prefixes at each position that occur somewhere else
-    paths, ends = _match_states(T, "elsewhere")
+    sa = _suffix_automaton(T)
+    paths, ends = _match_states(T, "elsewhere", sa)
     maxrep = [len(path) for path in paths]
     lb = _jump_lower_bound(maxrep)
 
     refmap = [0] * (n + 1)
     assigned = [False] * (n + 1)
-    ub = lzss_overlapping(T).size
+    ub = len(_greedy(T, True, False, sa))  # the LZSS size
     distinct = len(set(T.symbols))
 
     def chain_ok(start: int) -> bool:

@@ -1,5 +1,10 @@
 """Worst-case edit sensitivity: per-string maximization over edits,
 exhaustive maximization over strings, CSV reporting, and growth fitting.
+
+The sweeps run on symbol tuples: edits are ``(kind, position, symbol)``
+fields (``core._edit_fields``) applied by ``core._edited``, one first-maximum
+loop (``_first_max``) picks the worst edit, and only the result gets an
+``Edit``, a ``Fraction`` ratio and a ``SensitivityRecord``.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from .core import (
     Edit,
     InputError,
     SymbolString,
-    apply_edit,
-    enumerate_edits,
+    _edit_alphabet,
+    _edit_fields,
+    _edited,
 )
 from .factorizers import (
     _greedy,
@@ -87,9 +93,20 @@ def _measure_fn(measure):
     return MEASURES[measure], measure
 
 
-def _lz78_resumed(T: SymbolString, edits: Iterable[Edit]) -> tuple[int, Iterator[tuple]]:
-    """The lz78 size of ``T`` and an iterator of ``(size, edit)`` over the
-    edited texts, each parsed only from the phrase of ``T`` holding the edit.
+def _first_max(values: Iterable[tuple]) -> tuple | None:
+    """The first ``(value, fields)`` pair with the largest value, or None for
+    no pairs: the one maximization of every sweep."""
+    best = None
+    for pair in values:
+        if best is None or pair[0] > best[0]:
+            best = pair
+    return best
+
+
+def _lz78_resumed(T: SymbolString, edits: Iterable[tuple]) -> tuple[int, Iterator[tuple]]:
+    """The lz78 size of ``T`` and an iterator of ``(size, fields)`` over the
+    texts edited by the ``(kind, position, symbol)`` fields of ``edits``,
+    each parsed only from the phrase of ``T`` holding the edit.
 
     Every phrase of ``T`` that ends before the first changed index d is a
     phrase of the edited text too, made from the same symbols against the
@@ -124,8 +141,9 @@ def _lz78_resumed(T: SymbolString, edits: Iterable[Edit]) -> tuple[int, Iterator
         kept = 0  # phrases of T in root
         undo: list = []
         shared = None, 0, ()  # (kind, position), size with the placeholder, symbols read at W
-        for e in edits:
-            d = e.position if e.kind == "ins" else e.position - 1
+        for fields in edits:
+            kind, position, symbol = fields
+            d = position if kind == "ins" else position - 1
             k = bisect_left(ends, d)
             if k < kept:
                 root.clear()
@@ -134,27 +152,50 @@ def _lz78_resumed(T: SymbolString, edits: Iterable[Edit]) -> tuple[int, Iterator
                 _lz78(syms[: ends[k - 1] + 1], phrases[kept][0] - 1, root)
                 kept = k
             resume = phrases[k][0] - 1 if k < len(phrases) else n
-            if e.kind != "del":
-                if shared[0] != (e.kind, e.position):
+            if kind != "del":
+                if shared[0] != (kind, position):
                     # the placeholder -1 is a symbol no text has
-                    text = syms[:d] + (-1,) + syms[d + (e.kind == "sub") :]
+                    text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
                     tail = parse(text, resume, root, undo)
                     word = syms[resume:d]
                     depth = d - resume
                     read = {
                         text[start - 1 + depth]
-                        for start, length, kind, _ in phrases[:k] + tail
-                        if (length if kind == "copy" else length - 1) >= depth
+                        for start, length, kind_, _ in phrases[:k] + tail
+                        if (length if kind_ == "copy" else length - 1) >= depth
                         and start - 1 + depth < len(text)
                         and text[start - 1 : start - 1 + depth] == word
                     }
-                    shared = (e.kind, e.position), k + len(tail), read
-                if e.symbol not in shared[2]:
-                    yield shared[1], e
+                    shared = (kind, position), k + len(tail), read
+                if symbol not in shared[2]:
+                    yield shared[1], fields
                     continue
-            yield k + len(parse(apply_edit(T, e).symbols, resume, root, undo)), e
+            yield k + len(parse(_edited(syms, kind, position, symbol), resume, root, undo)), fields
 
     return len(phrases), sizes()
+
+
+def _sweep_alphabet(
+    alphabet: Iterable[int], syms: tuple, edit_kind: str, include_fresh: bool
+) -> list[int]:
+    """The sorted edit symbols of a sweep: ``alphabet``, plus by default one
+    symbol new to it and to the text."""
+    sigma = set(alphabet)
+    if include_fresh:
+        sigma.add(max(sigma | set(syms), default=-1) + 1)
+    return _edit_alphabet(sigma, {edit_kind})
+
+
+def _record(name, edit_kind, n, base, best, argmax_T, source) -> SensitivityRecord:
+    """The record of a sweep whose first maximum is ``best``, a ``(value,
+    fields)`` pair or None when no edit of the kind was legal."""
+    if best is None:
+        return SensitivityRecord(name, edit_kind, n, base, None, None, None, None, argmax_T, source)
+    value, fields = best
+    ms = Fraction(value) / Fraction(base) if base > 0 else None
+    return SensitivityRecord(
+        name, edit_kind, n, base, value, value - base, ms, Edit._trusted(*fields), argmax_T, source
+    )
 
 
 def sensitivity_of_string(
@@ -172,37 +213,27 @@ def sensitivity_of_string(
     maximizer is the first edit in enumeration order, so reruns agree.  The
     empty text (left by deleting the only symbol) measures 0 here.
 
-    Edits are streamed and only sizes are computed (the ``MEASURES`` path).
-    The ``"lz78"`` measure, given by name, parses ``T`` once and each edited
-    text only from the phrase holding the edit; the symbols that cannot
-    change that parse at a position share one (see ``_lz78_resumed``).
+    Edits are streamed as plain ``(kind, position, symbol)`` fields and only
+    sizes are computed (the ``MEASURES`` path); the maximizer alone becomes an
+    ``Edit``.  The ``"lz78"`` measure, given by name, parses ``T`` once and
+    each edited text only from the phrase holding the edit; the symbols that
+    cannot change that parse at a position share one (see ``_lz78_resumed``).
     """
     fn, name = _measure_fn(measure)
     if edit_kind not in ("sub", "ins", "del"):
         raise InputError(f"unknown edit kind {edit_kind!r}")
-    sigma = set(alphabet)
-    if include_fresh:
-        fresh = max(sigma | set(T.symbols), default=-1) + 1
-        sigma.add(fresh)
-    edits = enumerate_edits(T, sigma, (edit_kind,))
+    syms = T.symbols
+    sigma = _sweep_alphabet(alphabet, syms, edit_kind, include_fresh)
+    edits = _edit_fields(syms, sigma, (edit_kind,))
     if measure == "lz78":
         base, values = _lz78_resumed(T, edits)
     else:
-        def size(U: SymbolString):
-            return fn(U) if len(U) else 0
+        def size(U: tuple):
+            return fn(SymbolString._trusted(U)) if U else 0
 
-        base = size(T)
-        values = ((size(apply_edit(T, e)), e) for e in edits)
-    best = None  # (value, edit); the largest value is the largest gain
-    for value, e in values:
-        if best is None or value > best[0]:
-            best = (value, e)
-    if best is None:
-        return SensitivityRecord(name, edit_kind, len(T), base, None, None, None, None, None, source)
-    value, e = best
-    gain = value - base
-    ms = Fraction(value) / Fraction(base) if base > 0 else None
-    return SensitivityRecord(name, edit_kind, len(T), base, value, gain, ms, e, None, source)
+        base = size(syms)
+        values = ((size(_edited(syms, *fields)), fields) for fields in edits)
+    return _record(name, edit_kind, len(T), base, _first_max(values), None, source)
 
 
 def canonical_strings(n: int, sigma: int) -> Iterator[tuple]:
@@ -232,17 +263,20 @@ def _renaming_key(symbols: tuple) -> bytes | tuple:
 
 
 def _renaming_memo(fn, capacity: int):
-    """``fn`` evaluated once per renaming class of its argument.  At most
-    ``capacity`` classes are stored (``memo`` holds them); once full the memo
-    stops inserting.  Equal values share one object."""
+    """``fn`` of the text with these symbols, evaluated once per renaming
+    class; the empty text measures 0.  At most ``capacity`` classes are
+    stored (``memo`` holds them); once full the memo stops inserting.  Equal
+    values share one object."""
     memo: dict = {}
     values: dict = {}
 
-    def measure(T: SymbolString):
-        key = _renaming_key(T.symbols)
+    def measure(syms: tuple):
+        if not syms:
+            return 0
+        key = _renaming_key(syms)
         value = memo.get(key)
         if value is None:
-            value = fn(T)
+            value = fn(SymbolString._trusted(syms))
             if len(memo) < capacity:
                 memo[key] = values.setdefault(value, value)
         return value
@@ -251,22 +285,32 @@ def _renaming_memo(fn, capacity: int):
     return measure
 
 
-def _best_of_strings(args):
+def _best_of_strings(args) -> SensitivityRecord | None:
+    """The record of the worst string among ``strings``, ties to the smallest
+    one, or None when no edit of the kind is legal.  Only the winner's edit
+    and ratio are built."""
     measure_name, strings, edit_kind, sigma, capacity = args
-    fn = _renaming_memo(MEASURES[measure_name], capacity)
-    best = None
+    size = _renaming_memo(MEASURES[measure_name], capacity)
+    # canonical strings use only symbols below sigma, so sigma is the fresh one
+    symbols = _sweep_alphabet(range(sigma), (), edit_kind, True)
+    kinds = (edit_kind,)
+    best = None  # (gain, syms, base, (value, fields))
     for syms in strings:
-        T = SymbolString(syms)
-        rec = sensitivity_of_string(fn, T, edit_kind, range(sigma), source="exhaustive")
-        if rec.AS is None:
+        base = size(syms)
+        top = _first_max(
+            (size(_edited(syms, *fields)), fields) for fields in _edit_fields(syms, symbols, kinds)
+        )
+        if top is None:
             continue
-        key = (-rec.AS, syms)
-        if best is None or key < best[0]:
-            best = (key, syms, rec)
+        gain = top[0] - base
+        if best is None or gain > best[0] or (gain == best[0] and syms < best[1]):
+            best = (gain, syms, base, top)
     if best is None:
         return None
-    _, syms, rec = best
-    return (rec.AS, syms, rec.c_T, rec.c_Tprime, rec.MS, rec.edit)
+    _, syms, base, top = best
+    return _record(
+        measure_name, edit_kind, len(syms), base, top, SymbolString._trusted(syms), "exhaustive"
+    )
 
 
 def exhaustive_sensitivity(
@@ -285,9 +329,10 @@ def exhaustive_sensitivity(
     the first-occurrence canonical form serves the repeats.  The memo lives
     for one call (one chunk per worker under ``jobs``) and holds at most
     ``config.exhaustive_budget()`` entries, the same cap as sigma**n; once
-    full it stops inserting and evaluates the rest afresh.  The reduction is
-    a deterministic max (ties to the lexicographically smallest string), so
-    neither the worker count nor the memo changes the answer.
+    full it stops inserting and evaluates the rest afresh.  The sweep runs on
+    symbol tuples and edit fields; only the winner gets an ``Edit``.  The
+    reduction is a deterministic max (ties to the lexicographically smallest
+    string), so neither the worker count nor the memo changes the answer.
     """
     if measure not in MEASURES:
         raise InputError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
@@ -309,19 +354,14 @@ def exhaustive_sensitivity(
                 pool.map(_best_of_strings, [(measure, c, edit_kind, sigma, budget) for c in chunks])
             )
     best = None
-    for res in results:
-        if res is None:
-            continue
-        gain, syms, c_t, c_tp, ms, edit = res
-        key = (-gain, syms)
-        if best is None or key < best[0]:
-            best = (key, res)
+    for rec in results:
+        if rec is not None:
+            key = (-rec.AS, rec.argmax_T.symbols)
+            if best is None or key < best[0]:
+                best = (key, rec)
     if best is None:
         return SensitivityRecord(measure, edit_kind, n, None, None, None, None, None, None, "exhaustive")
-    gain, syms, c_t, c_tp, ms, edit = best[1]
-    return SensitivityRecord(
-        measure, edit_kind, n, c_t, c_tp, gain, ms, edit, SymbolString(syms), "exhaustive"
-    )
+    return best[1]
 
 
 @dataclass(frozen=True)

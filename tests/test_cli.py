@@ -324,11 +324,32 @@ def test_sensitivity_deleting_the_only_symbol(capsys, measure):
     assert out.splitlines()[1] == f"{measure},del,1,1,0,-1,0,1,1,,exhaustive"
 
 
+def test_lz_witness_sweep_rows(capsys):
+    # substitutes over the base's whole alphabet (2p + 1 + p^2 symbols) plus
+    # one fresh symbol; the designated edit alone gains p^2 + 1
+    code, out, err = run(
+        capsys, "sensitivity", "--measure", "lzss_overlap", "--witness", "lz",
+        "--p-min", "2", "--p-max", "4",
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == sv.CSV_HEADER and len(lines) == 4
+    for p, line in zip(range(2, 5), lines[1:]):
+        row = dict(zip(sv.CSV_HEADER.split(","), line.split(",")))
+        assert (row["measure"], row["edit_kind"]) == ("lzss_overlap", "sub")
+        assert row["source"] == "witness"
+        assert int(row["n"]) == p**3 + 3 * p * p + 2 * p + 1
+        assert int(row["c_T"]) == 2 * p * p + 2 * p + 1
+        assert int(row["AS"]) >= p * p + 1
+        assert int(row["c_Tprime"]) - int(row["c_T"]) == int(row["AS"])
+
+
 def test_empty_text_still_rejected_outside_sweeps(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_bytes(b"")
     commands = [("factorize", "--flavor", flavor) for flavor in sorted(cli.FLAVOR_FLAGS)]
-    commands += [("measure", "--what", "delta"), ("measure", "--what", "bms-min")]
+    commands += [("measure", "--what", what) for what in ("delta", "bms-min", "attractor-min")]
+    commands += [("measure", "--what", "attractor-check", "--positions", "")]
     for argv in commands:
         code, out, err = run(capsys, *argv, "--input", str(empty))
         assert code == 2 and out == "" and err.startswith("error:"), argv

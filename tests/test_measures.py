@@ -25,6 +25,9 @@ from repsens import (
     smallest_attractor,
     smallest_bms,
 )
+import repsens.core
+import repsens.factorizers
+import repsens.measures
 from repsens.measures import as_bms, format_attractor, parse_attractor
 
 
@@ -251,6 +254,25 @@ def test_smallest_bms_validity_and_parsing_bound():
 def test_smallest_bms_capability():
     with pytest.raises(CapabilityError):
         smallest_bms(SymbolString([0] * 17))
+
+
+@pytest.mark.parametrize("search", [lz_end_optimal, smallest_bms])
+def test_exact_search_builds_one_automaton(monkeypatch, search):
+    builds = []
+
+    def counted(T):
+        builds.append(T)
+        return repsens.core._suffix_automaton(T)
+
+    for module in (repsens.factorizers, repsens.measures):
+        monkeypatch.setattr(module, "_suffix_automaton", counted)
+    rng = random.Random(89)
+    texts = [t("abaababaab"), t("aaaaaaaa"), t("abcabcab"), SymbolString([0])]
+    texts += [SymbolString(rng.randrange(3) for _ in range(rng.randint(1, 12))) for _ in range(20)]
+    for T in texts:
+        builds.clear()
+        search(T)
+        assert builds == [T], T
 
 
 def test_as_bms_reinterprets_parsings():

@@ -11,10 +11,14 @@ import pytest
 import naive_oracles as nv
 from repsens import (
     MEASURES,
+    Edit,
     Factorization,
     Phrase,
     SymbolString,
+    apply_edit,
     as_bms,
+    bms_is_valid,
+    bms_repair,
     check_factorization,
     delta,
     distinct_substrings,
@@ -26,11 +30,13 @@ from repsens import (
     lz78,
     lz_end_greedy,
     lz_end_optimal,
+    lzend_repair,
     lzss_nonoverlapping,
     lzss_overlapping,
     parse_factorization,
     parse_symbolic,
     smallest_bms,
+    verify_factorization,
 )
 from repsens.factorizers import FLAVORS
 from repsens.measures import format_attractor, parse_attractor
@@ -191,3 +197,48 @@ def test_check_factorization_rejects_single_field_mutations(syms):
                 assert (verdict is None) == naive, (F.flavor, k, changed, verdict)
                 if field in ("start", "length"):
                     assert verdict is not None, (F.flavor, k, changed)
+
+
+@st.composite
+def long_texts_with_edits(draw):
+    """A text of up to 300 symbols, random or a short word repeated with a
+    few symbols changed, and one applicable edit (a substitution writes a
+    different symbol, possibly one new to the text)."""
+    n = draw(st.integers(1, 300))
+    sigma = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        word = draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=12))
+        syms = [word[i % len(word)] for i in range(n)]
+        changes = st.tuples(st.integers(0, n - 1), st.integers(0, sigma - 1))
+        for pos0, c in draw(st.lists(changes, max_size=4)):
+            syms[pos0] = c
+    else:
+        syms = draw(st.lists(st.integers(0, sigma - 1), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("sub", "ins", "del")))
+    if kind == "del":
+        return syms, Edit("del", draw(st.integers(1, n)))
+    c = draw(st.integers(0, sigma))
+    if kind == "ins":
+        return syms, Edit("ins", draw(st.integers(0, n)), c)
+    pos = draw(st.integers(1, n))
+    return syms, Edit("sub", pos, sigma + 1 if c == syms[pos - 1] else c)
+
+
+@fixed
+@given(long_texts_with_edits())
+def test_bms_repair_valid_within_bound(case):
+    syms, e = case
+    T = SymbolString(syms)
+    got, report = bms_repair(T, as_bms(lzss_nonoverlapping(T)), e)
+    assert bms_is_valid(apply_edit(T, e), got)
+    assert got.size == report.output_size <= report.bound
+
+
+@fixed
+@given(long_texts_with_edits())
+def test_lzend_repair_valid_within_bound(case):
+    syms, e = case
+    T = SymbolString(syms)
+    got, report = lzend_repair(T, lz_end_greedy(T), e)
+    assert verify_factorization(apply_edit(T, e), got)
+    assert got.size == report.output_size <= report.bound

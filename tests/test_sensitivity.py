@@ -23,7 +23,13 @@ from repsens import (
 )
 import repsens.sensitivity as sv
 from repsens.factorizers import _lz78
-from repsens.sensitivity import CSV_HEADER, _lz78_resumed, canonical_strings, write_csv
+from repsens.sensitivity import (
+    CSV_HEADER,
+    SensitivityRecord,
+    _lz78_resumed,
+    canonical_strings,
+    write_csv,
+)
 
 
 def test_witness_lower_bound_reached():
@@ -146,16 +152,81 @@ def test_exhaustive_memo_matches_unmemoized(measure):
         assert got.argmax_T == want.argmax_T, kind
 
 
+def reference_sweep(measure, T, kind, alphabet, include_fresh=True, source="witness"):
+    """Reference for sensitivity_of_string from public pieces only: every
+    ``Edit`` of enumerate_edits applied with apply_edit and measured by the
+    raw MEASURES function, the first largest value kept."""
+    fn = MEASURES[measure]
+
+    def size(U):
+        return fn(U) if len(U) else 0
+
+    sigma = set(alphabet)
+    if include_fresh:
+        sigma.add(max(sigma | set(T.symbols), default=-1) + 1)
+    base = size(T)
+    best = None
+    for e in enumerate_edits(T, sigma, (kind,)):
+        value = size(apply_edit(T, e))
+        if best is None or value > best[0]:
+            best = (value, e)
+    if best is None:
+        return SensitivityRecord(measure, kind, len(T), base, None, None, None, None, None, source)
+    value, e = best
+    ms = Fraction(value) / Fraction(base) if base > 0 else None
+    return SensitivityRecord(measure, kind, len(T), base, value, value - base, ms, e, None, source)
+
+
+def reference_exhaustive(measure, n, sigma, kind):
+    """Reference for exhaustive_sensitivity: reference_sweep on every
+    canonical string, ties to the smallest string."""
+    best = None
+    for syms in canonical_strings(n, sigma):
+        rec = reference_sweep(measure, SymbolString(syms), kind, range(sigma), source="exhaustive")
+        if rec.AS is not None and (best is None or rec.AS > best.AS):
+            best = dataclasses.replace(rec, argmax_T=SymbolString(syms))
+    return best
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_sweep_matches_public_reference(measure):
+    rng = random.Random(83)
+    count = 30 if measure in MEMO_N else 100
+    for _ in range(count):
+        n, sigma = rng.randint(1, 12), rng.randint(1, 4)
+        T = SymbolString(rng.randrange(sigma) for _ in range(n))
+        alphabet = range(rng.randint(1, sigma))
+        fresh = rng.random() < 0.8
+        for kind in ("sub", "ins", "del"):
+            want = reference_sweep(measure, T, kind, alphabet, fresh)
+            # by name (lz78 takes its resumed path) and as a plain function
+            for by in (measure, MEASURES[measure]):
+                got = sensitivity_of_string(by, T, kind, alphabet, fresh)
+                assert got.csv_row().split(",", 1)[1] == want.csv_row().split(",", 1)[1], (T, kind)
+                assert got.edit == want.edit and got.argmax_T is None
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_exhaustive_matches_public_reference(measure):
+    n = MEMO_N.get(measure, 8)
+    for kind in ("sub", "ins", "del"):
+        want = reference_exhaustive(measure, n, 2, kind)
+        got = exhaustive_sensitivity(measure, n, 2, kind)
+        assert got.csv_row() == want.csv_row(), kind
+        assert got.argmax_T == want.argmax_T, kind
+
+
 def spy_memos(monkeypatch):
-    """Record the measure callable of every sensitivity_of_string call."""
+    """Record every renaming memo the exhaustive sweeps construct."""
     seen = []
-    original = sv.sensitivity_of_string
+    original = sv._renaming_memo
 
-    def spy(measure, *args, **kwargs):
-        seen.append(measure)
-        return original(measure, *args, **kwargs)
+    def spy(*args, **kwargs):
+        memo = original(*args, **kwargs)
+        seen.append(memo)
+        return memo
 
-    monkeypatch.setattr(sv, "sensitivity_of_string", spy)
+    monkeypatch.setattr(sv, "_renaming_memo", spy)
     return seen
 
 
@@ -168,18 +239,18 @@ def test_exhaustive_memo_cap_binds_without_changing_answer(monkeypatch, measure,
     capped = exhaustive_sensitivity(measure, n, 2, kind)
     assert capped.csv_row() == free.csv_row()
     assert capped.argmax_T == free.argmax_T
-    memos = {id(fn): fn.memo for fn in seen}
-    assert len(memos) == 1  # one memo for the whole call
-    (memo,) = memos.values()
+    assert len(seen) == 1  # one memo for the whole call
+    memo = seen[0].memo
     assert len(memo) == 2**n  # full: the cap is what stopped it growing
     assert len(set(map(type, memo))) == 1
 
 
 def test_exhaustive_memo_bounded_by_budget(monkeypatch):
     seen = spy_memos(monkeypatch)
-    for budget in (2**6, 2**9):
+    for calls, budget in enumerate((2**6, 2**9), 1):
         monkeypatch.setenv("REPSENS_LIMIT_EXHAUSTIVE", str(budget))
         exhaustive_sensitivity("delta", 6, 2, "ins")
+        assert len(seen) == calls  # one memo per call
         assert 0 < len(seen[-1].memo) <= budget
     assert len(seen[-1].memo) < 2**9  # an ample cap does not bind
 
@@ -242,10 +313,14 @@ def lz78_size(U):
 
 
 def resumed_sizes(T, edits):
-    """The lz78 sizes of the edited texts as the resumed sweep computes them."""
-    base, sizes = _lz78_resumed(T, iter(edits))
+    """The lz78 sizes of the edited texts as the resumed sweep computes them
+    from the edits' (kind, position, symbol) fields."""
+    fields = [(e.kind, e.position, e.symbol) for e in edits]
+    base, sizes = _lz78_resumed(T, iter(fields))
     assert base == lz78(T).size
-    return [size for size, _ in sizes]
+    got = list(sizes)
+    assert [f for _, f in got] == fields
+    return [size for size, _ in got]
 
 
 def test_lz78_resume_matches_full_parses():
