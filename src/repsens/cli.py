@@ -98,6 +98,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.positions is not None and args.what != "attractor-check":
+        raise InputError("--positions applies only to --what attractor-check")
     T = _load_text(args)
     if not len(T):
         raise InputError("cannot measure the empty text")
@@ -121,15 +123,18 @@ def cmd_measure(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    T = _load_text(args)
-    symbol = args.symbol
-    if args.edit in ("sub", "ins") and symbol is None:
+    if args.edit == "del" and args.symbol is not None:
+        raise InputError("--symbol applies only to sub and ins edits")
+    if args.edit != "del" and args.symbol is None:
         raise InputError(f"--symbol is required for {args.edit}")
-    edit = Edit(args.edit, args.pos, symbol if args.edit != "del" else None)
+    if args.attractor is not None and args.proc != "attractor":
+        raise InputError("--attractor applies only to --proc attractor")
+    T = _load_text(args)
+    edit = Edit(args.edit, args.pos, args.symbol)
     if args.proc == "attractor":
         gamma = (
             ms.parse_attractor(args.attractor)
-            if args.attractor
+            if args.attractor is not None
             else ms.smallest_attractor(T)
         )
         got, report = rp.attractor_repair(T, gamma, edit)
@@ -329,10 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, CapabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, CapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,9 @@ scheme, or LZ-End parsing) and one edit, build a certificate for the edited
 text with a per-instance size bound, without re-solving from scratch.
 
 Every procedure reports how each input phrase was handled so the per-case
-phrase budgets can be audited.
+phrase budgets can be audited; ``case_tally`` is that ledger summed per label.
+One cut (``_cut_damaged``) serves both copies whose source the edit damages:
+``bms_repair``'s case 3 and ``lzend_repair``'s case 3B.
 """
 
 from __future__ import annotations
@@ -86,16 +88,16 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     i = e.position
     Tp = apply_edit(T, e)
     m = len(Tp)
-    bound = len(gamma) + isqrt(m) + _ceil_sqrt(m) + 2
+    g = isqrt(m)
+    cap = _ceil_sqrt(m)
+    bound = len(gamma) + g + cap + 2
     if m == 0:
         out = frozenset()
         return out, RepairReport("attractor", e, len(gamma), 0, bound, n_in=n, n_out=0)
 
-    g = isqrt(m)
-    grid = {g * k for k in range(1, g + 1)}
-    grid.add((g * g + m) // 2)
+    points = {g * k for k in range(1, g + 1)}  # the grid
+    points.add((g * g + m) // 2)
 
-    cap = _ceil_sqrt(m)
     syms = T.symbols
     trans, firstpos = _suffix_automaton(Tp)[3:]
 
@@ -103,7 +105,6 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     # cap long) whose content still occurs in the edited text; only maximal
     # ones need a position.  Walking T[a..] on the edited text's automaton
     # gives the longest such b for each a, and its leftmost occurrence.
-    short_points = set()
     best_b = 0
     b_min = i + 1 if e.kind == "ins" else i
     for a in range(max(1, b_min - cap + 1), i + 1):
@@ -118,19 +119,14 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
         if b >= b_min and b > best_b:
             best_b = b
             j0 = firstpos[v] - (b - a + 1)
-            short_points.add(j0 + (i - a + 1))
+            points.add(j0 + (i - a + 1))
 
-    if e.kind == "sub":
-        seam = {i}
-        mapped = set(gamma)
-    elif e.kind == "ins":
-        seam = {i + 1}
-        mapped = {q if q <= i else q + 1 for q in gamma}
-    else:
-        seam = {min(i, m)}
-        mapped = {q if q < i else (q - 1 if q > i else min(i, m)) for q in gamma}
-
-    out = frozenset(mapped | grid | short_points | seam)
+    # the old marks, mapped; a mark on the edited spot is dropped, because the
+    # seam holds that position
+    kept = gamma - {i} if _interval_hit(e.kind, i, i, i) else gamma
+    points.update(map(_shift_fn(e.kind, i), kept))
+    points.add(i + 1 if e.kind == "ins" else min(i, m))  # the seam
+    out = frozenset(points)
     return out, RepairReport("attractor", e, len(gamma), len(out), bound, n_in=n, n_out=m)
 
 
@@ -148,6 +144,29 @@ def _interval_hit(kind: str, i: int, a: int, b: int) -> bool:
     if kind == "ins":
         return a <= i and b >= i + 1
     return a <= i <= b
+
+
+def _cut_damaged(kind: str, i: int, p: int, L: int, q: int) -> list:
+    """Pieces ``(start, length, source)``, in original coordinates, of the copy
+    [p, p + L) from q whose source region the edit at i damages: cut at the
+    damaged spot, with source None for the symbol that lost its source
+    (substitution/deletion), or just split in two (insertion, where the
+    source content is merely displaced)."""
+    if kind == "ins":
+        off = i - q + 1
+        return [(p, off, q), (p + off, L - off, i + 1)]
+    off = i - q
+    pieces = [(p, off, q), (p + off, 1, None), (p + off + 1, L - off - 1, i + 1)]
+    return [piece for piece in pieces if piece[1] > 0]
+
+
+def _tally(ledger, labels=()) -> dict:
+    """The ledger's piece counts summed per label, ``labels`` listed first
+    (at 0 when the ledger never names them)."""
+    tally = dict.fromkeys(labels, 0)
+    for _, label, count in ledger:
+        tally[label] = tally.get(label, 0) + count
+    return tally
 
 
 # start marker for the inserted symbol, which has no original coordinate
@@ -172,74 +191,29 @@ def bms_repair(T: SymbolString, S: Factorization, e: Edit):
     Tp = apply_edit(T, e)
     shift = _shift_fn(kind, i)
 
-    def normalized(start, length, src):
-        # macro-scheme phrases of length 1 are always ground
-        if length == 1:
-            return [(start, 1, None)]
-        return [(start, length, src)]
-
-    def split_source_damage(p, L, q):
-        """Pieces for a copy whose own region is intact but whose source
-        region is damaged: cut at the damaged spot, grounding the symbol that
-        lost its source (substitution/deletion) or just splitting in two
-        (insertion, where the source content is merely displaced)."""
-        if kind == "ins":
-            off = i - q + 1
-            return normalized(p, off, q) + normalized(p + off, L - off, i + 1)
-        off = i - q
-        pieces = []
-        if off >= 1:
-            pieces += normalized(p, off, q)
-        pieces.append((p + off, 1, None))
-        if L - off - 1 >= 1:
-            pieces += normalized(p + off + 1, L - off - 1, i + 1)
-        return pieces
-
-    def expand_damaged(pieces):
-        out = []
-        for start, length, src in pieces:
-            if (
-                src is not None
-                and length >= 2
-                and _interval_hit(kind, i, src, src + length - 1)
-            ):
-                out.extend(split_source_damage(start, length, src))
-            else:
-                out.append((start, length, src))
-        return out
+    def ground(pieces):
+        # macro-scheme phrases of length 1 are always ground; empty pieces are dropped
+        return [
+            (at, length, src if length > 1 else None) for at, length, src in pieces if length
+        ]
 
     def split_edited_phrase(p, L, q):
-        """Pieces for the phrase whose own region holds the edit.  The cut at
-        the edited spot leaves side pieces whose source portions may be
-        damaged as well; at most one side can be, keeping the total small."""
-        if kind == "sub":
-            if L == 1:
-                return [(i, 1, None)]
-            off = i - p
-            raw = []
-            if off >= 1:
-                raw += normalized(p, off, q)
-            raw.append((i, 1, None))
-            if L - off - 1 >= 1:
-                raw += normalized(i + 1, L - off - 1, q + off + 1)
-            return expand_damaged(raw)
-        if kind == "del":
-            if L == 1:
-                return []
-            off = i - p
-            raw = []
-            if off >= 1:
-                raw += normalized(p, off, q)
-            if L - off - 1 >= 1:
-                raw += normalized(i + 1, L - off - 1, q + off + 1)
-            return expand_damaged(raw)
-        off = i - p + 1
-        raw = (
-            normalized(p, off, q)
-            + [(_NEW_CHAR, 1, None)]
-            + normalized(i + 1, L - off, q + off)
-        )
-        return expand_damaged(raw)
+        """Pieces for the phrase whose own region holds the edit: the part
+        before the edited spot, the new symbol (if any), and the part after.
+        The side pieces' source portions may be damaged as well; at most one
+        side can be, keeping the total small."""
+        left = (i + 1 if kind == "ins" else i) - p
+        right = p + L - i - 1
+        mid = {"sub": [(i, 1, None)], "ins": [(_NEW_CHAR, 1, None)], "del": []}[kind]
+        out = []
+        for at, length, src in ground(
+            [(p, left, q)] + mid + [(i + 1, right, q + (i + 1 - p) if right else None)]
+        ):
+            if src is not None and _interval_hit(kind, i, src, src + length - 1):
+                out.extend(ground(_cut_damaged(kind, i, at, length, src)))
+            else:
+                out.append((at, length, src))
+        return out
 
     pieces_by_phrase: list = []
     case_by_phrase: list[str] = []
@@ -289,17 +263,20 @@ def bms_repair(T: SymbolString, S: Factorization, e: Edit):
             pieces_by_phrase[idx0] = [(p, L, host[1] + (q - host[3]))]
             caps[idx0] = 1
         else:
-            pieces_by_phrase[idx0] = expand_damaged([(p, L, q)])
+            pieces_by_phrase[idx0] = ground(_cut_damaged(kind, i, p, L, q))
 
-    standalone_insert = kind == "ins" and not any(
-        c == "bms:1" for c in case_by_phrase
-    )
+    ledger = [
+        (idx0 + 1, label, len(pieces))
+        for idx0, (label, pieces) in enumerate(zip(case_by_phrase, pieces_by_phrase))
+    ]
+    if kind == "ins" and "bms:1" not in case_by_phrase:
+        # the insertion sits between phrases: the new symbol stands alone
+        pieces_by_phrase.append([(_NEW_CHAR, 1, None)])
+        ledger.append((0, "bms:1", 1))
+        caps.append(1)
 
     out_phrases = []
-    ledger = []
-    tally: dict[str, int] = {}
-    for idx0, pieces in enumerate(pieces_by_phrase):
-        label = case_by_phrase[idx0]
+    for pieces in pieces_by_phrase:
         for start, length, src in pieces:
             if start == _NEW_CHAR:
                 out_phrases.append(Phrase(i + 1, 1, "literal"))
@@ -307,14 +284,7 @@ def bms_repair(T: SymbolString, S: Factorization, e: Edit):
                 out_phrases.append(Phrase(shift(start), length, "literal"))
             else:
                 out_phrases.append(Phrase(shift(start), length, "copy", shift(src)))
-        tally[label] = tally.get(label, 0) + len(pieces)
-        ledger.append((idx0 + 1, label, len(pieces)))
     bound = sum(caps)
-    if standalone_insert:
-        out_phrases.append(Phrase(i + 1, 1, "literal"))
-        tally["bms:1"] = tally.get("bms:1", 0) + 1
-        ledger.append((0, "bms:1", 1))
-        bound += 1
 
     out_phrases.sort(key=lambda ph: ph.start)
     scheme = Factorization(tuple(out_phrases), "bms")
@@ -322,7 +292,7 @@ def bms_repair(T: SymbolString, S: Factorization, e: Edit):
     if reason is not None:
         raise AssertionError(f"internal: repaired scheme invalid ({reason})")
     report = RepairReport(
-        "bms", e, S.size, scheme.size, bound, tally, tuple(ledger),
+        "bms", e, S.size, scheme.size, bound, _tally(ledger), tuple(ledger),
         n_in=n, n_out=len(Tp),
     )
     return scheme, report
@@ -377,9 +347,9 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
 
     Phrases before the edited phrase are kept.  The edited phrase is rebuilt
     as boundary-walk pieces, the edited symbol, and a tail sourced at the old
-    source's tail.  Later phrases survive unchanged unless their source was
-    damaged, in which case they split around the damaged symbol (in two on
-    insertion, since the source content is merely displaced).
+    source's tail.  Later phrases survive unchanged (case 3A) unless their
+    source was damaged (case 3B), in which case ``_cut_damaged`` splits them
+    around the damaged symbol, in two on insertion.
     """
     if F.flavor != "lzend":
         raise InputError(f"expected an lzend factorization, got flavor {F.flavor!r}")
@@ -396,18 +366,13 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
     phrases = F.phrases
     t = F.size
 
-    if kind == "ins":
-        edited_idx0 = next(
-            (k for k, ph in enumerate(phrases) if ph.start <= i and ph.end >= i + 1),
-            None,
-        )
-    else:
-        edited_idx0 = next(k for k, ph in enumerate(phrases) if ph.start <= i <= ph.end)
+    edited_idx0 = next(
+        (k for k, ph in enumerate(phrases) if _interval_hit(kind, i, ph.start, ph.end)), None
+    )
 
     out: list[Phrase] = []
     ends_out: list[int] = []
     ledger = []
-    tally = {"lzend:1": 0, "lzend:2": 0, "lzend:3A": 0, "lzend:3B": 0}
 
     def emit(ph: Phrase):
         out.append(ph)
@@ -419,7 +384,6 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
     for idx0 in range(prefix_count):
         emit(phrases[idx0])
         ledger.append((idx0 + 1, "lzend:1", 1))
-    tally["lzend:1"] = prefix_count
 
     if edited_idx0 is not None:
         fI = phrases[edited_idx0]
@@ -441,56 +405,32 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
             pieces += 1
         w2_len = fI.end - i
         if w2_len > 0:
-            w2_start = {"sub": i + 1, "ins": i + 2, "del": i}[kind]
-            emit(Phrase(w2_start, w2_len, "copy", fI.source + (i + 1 - fI.start)))
+            emit(Phrase(shift(i + 1), w2_len, "copy", fI.source + (i + 1 - fI.start)))
             pieces += 1
-        tally["lzend:2"] = pieces
         ledger.append((edited_idx0 + 1, "lzend:2", pieces))
     else:
         emit(_single_char_phrase(symsp, i + 1, ends_out))
-        tally["lzend:2"] = 1
         ledger.append((0, "lzend:2", 1))
 
     first_suffix = prefix_count if edited_idx0 is None else edited_idx0 + 1
     for idx0 in range(first_suffix, t):
         ph = phrases[idx0]
         p, L, q = ph.start, ph.length, ph.source
-        if q is not None and _interval_hit(kind, i, q, q + L - 1):
-            pieces = 0
-            mstart = shift(p)
-            if kind == "ins":
-                off = i - q + 1
-                emit(Phrase(mstart, off, "copy", q))
-                emit(Phrase(mstart + off, L - off, "copy", i + 2))
-                pieces = 2
+        damaged = q is not None and _interval_hit(kind, i, q, q + L - 1)
+        pieces = _cut_damaged(kind, i, p, L, q) if damaged else [(p, L, q)]
+        for start, length, src in pieces:
+            if src is None:
+                emit(_single_char_phrase(symsp, shift(start), ends_out))
             else:
-                off = i - q
-                at = mstart
-                if off >= 1:
-                    emit(Phrase(at, off, "copy", q))
-                    at += off
-                    pieces += 1
-                emit(_single_char_phrase(symsp, at, ends_out))
-                at += 1
-                pieces += 1
-                if L - off - 1 >= 1:
-                    emit(Phrase(at, L - off - 1, "copy", i + 1 if kind == "sub" else i))
-                    pieces += 1
-            tally["lzend:3B"] += pieces
-            ledger.append((idx0 + 1, "lzend:3B", pieces))
-        else:
-            if q is None:
-                emit(_single_char_phrase(symsp, shift(p), ends_out))
-            else:
-                emit(Phrase(shift(p), L, "copy", shift(q)))
-            tally["lzend:3A"] += 1
-            ledger.append((idx0 + 1, "lzend:3A", 1))
+                emit(Phrase(shift(start), length, "copy", shift(src)))
+        ledger.append((idx0 + 1, "lzend:3B" if damaged else "lzend:3A", len(pieces)))
 
     result = Factorization(tuple(out), "lzend")
     reason = check_factorization(Tp, result)
     if reason is not None:
         raise AssertionError(f"internal: repaired parsing invalid ({reason})")
     bound = (2 if kind == "ins" else 3) * t
+    tally = _tally(ledger, ("lzend:1", "lzend:2", "lzend:3A", "lzend:3B"))
     report = RepairReport(
         "lzend", e, t, result.size, bound, tally, tuple(ledger), n_in=n, n_out=len(Tp)
     )

@@ -142,6 +142,33 @@ def test_repair_requires_symbol(capsys):
     assert code != 0 and "symbol" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("repair", "--proc", "bms", "--edit", "del", "--pos", "1", "--symbol", "99"), "--symbol"),
+    (("repair", "--proc", "attractor", "--edit", "del", "--pos", "1", "--symbol", "99"),
+     "--symbol"),
+    (("repair", "--proc", "bms", "--edit", "sub", "--pos", "1", "--symbol", "99",
+      "--attractor", "1 2"), "--attractor"),
+    (("repair", "--proc", "lzend", "--edit", "ins", "--pos", "0", "--symbol", "99",
+      "--attractor", "1 2"), "--attractor"),
+    (("measure", "--what", "delta", "--positions", "1 2"), "--positions"),
+    (("measure", "--what", "attractor-min", "--positions", "1 2"), "--positions"),
+    (("measure", "--what", "bms-min", "--positions", "1 2"), "--positions"),
+])
+def test_repair_and_measure_reject_flags_they_ignore(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, "--text", "abab")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
+def test_repair_checks_a_given_empty_attractor(capsys):
+    code, out, err = run(
+        capsys, "repair", "--proc", "attractor", "--edit", "sub", "--pos", "1",
+        "--symbol", "99", "--attractor", "", "--text", "abab",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not an attractor" in err
+
+
 def test_file_round_trip(tmp_path, capsys):
     symbolic = tmp_path / "text.sym"
     symbolic.write_text("0 1 0 1\n")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from hashlib import sha256
 
 import pytest
 
@@ -12,14 +13,16 @@ from repsens import (
     attractor_repair,
     bms_repair,
     enumerate_edits,
+    format_factorization,
     is_attractor,
     lz_end_greedy,
+    lz_witness,
     lzend_repair,
     lzss_nonoverlapping,
     smallest_attractor,
     verify_factorization,
 )
-from repsens.measures import as_bms, bms_is_valid
+from repsens.measures import as_bms, bms_is_valid, format_attractor
 from repsens.repair import RepairReport, _ceil_sqrt
 
 
@@ -287,3 +290,86 @@ def test_repair_report_csv_row():
     row = report.csv_row()
     assert row.startswith("lzend,sub,2,99,4,")
     assert len(row.split(",")) == len(RepairReport.CSV_HEADER.split(","))
+
+
+# ---------------------------------------------------------------- pinned outputs
+
+PINNED_REPAIR_DIGEST = "2780d9ebebfeca3ca16a0c789fc782479998c954c5c26ea1eecb3d339dbf3a4b"
+
+
+def _pinned_corpus():
+    """(text, alphabet of its edits) pairs: every binary text up to n=7 and
+    ternary text up to n=5, seeded random texts up to n=120, and the lz
+    witness bases for p=2..4."""
+    for sigma, n_max in ((2, 7), (3, 5)):
+        for n in range(1, n_max + 1):
+            for syms in itertools.product(range(sigma), repeat=n):
+                yield SymbolString(syms), None
+    rng = random.Random(61)
+    for _ in range(24):
+        n = rng.randint(1, 120)
+        sigma = rng.choice((2, 3, 4))
+        yield SymbolString(rng.randrange(sigma) for _ in range(n)), sigma
+    for p in range(2, 5):
+        yield lz_witness(p).base, 1
+
+
+def _pinned_edits(T, sigma, rng):
+    """Every applicable edit over the text's alphabet plus one fresh symbol
+    (sigma None); every deletion and every edit writing a fresh symbol (the
+    witness bases, sigma 1); or four random edits of each kind over sigma
+    symbols plus a fresh one."""
+    fresh = max(T.symbols) + 1
+    n = len(T)
+    if sigma is None:
+        yield from real_edits(T, set(range(fresh + 1)))
+    elif sigma == 1:
+        for pos in range(1, n + 1):
+            yield Edit("sub", pos, fresh)
+            yield Edit("del", pos)
+        for pos in range(0, n + 1):
+            yield Edit("ins", pos, fresh)
+    else:
+        for _ in range(4):
+            pos = rng.randint(1, n)
+            yield Edit("sub", pos, rng.choice([c for c in range(sigma + 1) if c != T.at(pos)]))
+            yield Edit("ins", rng.randint(0, n), rng.randrange(sigma + 1))
+            yield Edit("del", rng.randint(1, n))
+
+
+def _lz_end_attractor(T):
+    """Positions of the last symbols of the greedy LZ-End phrases, or every
+    position when those are not an attractor."""
+    ends = frozenset(ph.end for ph in lz_end_greedy(T).phrases)
+    return ends if is_attractor(T, ends) else frozenset(range(1, len(T) + 1))
+
+
+def test_repair_outputs_pinned():
+    """One digest over the output, CSV row and ledger of all three repairs on
+    a fixed corpus: any change to what a repair builds or reports changes it.
+    The case tally is the ledger summed per label."""
+
+    def phrases(out, report):
+        return format_factorization(out, report.n_out)
+
+    h = sha256()
+    rng = random.Random(67)
+    calls = 0
+    for T, sigma in _pinned_corpus():
+        runs = (
+            (attractor_repair, _lz_end_attractor(T), lambda out, report: format_attractor(out)),
+            (bms_repair, as_bms(lzss_nonoverlapping(T)), phrases),
+            (lzend_repair, lz_end_greedy(T), phrases),
+        )
+        for e in _pinned_edits(T, sigma, rng):
+            for repair, certificate, fmt in runs:
+                out, report = repair(T, certificate, e)
+                calls += 1
+                summed = {}
+                for _, label, count in report.ledger:
+                    summed[label] = summed.get(label, 0) + count
+                # labels the ledger never names may be listed at 0
+                assert report.case_tally == {**dict.fromkeys(report.case_tally, 0), **summed}
+                h.update(f"{fmt(out, report)}|{report.csv_row()}|{report.ledger}\n".encode())
+    assert calls == 74418, calls
+    assert h.hexdigest() == PINNED_REPAIR_DIGEST, h.hexdigest()
