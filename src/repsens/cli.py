@@ -18,6 +18,7 @@ import random
 import sys
 
 from .core import (
+    EDIT_KINDS,
     CapabilityError,
     Edit,
     InputError,
@@ -31,15 +32,7 @@ from . import repair as rp
 from . import sensitivity as sv
 from . import witness as wt
 
-FLAVOR_FLAGS = {
-    "lzss-overlap": fz.lzss_overlapping,
-    "lzss-nonoverlap": fz.lzss_nonoverlapping,
-    "lz77-overlap": fz.lz77_overlapping,
-    "lz77-nonoverlap": fz.lz77_nonoverlapping,
-    "lzend": fz.lz_end_greedy,
-    "lzend-opt": fz.lz_end_optimal,
-    "lz78": fz.lz78,
-}
+FLAVOR_FLAGS = {name.replace("_", "-"): fn for name, (fn, _) in fz.FACTORIZERS.items()}
 
 
 def _add_input_args(sub):
@@ -54,6 +47,10 @@ def _add_input_args(sub):
 
 def _load_text(args) -> SymbolString:
     if args.text is not None:
+        if args.input is not None:
+            raise InputError("--text and --input are different inputs; give one")
+        if args.format is not None:
+            raise InputError("--format applies only to --input, not to --text")
         try:  # the argument's own bytes, also when they are not UTF-8
             return SymbolString.from_bytes(os.fsencode(args.text))
         except UnicodeEncodeError as exc:
@@ -158,7 +155,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    bundle = wt.lz_witness(args.p) if args.family == "lz" else wt.lz78_witness(args.p)
+    bundle = wt.FAMILIES[args.family](args.p)
     sep = (",", ":")
     expected = {"record": "expected", "family": bundle.family, "p": bundle.p,
                 "n": len(bundle.base)}
@@ -185,7 +182,7 @@ def cmd_witness(args) -> int:
         ),
     ]
     text_lines = [format_symbolic(bundle.base)] + [
-        format_symbolic(bundle.edited[kind]) for kind in ("sub", "ins", "del")
+        format_symbolic(bundle.edited[kind]) for kind in EDIT_KINDS
     ]
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -198,13 +195,15 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    kinds = ("sub", "ins", "del") if args.edit == "all" else (args.edit,)
+    kinds = EDIT_KINDS if args.edit == "all" else (args.edit,)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     if args.jobs != 1 and not args.exhaustive:
         raise InputError("--jobs applies only to --exhaustive sweeps")
     if not args.witness and (args.p_min is not None or args.p_max is not None):
         raise InputError("--p-min and --p-max apply only to --witness sweeps")
+    if args.seed is not None and args.random_count is None:
+        raise InputError("--seed applies only to --random sweeps")
     given = {
         "--exhaustive": args.exhaustive,
         "--witness": args.witness,
@@ -233,14 +232,14 @@ def cmd_sensitivity(args) -> int:
         if hi < lo:
             raise InputError(f"--p-max {hi} is below --p-min {lo}")
         for p in range(lo, hi + 1):
-            bundle = wt.lz_witness(p) if args.witness == "lz" else wt.lz78_witness(p)
+            bundle = wt.FAMILIES[args.witness](p)
             for kind in kinds:
                 rec = sv.sensitivity_of_string(
                     args.measure, bundle.base, kind, bundle.base.alphabet(), source="witness"
                 )
                 records.append(rec)
     elif args.random_count is not None:
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         if args.n is None or args.sigma is None:
             raise InputError("--random needs --n and --sigma")
         if min(args.random_count, args.n, args.sigma) < 1:
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = subs.add_parser("repair", help="repair a certificate across one edit")
     p_rep.add_argument("--proc", choices=("attractor", "bms", "lzend"), required=True)
-    p_rep.add_argument("--edit", choices=("sub", "ins", "del"), required=True)
+    p_rep.add_argument("--edit", choices=EDIT_KINDS, required=True)
     p_rep.add_argument("--pos", type=int, required=True)
     p_rep.add_argument("--symbol", type=int)
     p_rep.add_argument("--attractor", help="explicit attractor positions (default: exact search)")
@@ -303,23 +302,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_repair)
 
     p_wit = subs.add_parser("witness", help="emit a lower-bound witness family member")
-    p_wit.add_argument("--family", choices=("lz", "lz78"), required=True)
+    p_wit.add_argument("--family", choices=wt.FAMILIES, required=True)
     p_wit.add_argument("--p", type=int, required=True)
     p_wit.add_argument("--output")
     p_wit.set_defaults(func=cmd_witness)
 
     p_sens = subs.add_parser("sensitivity", help="worst-case sensitivity records as CSV")
     p_sens.add_argument("--measure", choices=sorted(sv.MEASURES), required=True)
-    p_sens.add_argument("--edit", choices=("sub", "ins", "del", "all"), default="sub")
+    p_sens.add_argument("--edit", choices=EDIT_KINDS + ("all",), default="sub")
     p_sens.add_argument("--exhaustive", action="store_true")
-    p_sens.add_argument("--witness", choices=("lz", "lz78"))
+    p_sens.add_argument("--witness", choices=wt.FAMILIES)
     p_sens.add_argument("--p-min", type=int)
     p_sens.add_argument("--p-max", type=int)
     p_sens.add_argument("--random", dest="random_count", type=int,
                         help="number of random texts")
     p_sens.add_argument("--n", type=int)
     p_sens.add_argument("--sigma", type=int)
-    p_sens.add_argument("--seed", type=int, default=0)
+    p_sens.add_argument("--seed", type=int)
     p_sens.add_argument("--jobs", type=int, default=1)
     p_sens.add_argument("--fit", action="store_true", help="append a log-log growth fit line")
     _add_input_args(p_sens)

@@ -11,11 +11,13 @@ Phrase kinds:
 
 Each parser family has one loop, which emits plain ``(start, length, kind,
 source)`` tuples: ``_greedy`` for LZSS/LZ77, ``_lz_end`` for greedy LZ-End and
-``_lz78``.  The public factorizers build a ``Factorization`` of ``Phrase``
-objects from them; the sweeps' size path (``sensitivity.MEASURES``) only
-counts them.  ``_lz78`` can also continue from a position with a given trie
-and log its insertions, so a sweep re-parses each edited text only from the
-phrase holding the edit and then takes the insertions out again.
+``_lz78``.  ``FACTORIZERS`` is the one place that names each factorizer and
+its loop call: the public factorizers build a ``Factorization`` of ``Phrase``
+objects from the loop's tuples, the sweeps' sizes (``sensitivity.MEASURES``)
+count them, and the CLI spellings (``cli.FLAVOR_FLAGS``) are its names with
+``-`` for ``_``.  ``_lz78`` can also continue from a position with a given
+trie and log its insertions, so a sweep re-parses each edited text only from
+the phrase holding the edit and then takes the insertions out again.
 
 The greedy parsers, and the match tables of the exact searches, walk one
 suffix automaton of the text (``core._suffix_automaton``; an exact search
@@ -34,20 +36,6 @@ from itertools import starmap
 
 from . import config
 from .core import CapabilityError, InputError, SymbolString, _state_ends, _suffix_automaton
-
-FLAVORS = (
-    "lzss_overlap",
-    "lzss_nonoverlap",
-    "lz77_overlap",
-    "lz77_nonoverlap",
-    "lzend",
-    "lz78",
-    "bms",
-)
-
-# flavors where a literal phrase must be a fresh symbol and copies point left
-_LZ_STYLE = ("lzss_overlap", "lzss_nonoverlap", "lz77_overlap", "lz77_nonoverlap", "lzend")
-
 
 @dataclass(frozen=True)
 class Phrase:
@@ -119,31 +107,31 @@ def _greedy(
     return phrases
 
 
-def _factorization(T: SymbolString, phrases: list[tuple], flavor: str) -> Factorization:
-    """The public form of a loop's phrase tuples; the empty text has none."""
+def _factorization(T: SymbolString, flavor: str) -> Factorization:
+    """The public form of the flavor's loop tuples; the empty text has none."""
     _require_nonempty(T)
-    return Factorization(tuple(starmap(Phrase, phrases)), flavor)
+    return Factorization(tuple(starmap(Phrase, FACTORIZERS[flavor][1](T))), flavor)
 
 
 def lzss_overlapping(T: SymbolString) -> Factorization:
     """Greedy parsing into longest previously occurring prefixes; a copy's
     source may overlap the phrase itself."""
-    return _factorization(T, _greedy(T, True, False), "lzss_overlap")
+    return _factorization(T, "lzss_overlap")
 
 
 def lzss_nonoverlapping(T: SymbolString) -> Factorization:
     """Greedy parsing where every copy source lies entirely before the phrase."""
-    return _factorization(T, _greedy(T, False, False), "lzss_nonoverlap")
+    return _factorization(T, "lzss_nonoverlap")
 
 
 def lz77_overlapping(T: SymbolString) -> Factorization:
     """Longest previous match extended by the following symbol, overlap allowed."""
-    return _factorization(T, _greedy(T, True, True), "lz77_overlap")
+    return _factorization(T, "lz77_overlap")
 
 
 def lz77_nonoverlapping(T: SymbolString) -> Factorization:
     """Longest fully-previous match extended by the following symbol."""
-    return _factorization(T, _greedy(T, False, True), "lz77_nonoverlap")
+    return _factorization(T, "lz77_nonoverlap")
 
 
 def _jump_lower_bound(jumps: list[int]) -> list[int]:
@@ -235,7 +223,7 @@ def _lz_end(T: SymbolString, sa: tuple | None = None) -> list[tuple]:
 def lz_end_greedy(T: SymbolString) -> Factorization:
     """Greedy parsing where every copy's source ends exactly at the end of an
     earlier phrase."""
-    return _factorization(T, _lz_end(T), "lzend")
+    return _factorization(T, "lzend")
 
 
 def _lz78(
@@ -287,7 +275,7 @@ def lz78(T: SymbolString) -> Factorization:
     Only the final phrase may duplicate an earlier phrase (when the text ends
     while still walking the dictionary).
     """
-    return _factorization(T, _lz78(T.symbols), "lz78")
+    return _factorization(T, "lz78")
 
 
 def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
@@ -364,6 +352,20 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
     return Factorization(tuple(phrases), "lzend")
 
 
+# name -> (public factorizer, parse loop); the exact search has no loop
+FACTORIZERS = {
+    "lzss_overlap": (lzss_overlapping, lambda T: _greedy(T, True, False)),
+    "lzss_nonoverlap": (lzss_nonoverlapping, lambda T: _greedy(T, False, False)),
+    "lz77_overlap": (lz77_overlapping, lambda T: _greedy(T, True, True)),
+    "lz77_nonoverlap": (lz77_nonoverlapping, lambda T: _greedy(T, False, True)),
+    "lzend": (lz_end_greedy, _lz_end),
+    "lzend_opt": (lz_end_optimal, None),
+    "lz78": (lz78, lambda T: _lz78(T.symbols)),
+}
+
+FLAVORS = tuple(name for name, (_, loop) in FACTORIZERS.items() if loop) + ("bms",)
+
+
 def check_factorization(T: SymbolString, F: Factorization) -> str | None:
     """None when ``F`` is a structurally valid factorization of ``T`` for its
     flavor, otherwise a diagnostic reason."""
@@ -395,7 +397,7 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
                 return f"literal phrase {k} has length {ph.length}"
             if ph.source is not None:
                 return f"literal phrase {k} carries a source"
-            if F.flavor in _LZ_STYLE and syms.index(syms[p0]) < p0:
+            if F.flavor not in ("lz78", "bms") and syms.index(syms[p0]) < p0:
                 return f"literal phrase {k} repeats an earlier symbol"
             continue
         if ph.kind not in ("copy", "copylit"):

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 
 from . import config
 from .core import (
+    EDIT_KINDS,
     CapabilityError,
     Edit,
     InputError,
@@ -28,9 +29,8 @@ from .core import (
     _edited,
 )
 from .factorizers import (
-    _greedy,
+    FACTORIZERS,
     _lz78,
-    _lz_end,
     lz78,  # noqa: F401  (a module attribute the bench self-test looks up)
     lz_end_optimal,
 )
@@ -39,17 +39,14 @@ from .measures import delta, smallest_attractor, smallest_bms
 # Sizes only: the parser loops' phrase tuples are counted without building a
 # Factorization; the exact searches build one per call.
 MEASURES = {
-    "lzss_overlap": lambda T: len(_greedy(T, True, False)),
-    "lzss_nonoverlap": lambda T: len(_greedy(T, False, False)),
-    "lz77_overlap": lambda T: len(_greedy(T, True, True)),
-    "lz77_nonoverlap": lambda T: len(_greedy(T, False, True)),
-    "lzend": lambda T: len(_lz_end(T)),
-    "lzend_opt": lambda T: lz_end_optimal(T).size,
-    "lz78": lambda T: len(_lz78(T.symbols)),
-    "delta": delta,
-    "gamma": lambda T: len(smallest_attractor(T)),
-    "bms": lambda T: smallest_bms(T).size,
+    name: (lambda T, loop=loop: len(loop(T))) for name, (_, loop) in FACTORIZERS.items() if loop
 }
+MEASURES.update(
+    lzend_opt=lambda T: lz_end_optimal(T).size,
+    delta=delta,
+    gamma=lambda T: len(smallest_attractor(T)),
+    bms=lambda T: smallest_bms(T).size,
+)
 
 CSV_HEADER = "measure,edit_kind,n,c_T,c_Tprime,AS,MS_num,MS_den,edit_pos,edit_sym,source"
 
@@ -220,7 +217,7 @@ def sensitivity_of_string(
     cannot change that parse at a position share one (see ``_lz78_resumed``).
     """
     fn, name = _measure_fn(measure)
-    if edit_kind not in ("sub", "ins", "del"):
+    if edit_kind not in EDIT_KINDS:
         raise InputError(f"unknown edit kind {edit_kind!r}")
     syms = T.symbols
     sigma = _sweep_alphabet(alphabet, syms, edit_kind, include_fresh)

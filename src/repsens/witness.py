@@ -137,3 +137,7 @@ def lz78_witness(p: int) -> WitnessBundle:
     return WitnessBundle(
         "lz78", p, base, edits, edited, _symbol_table(p, 1), expected, {}
     )
+
+
+# family -> member for p, looked up at call time as the module attribute
+FAMILIES = {"lz": lambda p: lz_witness(p), "lz78": lambda p: lz78_witness(p)}

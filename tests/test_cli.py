@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from repsens import cli
+from repsens import SymbolString, cli, lz78_witness, lz_witness
+from repsens import factorizers as fz
 from repsens import sensitivity as sv
 from repsens.cli import main
 
@@ -310,6 +312,75 @@ def test_text_argument_is_read_as_its_bytes(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [
+    ("factorize", "--flavor", "lz78"),
+    ("measure", "--what", "delta"),
+    ("repair", "--proc", "lzend", "--edit", "del", "--pos", "1"),
+    ("sensitivity", "--measure", "lz78"),
+])
+@pytest.mark.parametrize("extra,flag", [
+    (("--input", "/nonexistent/file"), "--input"),
+    (("--format", "symbolic"), "--format"),
+])
+def test_text_rejects_input_and_format(capsys, command, extra, flag):
+    code, out, err = run(capsys, *command, "--text", "aaaa", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
+def test_random_sweep_without_seed_uses_seed_zero(capsys):
+    args = ("sensitivity", "--measure", "lz78", "--random", "3", "--n", "9", "--sigma", "3")
+    _, unseeded, _ = run(capsys, *args)
+    assert unseeded == run(capsys, *args, "--seed", "0")[1]
+    assert unseeded != run(capsys, *args, "--seed", "1")[1]
+
+
+def _choices(command, flag):
+    """The choices of ``flag`` in the ``command`` subparser, in their order."""
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return list(next(a for a in subs.choices[command]._actions if flag in a.option_strings).choices)
+
+
+def test_name_lists_are_pinned():
+    assert sorted(cli.FLAVOR_FLAGS) == [
+        "lz77-nonoverlap", "lz77-overlap", "lz78", "lzend", "lzend-opt",
+        "lzss-nonoverlap", "lzss-overlap",
+    ]
+    assert sorted(sv.MEASURES) == [
+        "bms", "delta", "gamma", "lz77_nonoverlap", "lz77_overlap", "lz78", "lzend",
+        "lzend_opt", "lzss_nonoverlap", "lzss_overlap",
+    ]
+    assert fz.FLAVORS == (
+        "lzss_overlap", "lzss_nonoverlap", "lz77_overlap", "lz77_nonoverlap", "lzend", "lz78",
+        "bms",
+    )
+    assert _choices("factorize", "--flavor") == sorted(cli.FLAVOR_FLAGS)
+    assert _choices("sensitivity", "--measure") == sorted(sv.MEASURES)
+    assert _choices("witness", "--family") == _choices("sensitivity", "--witness") == ["lz", "lz78"]
+    assert _choices("repair", "--edit") == ["sub", "ins", "del"]
+    assert _choices("sensitivity", "--edit") == ["sub", "ins", "del", "all"]
+
+
+@pytest.mark.parametrize("flag", sorted(cli.FLAVOR_FLAGS))
+def test_sweep_sizes_match_the_public_factorizers(flag):
+    # the sweeps count a loop's phrase tuples (MEASURES); the CLI builds the
+    # Factorization (FLAVOR_FLAGS): both must give the same size
+    name = flag.replace("-", "_")
+    rng = random.Random(89)
+    texts = [
+        SymbolString(rng.randrange(sigma) for _ in range(rng.randint(1, 40)))
+        for sigma in (2, 3, 4)
+        for _ in range(25)
+    ]
+    texts += [lz_witness(p).base for p in (2, 3)] + [lz78_witness(p).base for p in (2, 3, 4)]
+    if name == "lzend_opt":
+        texts = [T for T in texts if len(T) <= 24]
+    for T in texts:
+        F = cli.FLAVOR_FLAGS[flag](T)
+        assert sv.MEASURES[name](T) == F.size, T
+        assert F.flavor == ("lzend" if name == "lzend_opt" else name)
+
+
 @pytest.mark.parametrize("extra", [
     ("--random", "2", "--n", "3", "--sigma", "0"),
     ("--random", "2", "--n", "0", "--sigma", "2"),
@@ -336,6 +407,9 @@ def test_sensitivity_rejects_bad_random_sweeps(capsys, extra):
     (("--witness", "lz78", "--sigma", "5"), "--sigma"),
     (("--text", "ab", "--n", "3"), "--n"),
     (("--text", "ab", "--sigma", "3"), "--sigma"),
+    (("--exhaustive", "--n", "3", "--sigma", "2", "--seed", "5"), "--seed"),
+    (("--witness", "lz78", "--seed", "5"), "--seed"),
+    (("--text", "abab", "--seed", "5"), "--seed"),
 ])
 def test_sensitivity_rejects_flags_the_sweep_ignores(capsys, extra, flag):
     code, out, err = run(capsys, "sensitivity", "--measure", "lz78", *extra)

@@ -19,19 +19,15 @@ from repsens import (
     enumerate_edits,
     format_symbolic,
     is_attractor,
-    lz77_nonoverlapping,
-    lz77_overlapping,
-    lz78,
     lz_end_greedy,
-    lz_end_optimal,
     lzend_repair,
     lzss_nonoverlapping,
-    lzss_overlapping,
     parse_symbolic,
     smallest_attractor,
     smallest_bms,
 )
 from repsens.core import EDIT_KINDS
+from repsens.factorizers import FACTORIZERS
 from repsens.measures import as_bms
 
 
@@ -173,8 +169,7 @@ def test_huge_symbols_match_renamed_small_forms():
     # measures and repairs exactly like its renaming to 0, 1, 2, ...
     assert apply_edit(SymbolString([1, 2]), Edit("ins", 2, HUGE**2)).symbols == (1, 2, HUGE**2)
     rng = random.Random(43)
-    parsers = (lzss_overlapping, lzss_nonoverlapping, lz77_overlapping,
-               lz77_nonoverlapping, lz_end_greedy, lz_end_optimal, lz78, smallest_bms)
+    parsers = [fn for fn, _ in FACTORIZERS.values()] + [smallest_bms]
     for _ in range(40):
         n = rng.randint(1, 13)
         small = [rng.randrange(3) for _ in range(n)]

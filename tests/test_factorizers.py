@@ -24,17 +24,11 @@ from repsens import (
     parse_factorization,
     verify_factorization,
 )
-from repsens.factorizers import _match_states
+from repsens.factorizers import FACTORIZERS, _match_states
 from repsens.measures import _other_starts
 
-ALL_PARSERS = (
-    lzss_overlapping,
-    lzss_nonoverlapping,
-    lz77_overlapping,
-    lz77_nonoverlapping,
-    lz_end_greedy,
-    lz78,
-)
+# every factorizer with a parse loop: all but the exact LZ-End search
+ALL_PARSERS = tuple(fn for fn, loop in FACTORIZERS.values() if loop)
 
 
 def t(s):

@@ -25,20 +25,15 @@ from repsens import (
     format_factorization,
     format_symbolic,
     is_attractor,
-    lz77_nonoverlapping,
-    lz77_overlapping,
-    lz78,
     lz_end_greedy,
-    lz_end_optimal,
     lzend_repair,
     lzss_nonoverlapping,
-    lzss_overlapping,
     parse_factorization,
     parse_symbolic,
     smallest_bms,
     verify_factorization,
 )
-from repsens.factorizers import FLAVORS
+from repsens.factorizers import FACTORIZERS, FLAVORS
 from repsens.measures import format_attractor, parse_attractor
 
 # fixed examples and no example database, so every run checks the same inputs
@@ -151,13 +146,8 @@ def test_symbolic_text_round_trip(syms):
 
 def valid_parses(T):
     """A valid parse of every flavor, from the parsers (two for lzend)."""
-    yield lzss_overlapping(T)
-    yield lzss_nonoverlapping(T)
-    yield lz77_overlapping(T)
-    yield lz77_nonoverlapping(T)
-    yield lz_end_greedy(T)
-    yield lz_end_optimal(T)
-    yield lz78(T)
+    for factorize, _ in FACTORIZERS.values():
+        yield factorize(T)
     yield smallest_bms(T) if len(T) <= 8 else as_bms(lzss_nonoverlapping(T))
 
 
