@@ -3,8 +3,10 @@
 Texts are sequences of non-negative integer symbols rather than bytes so that
 constructions needing large parametric alphabets stay exact; symbols have no
 upper bound.  Every substring question is answered by one suffix automaton
-(``_suffix_automaton``).  All public position arguments are 1-based and
-slices are inclusive.
+(``_suffix_automaton``), built by one construction loop (``_sa_extend``)
+that can also extend an automaton with an undo log, so that
+``_sa_rollback`` takes the appended symbols out again.  All public position
+arguments are 1-based and slices are inclusive.
 
 An edit is applied in one place, ``_edited``, on a tuple of symbols.  The
 sweeps stream plain ``(kind, position, symbol)`` fields from ``_edit_fields``
@@ -261,13 +263,21 @@ def _suffix_automaton(
     length of the shortest prefix of ``T`` that has them as suffixes) of the
     state's substrings; a clone inherits it from the state it splits, and
     the root has 0."""
-    link = [-1]
-    length = [0]
-    trans: list[dict] = [{}]
-    firstpos = [0]
-    prefix_state = []
-    last = 0
-    for c in T.symbols:
+    sa = ([-1], [0], [], [{}], [0])
+    _sa_extend(sa, T.symbols)
+    return sa
+
+
+def _sa_extend(sa: tuple, symbols, log: list | None = None) -> None:
+    """Append ``symbols`` to the text of the automaton ``sa`` in place: the
+    one construction loop.  With a ``log``, each clone records ``(p, q)``:
+    the first state whose transition it takes over from q, and q, the state
+    it splits.  That is all ``_sa_rollback`` needs besides the symbols; the
+    log is touched only when a clone is made, so it costs nothing per
+    symbol."""
+    link, length, prefix_state, trans, firstpos = sa
+    last = prefix_state[-1] if prefix_state else 0
+    for c in symbols:
         cur = len(length)
         end = length[last] + 1
         length.append(end)
@@ -284,6 +294,8 @@ def _suffix_automaton(
                 link[cur] = q
             else:
                 clone = len(length)
+                if log is not None:
+                    log.append((p, q))
                 length.append(length[p] + 1)
                 link.append(link[q])
                 trans.append(dict(trans[q]))
@@ -295,7 +307,39 @@ def _suffix_automaton(
                 link[cur] = clone
         last = cur
         prefix_state.append(cur)
-    return link, length, prefix_state, trans, firstpos
+
+
+def _sa_rollback(sa: tuple, symbols, log: list) -> None:
+    """Undo ``_sa_extend(sa, symbols, log)``, newest symbol first, so the
+    five arrays equal those of the automaton before the extension.
+
+    A step that appended c as state ``cur`` made a clone exactly when
+    ``link[cur] == cur + 1`` (otherwise the link is an older state); then the
+    log's last entry ``(p, q)`` gives back ``link[q]`` (the clone's own link)
+    and the walk from p whose c-transitions moved from q to the clone.  The
+    step's other writes are the c-transitions to ``cur`` on the suffix links
+    of the previous prefix state, which are deleted.  The appended states
+    are then truncated.
+    """
+    link, length, prefix_state, trans, firstpos = sa
+    m = len(prefix_state) - len(symbols)
+    for k in range(len(prefix_state) - 1, m - 1, -1):
+        cur = prefix_state[k]
+        c = symbols[k - m]
+        if link[cur] == cur + 1:
+            p, q = log.pop()
+            clone = cur + 1
+            link[q] = link[clone]
+            while p != -1 and trans[p].get(c) == clone:
+                trans[p][c] = q
+                p = link[p]
+        p = prefix_state[k - 1] if k else 0
+        while p != -1 and trans[p].get(c) == cur:
+            del trans[p][c]
+            p = link[p]
+    if m < len(prefix_state):
+        s0 = prefix_state[m]
+        del link[s0:], length[s0:], trans[s0:], firstpos[s0:], prefix_state[m:]
 
 
 def _state_ends(link: list[int], length: list[int], prefix_state: list[int]) -> list[int]:

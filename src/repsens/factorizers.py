@@ -15,9 +15,13 @@ source)`` tuples: ``_greedy`` for LZSS/LZ77, ``_lz_end`` for greedy LZ-End and
 its loop call: the public factorizers build a ``Factorization`` of ``Phrase``
 objects from the loop's tuples, the sweeps' sizes (``sensitivity.MEASURES``)
 count them, and the CLI spellings (``cli.FLAVOR_FLAGS``) are its names with
-``-`` for ``_``.  ``_lz78`` can also continue from a position with a given
-trie and log its insertions, so a sweep re-parses each edited text only from
-the phrase holding the edit and then takes the insertions out again.
+``-`` for ``_``; each greedy flavor's ``_greedy`` flags are written there
+once, as a ``partial``.  Both resumable loops take a start position, so a
+sweep (``sensitivity.RESUMED_SWEEPS``) re-parses each edited text only from
+the phrase of the unedited text whose walk reaches the edit: ``_greedy``
+runs on the edited text's automaton, which the sweep extends and rolls back
+around the unchanged prefix's, and ``_lz78`` continues with a given trie and
+logs its insertions so the sweep can take them out again.
 
 The greedy parsers, and the match tables of the exact searches, walk one
 suffix automaton of the text (``core._suffix_automaton``; an exact search
@@ -32,6 +36,7 @@ pinned to naive reference parsers by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import starmap
 
 from . import config
@@ -65,24 +70,28 @@ def _require_nonempty(T: SymbolString) -> None:
 
 
 def _greedy(
-    T: SymbolString, overlap: bool, take_next: bool, sa: tuple | None = None
+    T: SymbolString, overlap: bool, take_next: bool, sa: tuple | None = None, start: int = 0
 ) -> list[tuple]:
-    """The one LZSS/LZ77 loop: greedy longest-match parsing into
-    ``(start, length, kind, source)`` tuples.  With ``take_next`` a match
-    also takes the following symbol, unless the text ends inside the match.
+    """The one LZSS/LZ77 loop: greedy longest-match parsing of ``T`` from
+    0-based position ``start`` into ``(start, length, kind, source)`` tuples
+    (1-based starts in T).  With ``take_next`` a match also takes the
+    following symbol, unless the text ends inside the match.
 
     From 0-based position i the walk reads T[i..j] from the root while the
     prefix's leftmost occurrence starts before i (``overlap``) or ends before
     i.  With ``firstpos`` the 1-based end of that occurrence, the tests read
     ``firstpos <= j`` and ``firstpos <= i``.  Both are monotone in j, and the
-    leftmost occurrence is the copy's source.  ``sa`` is T's automaton when
-    the caller has built it already.
+    leftmost occurrence is the copy's source.  So a phrase is decided by
+    T[:j+1], where j is the index its walk stops at (``_walk_end``; n when
+    the text runs out), and a parse from the start of any phrase yields the
+    rest of the phrases.  ``sa`` is T's automaton when the caller has built
+    it already.
     """
     syms = T.symbols
     n = len(syms)
     trans, firstpos = (sa or _suffix_automaton(T))[3:]
     phrases = []
-    i = 0
+    i = start
     while i < n:
         v = 0
         j = i
@@ -105,6 +114,16 @@ def _greedy(
             phrases.append((i + 1, length, "copy", source))
             i = j
     return phrases
+
+
+def _walk_end(phrase: tuple) -> int:
+    """The 0-based index at which ``_greedy``'s walk for this phrase tuple
+    stopped: a literal's own index, a copylit's taken symbol, and the index
+    after a copy (the text's length when it ran out)."""
+    start, length, kind, _ = phrase
+    if kind == "literal":
+        return start - 1
+    return start - 1 + length - (kind == "copylit")
 
 
 def _factorization(T: SymbolString, flavor: str) -> Factorization:
@@ -354,10 +373,10 @@ def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
 
 # name -> (public factorizer, parse loop); the exact search has no loop
 FACTORIZERS = {
-    "lzss_overlap": (lzss_overlapping, lambda T: _greedy(T, True, False)),
-    "lzss_nonoverlap": (lzss_nonoverlapping, lambda T: _greedy(T, False, False)),
-    "lz77_overlap": (lz77_overlapping, lambda T: _greedy(T, True, True)),
-    "lz77_nonoverlap": (lz77_nonoverlapping, lambda T: _greedy(T, False, True)),
+    "lzss_overlap": (lzss_overlapping, partial(_greedy, overlap=True, take_next=False)),
+    "lzss_nonoverlap": (lzss_nonoverlapping, partial(_greedy, overlap=False, take_next=False)),
+    "lz77_overlap": (lz77_overlapping, partial(_greedy, overlap=True, take_next=True)),
+    "lz77_nonoverlap": (lz77_nonoverlapping, partial(_greedy, overlap=False, take_next=True)),
     "lzend": (lz_end_greedy, _lz_end),
     "lzend_opt": (lz_end_optimal, None),
     "lz78": (lz78, lambda T: _lz78(T.symbols)),

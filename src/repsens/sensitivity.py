@@ -5,6 +5,16 @@ The sweeps run on symbol tuples: edits are ``(kind, position, symbol)``
 fields (``core._edit_fields``) applied by ``core._edited``, one first-maximum
 loop (``_first_max``) picks the worst edit, and only the result gets an
 ``Edit``, a ``Fraction`` ratio and a ``SensitivityRecord``.
+
+``sensitivity_of_string`` given a measure by name looks it up in
+``RESUMED_SWEEPS``: ``lz78`` and the four greedy flavors (``lzss_overlap``,
+``lzss_nonoverlap``, ``lz77_overlap``, ``lz77_nonoverlap``) parse each
+edited text only from the phrase holding the edit (``_lz78_resumed``,
+``_greedy_resumed``).  For a substitution or insertion at one position,
+every symbol outside a small set shares one parse of the text with a
+placeholder symbol there; the others get a parse of their own.  Deletions
+are resumed only.  Every other measure, and every measure given as a
+callable, parses each edited text in full and stays the referee.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Iterator
 
 from . import config
@@ -27,10 +38,15 @@ from .core import (
     _edit_alphabet,
     _edit_fields,
     _edited,
+    _sa_extend,
+    _sa_rollback,
+    _suffix_automaton,
 )
 from .factorizers import (
     FACTORIZERS,
+    _greedy,
     _lz78,
+    _walk_end,
     lz78,  # noqa: F401  (a module attribute the bench self-test looks up)
     lz_end_optimal,
 )
@@ -172,6 +188,142 @@ def _lz78_resumed(T: SymbolString, edits: Iterable[tuple]) -> tuple[int, Iterato
     return len(phrases), sizes()
 
 
+def _greedy_resumed(
+    T: SymbolString, edits: Iterable[tuple], overlap: bool, take_next: bool
+) -> tuple[int, Iterator[tuple]]:
+    """The ``_greedy`` size of ``T`` and an iterator of ``(size, fields)``
+    over the texts edited by the ``(kind, position, symbol)`` fields of
+    ``edits``, each parsed only from the phrase of ``T`` whose walk reaches
+    the edit.
+
+    A phrase is decided by the text up to the index its walk stops at
+    (``factorizers._walk_end``), so every phrase of ``T`` that stops before
+    the first changed index d is a phrase of the edited text too.  The sweep
+    keeps the automaton of ``T[:d]``, growing it as d advances (a smaller d
+    starts it afresh); per edit it extends that automaton with the edited
+    text from d on, resumes ``_greedy`` at the first phrase of ``T`` whose
+    walk stops at or after d, counts the phrases and rolls the extension
+    back (``core._sa_rollback``).
+
+    A substitution or insertion of c at d shares one parse with the text
+    that has the placeholder -1, a symbol no text has, at d, unless c is in
+    the danger set of ``_greedy_danger``; only those symbols get a parse of
+    their own.  Deletions are resumed only.
+    """
+    syms = T.symbols
+    n = len(syms)
+    phrases = _greedy(T, overlap, take_next)
+    stops = [_walk_end(phrase) for phrase in phrases]
+
+    def parse(sa: tuple, text: tuple, d: int, resume: int) -> list[tuple]:
+        tail = text[d:]
+        log: list = []
+        _sa_extend(sa, tail, log)
+        out = _greedy(SymbolString._trusted(text), overlap, take_next, sa, resume)
+        _sa_rollback(sa, tail, log)
+        return out
+
+    def sizes():
+        sa = _suffix_automaton(SymbolString._trusted(()))  # of syms[:d]
+        shared = None, 0, ()  # (kind, position), size with the placeholder, danger set
+        for fields in edits:
+            kind, position, symbol = fields
+            d = position if kind == "ins" else position - 1
+            if len(sa[2]) > d:
+                sa = _suffix_automaton(SymbolString._trusted(syms[:d]))
+            elif len(sa[2]) < d:
+                _sa_extend(sa, syms[len(sa[2]) : d])
+            k = bisect_left(stops, d)
+            resume = phrases[k][0] - 1 if k < len(phrases) else n
+            if kind != "del":
+                if shared[0] != (kind, position):
+                    text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
+                    tail = parse(sa, text, d, resume)
+                    danger = _greedy_danger(sa, text, d, resume, tail, take_next)
+                    shared = (kind, position), k + len(tail), danger
+                if symbol not in shared[2]:
+                    yield shared[1], fields
+                    continue
+            yield k + len(parse(sa, _edited(syms, kind, position, symbol), d, resume)), fields
+
+    return len(phrases), sizes()
+
+
+def _greedy_danger(
+    sa: tuple, text: tuple, d: int, resume: int, tail: list[tuple], take_next: bool
+) -> set:
+    """The symbols c for which L c R may parse differently from the
+    placeholder text ``text`` = L -1 R (L = ``text[:d]``; ``sa`` is L's
+    automaton and ``tail`` the placeholder parse from ``resume``).
+
+    Outside this set the two parses have the same phrase boundaries, hence
+    the same size.  For LZSS with overlap the argument runs phrase by phrase:
+    the tests of a walk are monotone, and an occurrence that ends before the
+    walk's index and avoids d is in both texts, so a walk can only get
+    longer in L c R, and only by an occurrence that holds d.
+
+    (a) The phrase at ``resume`` < d: its walk reads ``text[resume:d]`` and
+        stops at the placeholder; it reads on with c when that word followed
+        by c occurs in L, i.e. c labels a transition of the word's state.
+    (b) The phrase at d: the placeholder is a literal; c makes a copy of one
+        symbol, the same boundary, unless c R[0] occurs in L c, i.e. c
+        precedes R[0] in L, or c = R[0] is L's last symbol.
+    (c) A later phrase at a > d: its walk reads the window ``text[a:j+1]``
+        and stops at j.  It reads on only if the window occurs across d,
+        i.e. it is a suffix of L, then c, then a prefix of R; c is the
+        window's symbol at that offset.  A literal's window takes one more
+        symbol, since a copy of length one keeps its boundary.
+    LZSS without overlap tests occurrences that end before the phrase: a
+    subset of these, so the same set is sound.  LZ77 takes the symbol at the
+    stop into the phrase, so the phrase holding d keeps its end at d unless
+    (a) holds, also when it starts at d (the word is empty and (a) is every
+    symbol of L); (b) does not arise, and a literal's window is not widened,
+    since c there makes a phrase of two symbols.
+    """
+    trans = sa[3]
+    danger: set = set()
+    if resume < d or take_next:  # (a)
+        v = 0
+        for x in text[resume:d]:
+            v = trans[v][x]
+        danger.update(trans[v])
+    n = len(text)
+    if not take_next and d + 1 < n:  # (b)
+        r0 = text[d + 1]
+        danger.update(c for c, v in trans[0].items() if r0 in trans[v])
+        if d and text[d - 1] == r0:
+            danger.add(r0)
+    for phrase in tail:  # (c)
+        a = phrase[0] - 1
+        if a <= d:
+            continue
+        j = _walk_end(phrase) + (not take_next and phrase[2] == "literal")
+        if j >= n:
+            continue
+        w = text[a : j + 1]
+        m = len(w)
+        for x in range(min(m, d + 1)):
+            # the symbols next to d first, then the whole suffix and prefix
+            if (
+                (x == 0 or text[d - 1] == w[x - 1])
+                and (x == m - 1 or text[d + 1] == w[x + 1])
+                and text[d - x : d] == w[:x]
+                and text[d + 1 : d + m - x] == w[x + 1 :]
+            ):
+                danger.add(w[x])
+    return danger
+
+
+# measure name -> resumed sweep: (T, edit fields) -> (size of T, (size, fields)
+# per edit); the greedy flavors' flags are read off their loops in FACTORIZERS
+RESUMED_SWEEPS = {"lz78": _lz78_resumed}
+RESUMED_SWEEPS.update(
+    (name, partial(_greedy_resumed, **loop.keywords))
+    for name, (_, loop) in FACTORIZERS.items()
+    if getattr(loop, "func", None) is _greedy
+)
+
+
 def _sweep_alphabet(
     alphabet: Iterable[int], syms: tuple, edit_kind: str, include_fresh: bool
 ) -> list[int]:
@@ -211,10 +363,13 @@ def sensitivity_of_string(
     empty text (left by deleting the only symbol) measures 0 here.
 
     Edits are streamed as plain ``(kind, position, symbol)`` fields and only
-    sizes are computed (the ``MEASURES`` path); the maximizer alone becomes an
-    ``Edit``.  The ``"lz78"`` measure, given by name, parses ``T`` once and
-    each edited text only from the phrase holding the edit; the symbols that
-    cannot change that parse at a position share one (see ``_lz78_resumed``).
+    sizes are computed; the maximizer alone becomes an ``Edit``.  A measure
+    named in ``RESUMED_SWEEPS`` (``lz78`` and the four greedy LZSS/LZ77
+    flavors) parses ``T`` once and each edited text only from the phrase
+    holding the edit, and the symbols that cannot change that parse at a
+    position share one (see ``_lz78_resumed`` and ``_greedy_resumed``).  Any
+    other measure, and a callable, takes the ``MEASURES`` path: a full parse
+    of every edited text.
     """
     fn, name = _measure_fn(measure)
     if edit_kind not in EDIT_KINDS:
@@ -222,8 +377,9 @@ def sensitivity_of_string(
     syms = T.symbols
     sigma = _sweep_alphabet(alphabet, syms, edit_kind, include_fresh)
     edits = _edit_fields(syms, sigma, (edit_kind,))
-    if measure == "lz78":
-        base, values = _lz78_resumed(T, edits)
+    resumed = RESUMED_SWEEPS.get(measure) if isinstance(measure, str) else None
+    if resumed:
+        base, values = resumed(T, edits)
     else:
         def size(U: tuple):
             return fn(SymbolString._trusted(U)) if U else 0

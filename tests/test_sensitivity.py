@@ -19,14 +19,17 @@ from repsens import (
     growth_fit,
     lz78,
     lz78_witness,
+    lz_witness,
     sensitivity_of_string,
 )
 import repsens.sensitivity as sv
-from repsens.factorizers import _lz78
+from repsens.core import _suffix_automaton
+from repsens.factorizers import FACTORIZERS, _greedy, _lz78, _walk_end
 from repsens.sensitivity import (
     CSV_HEADER,
+    RESUMED_SWEEPS,
     SensitivityRecord,
-    _lz78_resumed,
+    _greedy_danger,
     canonical_strings,
     write_csv,
 )
@@ -312,12 +315,12 @@ def lz78_size(U):
     return lz78(U).size if len(U) else 0
 
 
-def resumed_sizes(T, edits):
-    """The lz78 sizes of the edited texts as the resumed sweep computes them
-    from the edits' (kind, position, symbol) fields."""
+def resumed_sizes(T, edits, measure="lz78"):
+    """The sizes of the edited texts as the measure's resumed sweep computes
+    them from the edits' (kind, position, symbol) fields."""
     fields = [(e.kind, e.position, e.symbol) for e in edits]
-    base, sizes = _lz78_resumed(T, iter(fields))
-    assert base == lz78(T).size
+    base, sizes = RESUMED_SWEEPS[measure](T, iter(fields))
+    assert base == MEASURES[measure](T)
     got = list(sizes)
     assert [f for _, f in got] == fields
     return [size for size, _ in got]
@@ -371,6 +374,14 @@ def test_lz78_resume_at_text_edges(text, edit, want):
 )
 def test_lz78_resume_property(syms, picks):
     T = SymbolString(syms)
+    edits = picked_edits(syms, picks)
+    assert resumed_sizes(T, edits) == [lz78_size(apply_edit(T, e)) for e in edits]
+
+
+def picked_edits(syms, picks):
+    """The edits of ``syms`` that hypothesis's ``(kind, pos, sym)`` picks
+    name, positions taken modulo the text; a substitution by the same
+    symbol is dropped."""
     n = len(syms)
     edits = []
     for kind, pos, sym in picks:
@@ -380,7 +391,7 @@ def test_lz78_resume_property(syms, picks):
             edits.append(Edit("del", pos % n + 1))
         elif sym != syms[pos % n]:
             edits.append(Edit("sub", pos % n + 1, sym))
-    assert resumed_sizes(T, edits) == [lz78_size(apply_edit(T, e)) for e in edits]
+    return edits
 
 
 def test_lz78_loop_resumes_from_any_phrase_and_undoes():
@@ -420,3 +431,111 @@ def test_deleting_the_only_symbol_leaves_measure_zero(measure):
     for fn in (measure, MEASURES[measure]):
         rec = sensitivity_of_string(fn, SymbolString([5]), "del", {5})
         assert (rec.c_T, rec.c_Tprime, rec.AS) == (1, 0, -1)
+
+
+GREEDY = ["lzss_overlap", "lzss_nonoverlap", "lz77_overlap", "lz77_nonoverlap"]
+
+
+def greedy_size(flavor, U):
+    """The size of the flavor's full ``_greedy`` parse, 0 for the empty text."""
+    return len(FACTORIZERS[flavor][1](U)) if len(U) else 0
+
+
+def test_resumed_sweeps_cover_every_loop_flavor_but_lzend():
+    assert sorted(RESUMED_SWEEPS) == sorted(GREEDY + ["lz78"])
+
+
+@pytest.mark.parametrize("flavor", GREEDY)
+def test_greedy_resume_matches_full_parses(flavor):
+    rng = random.Random(97)
+    texts = [lz_witness(2).base, lz_witness(3).base]
+    for _ in range(30):
+        n, sigma = rng.randint(1, 40), rng.randint(1, 4)
+        texts.append(SymbolString(rng.randrange(sigma) for _ in range(n)))
+    for T in texts:
+        sigma = set(T.symbols) | {max(T.symbols) + 1}
+        # one kind at a time, and all three in one stream (d starts afresh)
+        for kinds in (("sub",), ("ins",), ("del",), ("sub", "ins", "del")):
+            edits = list(enumerate_edits(T, sigma, kinds))
+            want = [greedy_size(flavor, apply_edit(T, e)) for e in edits]
+            assert resumed_sizes(T, edits, flavor) == want, (T.symbols, kinds)
+
+
+# text edges: the first and the last position, insertion at 0 and at n, and
+# deleting the only symbol; "c" is new to the texts
+GREEDY_EDGES = [
+    ("abaab", Edit("sub", 1, ord("b"))),
+    ("abaab", Edit("sub", 5, ord("a"))),
+    ("aabaabab", Edit("sub", 1, ord("c"))),
+    ("aabaabab", Edit("sub", 8, ord("a"))),
+    ("abaab", Edit("ins", 0, ord("a"))),
+    ("abaab", Edit("ins", 0, ord("c"))),
+    ("abaab", Edit("ins", 5, ord("a"))),
+    ("aabaab", Edit("ins", 6, ord("b"))),
+    ("abaab", Edit("del", 1)),
+    ("abaab", Edit("del", 5)),
+    ("aabaabab", Edit("del", 8)),
+    ("a", Edit("sub", 1, ord("c"))),
+    ("a", Edit("ins", 0, ord("a"))),
+    ("a", Edit("ins", 1, ord("a"))),
+    ("a", Edit("del", 1)),  # the empty text, size 0
+]
+
+
+@pytest.mark.parametrize("flavor", GREEDY)
+@pytest.mark.parametrize("text,edit", GREEDY_EDGES)
+def test_greedy_resume_at_text_edges(flavor, text, edit):
+    T = SymbolString.from_text(text)
+    assert resumed_sizes(T, [edit], flavor) == [greedy_size(flavor, apply_edit(T, edit))]
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    st.sampled_from(GREEDY),
+    st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    st.lists(st.tuples(st.sampled_from(("sub", "ins", "del")), st.integers(0, 40), st.integers(0, 4)),
+             min_size=1, max_size=12),
+)
+def test_greedy_resume_property(flavor, syms, picks):
+    T = SymbolString(syms)
+    edits = picked_edits(syms, picks)
+    want = [greedy_size(flavor, apply_edit(T, e)) for e in edits]
+    assert resumed_sizes(T, edits, flavor) == want
+
+
+@pytest.mark.parametrize("flavor", GREEDY)
+def test_greedy_danger_set_keeps_the_placeholder_boundaries(flavor):
+    # every symbol outside the danger set parses with the phrase starts of
+    # the placeholder text, which is more than the sweep relies on
+    overlap, take_next = FACTORIZERS[flavor][1].keywords.values()
+    rng = random.Random(101)
+    texts = [lz_witness(2).base]
+    texts += [SymbolString(rng.randrange(rng.randint(1, 4)) for _ in range(rng.randint(1, 30)))
+              for _ in range(80)]
+    for T in texts:
+        syms = T.symbols
+        n = len(syms)
+        phrases = _greedy(T, overlap, take_next)
+        for kind, d in [("sub", d) for d in range(n)] + [("ins", d) for d in range(n + 1)]:
+            text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
+            placeholder = _greedy(SymbolString._trusted(text), overlap, take_next)
+            # the sweep resumes at the first phrase whose walk stops at d or later
+            k = next((k for k, phrase in enumerate(phrases) if _walk_end(phrase) >= d), len(phrases))
+            assert placeholder[:k] == phrases[:k]
+            resume = placeholder[k][0] - 1
+            sa = _suffix_automaton(SymbolString(syms[:d]))
+            danger = _greedy_danger(sa, text, d, resume, placeholder[k:], take_next)
+            starts = [phrase[0] for phrase in placeholder]
+            for c in set(syms) | {max(syms) + 1}:
+                if c not in danger:
+                    U = SymbolString(text[:d] + (c,) + text[d + 1 :])
+                    assert [phrase[0] for phrase in _greedy(U, overlap, take_next)] == starts, (
+                        syms, kind, d, c
+                    )
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_lz_witness_sub_sweep_is_pinned(p):
+    base = lz_witness(p).base
+    rec = sensitivity_of_string("lzss_overlap", base, "sub", base.alphabet())
+    assert (rec.c_T, rec.AS) == (2 * p * p + 2 * p + 1, p * p + 1)
