@@ -218,6 +218,9 @@ def cmd_sensitivity(args) -> int:
     for flag, value in (("--n", args.n), ("--sigma", args.sigma)):
         if value is not None and not (args.exhaustive or args.random_count is not None):
             raise InputError(f"{flag} applies only to --exhaustive and --random sweeps")
+    if args.fit and not args.witness:
+        # every row of the other sweeps has the same n, and a fit needs four
+        raise InputError("--fit applies only to --witness sweeps over at least 4 p values")
     records = []
     if args.exhaustive:
         if args.n is None or args.sigma is None:
@@ -231,6 +234,8 @@ def cmd_sensitivity(args) -> int:
         hi = lo if args.p_max is None else args.p_max
         if hi < lo:
             raise InputError(f"--p-max {hi} is below --p-min {lo}")
+        if args.fit and hi - lo < 3:
+            raise InputError(f"--fit needs at least 4 p values, got --p-min {lo} --p-max {hi}")
         for p in range(lo, hi + 1):
             bundle = wt.FAMILIES[args.witness](p)
             for kind in kinds:

@@ -15,6 +15,9 @@ every symbol outside a small set shares one parse of the text with a
 placeholder symbol there; the others get a parse of their own.  Deletions
 are resumed only.  Every other measure, and every measure given as a
 callable, parses each edited text in full and stays the referee.
+
+``exhaustive_sensitivity`` enumerates strings up to symbol renaming, and the
+sweeps of delta, gamma and bms (``REVERSAL_INVARIANT``) up to reversal too.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -63,6 +65,18 @@ MEASURES.update(
     gamma=lambda T: len(smallest_attractor(T)),
     bms=lambda T: smallest_bms(T).size,
 )
+
+REVERSAL_INVARIANT = frozenset({"delta", "gamma", "bms"})
+"""The measures that take the same value on a text and on its reversal:
+
+* delta: rev(T) has the reversed length-k substrings, so every count d_k is
+  the same;
+* gamma: p -> n+1-p maps the attractors of T to the attractors of rev(T);
+* bms: reversing every phrase and its source keeps a macro scheme valid and
+  of the same size.
+
+``exhaustive_sensitivity`` sweeps these up to reversal.  The LZ measures
+depend on the direction of the parse and are not in the set."""
 
 CSV_HEADER = "measure,edit_kind,n,c_T,c_Tprime,AS,MS_num,MS_den,edit_pos,edit_sym,source"
 
@@ -479,13 +493,21 @@ def exhaustive_sensitivity(
     All implemented measures depend only on the equality structure of the
     text, so strings are enumerated up to symbol renaming, and the measure is
     evaluated once per renaming class of the edited strings: a memo keyed by
-    the first-occurrence canonical form serves the repeats.  The memo lives
-    for one call (one chunk per worker under ``jobs``) and holds at most
-    ``config.exhaustive_budget()`` entries, the same cap as sigma**n; once
-    full it stops inserting and evaluates the rest afresh.  The sweep runs on
-    symbol tuples and edit fields; only the winner gets an ``Edit``.  The
-    reduction is a deterministic max (ties to the lexicographically smallest
-    string), so neither the worker count nor the memo changes the answer.
+    the first-occurrence canonical form serves the repeats.  A measure in
+    ``REVERSAL_INVARIANT`` (delta, gamma, bms) is also enumerated up to
+    reversal: a canonical string s is swept only when s <= canonical(rev(s)).
+    The edit mirrored at n+1-d (after n-i for an insertion) gives the
+    reversed edited text, so s and rev(s) have the same worst gain; the
+    smallest string of largest gain is never the larger of its pair, and its
+    own first maximal edit is found as before, so the record is the same.
+
+    The memo lives for one call (one chunk per worker under ``jobs``) and
+    holds at most ``config.exhaustive_budget()`` entries, the same cap as
+    sigma**n; once full it stops inserting and evaluates the rest afresh.
+    The sweep runs on symbol tuples and edit fields; only the winner gets an
+    ``Edit``.  The reduction is a deterministic max (ties to the
+    lexicographically smallest string), so neither the worker count nor the
+    memo changes the answer.
     """
     if measure not in MEASURES:
         raise InputError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
@@ -498,9 +520,13 @@ def exhaustive_sensitivity(
             "(REPSENS_LIMIT_EXHAUSTIVE)"
         )
     strings = list(canonical_strings(n, sigma))
+    if measure in REVERSAL_INVARIANT:
+        strings = [s for s in strings if s <= tuple(_renaming_key(s[::-1]))]
     if jobs <= 1:
         results = [_best_of_strings((measure, strings, edit_kind, sigma, budget))]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when used
+
         chunks = [strings[k::jobs] for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(

@@ -295,6 +295,25 @@ def test_sensitivity_rejects_jobs_without_exhaustive(capsys):
     assert "error:" in err and "--exhaustive" in err
 
 
+@pytest.mark.parametrize("extra", [
+    ("--exhaustive", "--n", "11", "--sigma", "2"),
+    ("--random", "3", "--n", "6", "--sigma", "2"),
+    ("--text", "abaab"),
+    ("--witness", "lz78"),
+    ("--witness", "lz78", "--p-min", "4", "--p-max", "6"),
+])
+def test_sensitivity_rejects_fit_before_the_sweep(capsys, monkeypatch, extra):
+    # a fit needs four distinct n; these sweeps cannot give them, and no sweep runs
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(sv, "exhaustive_sensitivity", no_sweep)
+    monkeypatch.setattr(sv, "sensitivity_of_string", no_sweep)
+    code, out, err = run(capsys, "sensitivity", "--measure", "lzend_opt", *extra, "--fit")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--fit" in err
+
+
 def test_symbolic_file_not_utf8_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"1 2 \xff 3\n")

@@ -1,7 +1,12 @@
 import dataclasses
 import io
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -264,6 +269,97 @@ def test_exhaustive_jobs_match_serial_memoized():
         parallel = exhaustive_sensitivity("delta", 7, 2, kind, jobs=2)
         assert parallel.csv_row() == serial.csv_row()
         assert parallel.argmax_T == serial.argmax_T
+
+
+# n per reversal-invariant measure for the sigma=3 referee
+SIGMA3_N = {"delta": 7, "gamma": 6, "bms": 6}
+
+
+@pytest.mark.parametrize("measure", sorted(SIGMA3_N))
+def test_exhaustive_matches_public_reference_at_sigma_3(measure):
+    # the full enumeration referees the sweep up to reversal, serial and parallel
+    n = SIGMA3_N[measure]
+    for kind in ("sub", "ins", "del"):
+        want = reference_exhaustive(measure, n, 3, kind)
+        for jobs in (1, 2):
+            got = exhaustive_sensitivity(measure, n, 3, kind, jobs=jobs)
+            assert got.csv_row() == want.csv_row(), (kind, jobs)
+            assert got.argmax_T == want.argmax_T, (kind, jobs)
+
+
+def first_occurrence_form(syms):
+    names = {}
+    return tuple(names.setdefault(s, len(names)) for s in syms)
+
+
+@pytest.mark.parametrize("measure", ["delta", "gamma", "bms", "lz78", "lzend_opt"])
+def test_exhaustive_sweeps_one_string_per_reversal_class(monkeypatch, measure):
+    swept = []
+    original = sv._best_of_strings
+
+    def spy(args):
+        swept.append(args[1])
+        return original(args)
+
+    monkeypatch.setattr(sv, "_best_of_strings", spy)
+    exhaustive_sensitivity(measure, 5, 3, "sub")
+    canonical = list(canonical_strings(5, 3))
+    if measure in sv.REVERSAL_INVARIANT:
+        # the smaller of each string and its reversal, palindromes included
+        want = sorted({min(s, first_occurrence_form(s[::-1])) for s in canonical})
+        assert len(want) < len(canonical)
+    else:
+        want = canonical
+    assert swept == [want]
+
+
+TEXTS_UP_TO = {"delta": 10, "gamma": 8, "bms": 7}  # binary; ternary up to 6
+
+
+@pytest.mark.parametrize("measure", sorted(TEXTS_UP_TO))
+def test_reversal_invariant_measures_agree_on_reversed_texts(measure):
+    assert set(TEXTS_UP_TO) == sv.REVERSAL_INVARIANT
+    fn = MEASURES[measure]
+    for sigma, top in ((2, TEXTS_UP_TO[measure]), (3, 6)):
+        for n in range(1, top + 1):
+            for syms in itertools.product(range(sigma), repeat=n):
+                assert fn(SymbolString(syms)) == fn(SymbolString(syms[::-1])), syms
+
+
+# for every other measure, the first text (binary, by length, then
+# lexicographic) whose reversal changes its value: (text, value, reversed value)
+REVERSAL_CHANGES = {
+    "lz77_nonoverlap": ((0, 0, 1), 2, 3),
+    "lz77_overlap": ((0, 0, 1), 2, 3),
+    "lz78": ((0, 0, 1), 2, 3),
+    "lzend": ((0, 1, 0, 0, 0, 0, 1), 6, 5),
+    "lzend_opt": ((0, 1, 0, 0, 0, 0, 1), 6, 5),
+    "lzss_nonoverlap": ((0, 1, 0, 1, 1, 0), 4, 5),
+    "lzss_overlap": ((0, 0, 0, 1, 0, 0), 4, 5),
+}
+
+
+@pytest.mark.parametrize("measure", sorted(REVERSAL_CHANGES))
+def test_measures_outside_the_invariant_set_change_under_reversal(measure):
+    assert sorted(REVERSAL_CHANGES) == sorted(set(MEASURES) - sv.REVERSAL_INVARIANT)
+    syms, value, reversed_value = REVERSAL_CHANGES[measure]
+    fn = MEASURES[measure]
+    assert (fn(SymbolString(syms)), fn(SymbolString(syms[::-1]))) == (value, reversed_value)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported by exhaustive sweeps with jobs > 1 only
+    src = str(Path(sv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, repsens; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_growth_fit_constant_records():
