@@ -16,12 +16,12 @@ its loop call: the public factorizers build a ``Factorization`` of ``Phrase``
 objects from the loop's tuples, the sweeps' sizes (``sensitivity.MEASURES``)
 count them, and the CLI spellings (``cli.FLAVOR_FLAGS``) are its names with
 ``-`` for ``_``; each greedy flavor's ``_greedy`` flags are written there
-once, as a ``partial``.  Both resumable loops take a start position, so a
-sweep (``sensitivity.RESUMED_SWEEPS``) re-parses each edited text only from
-the phrase of the unedited text whose walk reaches the edit: ``_greedy``
-runs on the edited text's automaton, which the sweep extends and rolls back
-around the unchanged prefix's, and ``_lz78`` continues with a given trie and
-logs its insertions so the sweep can take them out again.
+once, as a ``partial``.  Both resumable loops take a start position, so the
+one resumed sweep loop (``sensitivity._resumed``, one family per loop)
+re-parses each edited text only from the phrase of the unedited text whose
+walk reaches the edit: ``_greedy`` runs on the edited text's automaton,
+extended and rolled back around the unchanged prefix's, and ``_lz78``
+continues with a given trie and logs its insertions for taking out again.
 
 The greedy parsers, and the match tables of the exact searches, walk one
 suffix automaton of the text (``core._suffix_automaton``; an exact search

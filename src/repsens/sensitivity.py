@@ -9,20 +9,24 @@ loop (``_first_max``) picks the worst edit, and only the result gets an
 ``sensitivity_of_string`` given a measure by name looks it up in
 ``RESUMED_SWEEPS``: ``lz78`` and the four greedy flavors (``lzss_overlap``,
 ``lzss_nonoverlap``, ``lz77_overlap``, ``lz77_nonoverlap``) parse each
-edited text only from the phrase holding the edit (``_lz78_resumed``,
-``_greedy_resumed``).  For a substitution or insertion at one position,
-every symbol outside a small set shares one parse of the text with a
-placeholder symbol there; the others get a parse of their own.  Deletions
-are resumed only.  Every other measure, and every measure given as a
-callable, parses each edited text in full and stays the referee.
+edited text only from the phrase holding the edit.  One loop, ``_resumed``,
+does this for two families, ``_lz78_family`` and ``_greedy_family``.  For a
+substitution or insertion at one position, every symbol outside a small
+danger set (``_lz78_danger``, ``_greedy_danger``) shares one parse of the
+text with a placeholder symbol there; the others get a parse of their own.
+Deletions are resumed only.  Every other measure, and every measure given as
+a callable, parses each edited text in full and stays the referee.
 
 ``exhaustive_sensitivity`` enumerates strings up to symbol renaming, and the
 sweeps of delta, gamma and bms (``REVERSAL_INVARIANT``) up to reversal too.
+Under ``jobs`` it splits them into at most as many chunks as there are
+cores, and keeps one tie-break: the largest gain, then the smallest string.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -130,106 +134,124 @@ def _first_max(values: Iterable[tuple]) -> tuple | None:
     return best
 
 
-def _lz78_resumed(T: SymbolString, edits: Iterable[tuple]) -> tuple[int, Iterator[tuple]]:
-    """The lz78 size of ``T`` and an iterator of ``(size, fields)`` over the
-    texts edited by the ``(kind, position, symbol)`` fields of ``edits``,
-    each parsed only from the phrase of ``T`` holding the edit.
+def _resumed(family, T: SymbolString, edits: Iterable[tuple]) -> tuple[int, Iterator[tuple]]:
+    """The size of ``T`` and an iterator of ``(size, fields)`` over the texts
+    edited by the ``(kind, position, symbol)`` fields of ``edits``, each
+    parsed only from the first phrase of ``T`` the edit can change: the one
+    resume-and-share loop of every resumed sweep.
 
-    Every phrase of ``T`` that ends before the first changed index d is a
-    phrase of the edited text too, made from the same symbols against the
-    same dictionary.  A final ``copy`` phrase is never kept: it ends because
-    the text runs out.  The base trie holds the kept phrases; each edited
-    text is parsed from the next phrase's start with an undo log, and its
-    additions are taken out again.  In enumeration order of one kind, d never
-    decreases, so the base trie only grows; a smaller d starts it afresh.
-
-    A substitution or insertion of symbol c at d makes the walk from that
-    start read ``W = T[start:d]`` and then c.  Unless some phrase walk, of
-    ``T`` before d or of the edited text after it, stands at W and reads c,
-    the parse takes the same decisions as with a symbol no text has in c's
-    place.  So one parse of that placeholder text serves every such c at d,
-    and only the symbols read at W get a parse of their own.
+    ``family(symbols)`` gives ``(phrases, stops, keep, parse, danger)``:
+    the parse of ``T``; the index each phrase's decision reads up to, so the
+    phrases that stop before the first changed index d are kept;
+    ``keep(d, k)``, which brings the parser state to ``T[:d]`` and the first
+    k phrases (d never decreases within one kind, so the state only grows; a
+    smaller d starts it afresh); ``parse(text, d, resume)``, the phrases of
+    ``text`` from ``resume``, with the state restored after; and
+    ``danger(text, d, resume, tail)``, the symbols that may parse otherwise
+    than the placeholder text ``text``, whose parse from ``resume`` is
+    ``tail``.  The placeholder is -1, a symbol no text has, at d: one parse
+    of it serves every substitution or insertion at d by a symbol outside
+    the danger set.  Deletions are resumed only.
     """
     syms = T.symbols
+    phrases, stops, keep, parse, danger = family(syms)
+
+    def sizes():
+        shared = None, 0, ()  # (kind, position), size with the placeholder, danger set
+        for fields in edits:
+            kind, position, symbol = fields
+            d = position if kind == "ins" else position - 1
+            k = bisect_left(stops, d)
+            keep(d, k)
+            resume = phrases[k][0] - 1 if k < len(phrases) else len(syms)
+            if kind != "del":
+                if shared[0] != (kind, position):
+                    text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
+                    tail = parse(text, d, resume)
+                    shared = (kind, position), k + len(tail), danger(text, d, resume, tail)
+                if symbol not in shared[2]:
+                    yield shared[1], fields
+                    continue
+            yield k + len(parse(_edited(syms, kind, position, symbol), d, resume)), fields
+
+    return len(phrases), sizes()
+
+
+def _lz78_family(syms: tuple) -> tuple:
+    """lz78 for ``_resumed``.  Every phrase of ``T`` that ends before d is a
+    phrase of the edited text too, made from the same symbols against the
+    same dictionary; a final ``copy`` phrase is never kept, since it ends
+    because the text runs out.  The base trie holds the kept phrases; each
+    edited text is parsed from the next phrase's start with an undo log, and
+    its additions are taken out again."""
     n = len(syms)
     phrases = _lz78(syms)
     # 0-based last index of each phrase; a final copy counts as ending at n
-    ends = [n if kind == "copy" else start + length - 2 for start, length, kind, _ in phrases]
+    stops = [n if kind == "copy" else start + length - 2 for start, length, kind, _ in phrases]
+    root: dict = {}
+    kept = 0  # phrases of T in root
+    undo: list = []
 
-    def parse(text: tuple, resume: int, root: dict, undo: list) -> list[tuple]:
+    def keep(d: int, k: int) -> None:
+        nonlocal kept
+        if k < kept:
+            root.clear()
+            kept = 0
+        if kept < k:  # phrases kept..k-1 of T, parsed again into root
+            _lz78(syms[: stops[k - 1] + 1], phrases[kept][0] - 1, root)
+            kept = k
+
+    def parse(text: tuple, d: int, resume: int) -> list[tuple]:
         tail = _lz78(text, resume, root, undo)
         for node, c in reversed(undo):
             del node[c]
         undo.clear()
         return tail
 
-    def sizes():
-        root: dict = {}
-        kept = 0  # phrases of T in root
-        undo: list = []
-        shared = None, 0, ()  # (kind, position), size with the placeholder, symbols read at W
-        for fields in edits:
-            kind, position, symbol = fields
-            d = position if kind == "ins" else position - 1
-            k = bisect_left(ends, d)
-            if k < kept:
-                root.clear()
-                kept = 0
-            if kept < k:  # phrases kept..k-1 of T, parsed again into root
-                _lz78(syms[: ends[k - 1] + 1], phrases[kept][0] - 1, root)
-                kept = k
-            resume = phrases[k][0] - 1 if k < len(phrases) else n
-            if kind != "del":
-                if shared[0] != (kind, position):
-                    # the placeholder -1 is a symbol no text has
-                    text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
-                    tail = parse(text, resume, root, undo)
-                    word = syms[resume:d]
-                    depth = d - resume
-                    read = {
-                        text[start - 1 + depth]
-                        for start, length, kind_, _ in phrases[:k] + tail
-                        if (length if kind_ == "copy" else length - 1) >= depth
-                        and start - 1 + depth < len(text)
-                        and text[start - 1 : start - 1 + depth] == word
-                    }
-                    shared = (kind, position), k + len(tail), read
-                if symbol not in shared[2]:
-                    yield shared[1], fields
-                    continue
-            yield k + len(parse(_edited(syms, kind, position, symbol), resume, root, undo)), fields
+    def danger(text: tuple, d: int, resume: int, tail: list[tuple]) -> set:
+        return _lz78_danger(text, d, resume, phrases[:kept] + tail)  # kept == k
 
-    return len(phrases), sizes()
+    return phrases, stops, keep, parse, danger
 
 
-def _greedy_resumed(
-    T: SymbolString, edits: Iterable[tuple], overlap: bool, take_next: bool
-) -> tuple[int, Iterator[tuple]]:
-    """The ``_greedy`` size of ``T`` and an iterator of ``(size, fields)``
-    over the texts edited by the ``(kind, position, symbol)`` fields of
-    ``edits``, each parsed only from the phrase of ``T`` whose walk reaches
-    the edit.
+def _lz78_danger(text: tuple, d: int, resume: int, phrases: list[tuple]) -> set:
+    """The symbols c for which L c R may parse differently from the
+    placeholder text ``text`` = L -1 R (L = ``text[:d]``; ``phrases`` is its
+    lz78 parse, one phrase of which starts at ``resume`` <= d).
 
-    A phrase is decided by the text up to the index its walk stops at
-    (``factorizers._walk_end``), so every phrase of ``T`` that stops before
-    the first changed index d is a phrase of the edited text too.  The sweep
-    keeps the automaton of ``T[:d]``, growing it as d advances (a smaller d
-    starts it afresh); per edit it extends that automaton with the edited
-    text from d on, resumes ``_greedy`` at the first phrase of ``T`` whose
-    walk stops at or after d, counts the phrases and rolls the extension
-    back (``core._sa_rollback``).
-
-    A substitution or insertion of c at d shares one parse with the text
-    that has the placeholder -1, a symbol no text has, at d, unless c is in
-    the danger set of ``_greedy_danger``; only those symbols get a parse of
-    their own.  Deletions are resumed only.
+    The walk from ``resume`` reads ``W = text[resume:d]`` and then c.  Unless
+    some phrase walk stands at W and reads c, the parse takes the same
+    decisions as with the placeholder: the symbols read at W are the set.
     """
-    syms = T.symbols
-    n = len(syms)
-    phrases = _greedy(T, overlap, take_next)
-    stops = [_walk_end(phrase) for phrase in phrases]
+    depth = d - resume
+    word = text[resume:d]
+    # a phrase longer than W read past it; a final copy ends with the text
+    return {
+        text[start - 1 + depth]
+        for start, length, _, _ in phrases
+        if length > depth and text[start - 1 : start - 1 + depth] == word
+    }
 
-    def parse(sa: tuple, text: tuple, d: int, resume: int) -> list[tuple]:
+
+def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
+    """A ``_greedy`` flavor for ``_resumed``.  A phrase is decided by the
+    text up to the index its walk stops at (``factorizers._walk_end``), so
+    every phrase of ``T`` that stops before d is a phrase of the edited text
+    too.  The state is the automaton of ``T[:d]``; each edited text extends
+    it from d on, is parsed by ``_greedy`` from ``resume``, and the
+    extension is rolled back (``core._sa_rollback``).  The danger set is
+    ``_greedy_danger``'s."""
+    phrases = _greedy(SymbolString._trusted(syms), overlap, take_next)
+    stops = [_walk_end(phrase) for phrase in phrases]
+    sa = _suffix_automaton(SymbolString._trusted(()))  # of syms[:d]
+
+    def keep(d: int, k: int) -> None:
+        nonlocal sa
+        if len(sa[2]) > d:
+            sa = _suffix_automaton(SymbolString._trusted(syms[:d]))
+        _sa_extend(sa, syms[len(sa[2]) : d])
+
+    def parse(text: tuple, d: int, resume: int) -> list[tuple]:
         tail = text[d:]
         log: list = []
         _sa_extend(sa, tail, log)
@@ -237,30 +259,10 @@ def _greedy_resumed(
         _sa_rollback(sa, tail, log)
         return out
 
-    def sizes():
-        sa = _suffix_automaton(SymbolString._trusted(()))  # of syms[:d]
-        shared = None, 0, ()  # (kind, position), size with the placeholder, danger set
-        for fields in edits:
-            kind, position, symbol = fields
-            d = position if kind == "ins" else position - 1
-            if len(sa[2]) > d:
-                sa = _suffix_automaton(SymbolString._trusted(syms[:d]))
-            elif len(sa[2]) < d:
-                _sa_extend(sa, syms[len(sa[2]) : d])
-            k = bisect_left(stops, d)
-            resume = phrases[k][0] - 1 if k < len(phrases) else n
-            if kind != "del":
-                if shared[0] != (kind, position):
-                    text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
-                    tail = parse(sa, text, d, resume)
-                    danger = _greedy_danger(sa, text, d, resume, tail, take_next)
-                    shared = (kind, position), k + len(tail), danger
-                if symbol not in shared[2]:
-                    yield shared[1], fields
-                    continue
-            yield k + len(parse(sa, _edited(syms, kind, position, symbol), d, resume)), fields
+    def danger(text: tuple, d: int, resume: int, tail: list[tuple]) -> set:
+        return _greedy_danger(sa, text, d, resume, tail, take_next)
 
-    return len(phrases), sizes()
+    return phrases, stops, keep, parse, danger
 
 
 def _greedy_danger(
@@ -330,9 +332,9 @@ def _greedy_danger(
 
 # measure name -> resumed sweep: (T, edit fields) -> (size of T, (size, fields)
 # per edit); the greedy flavors' flags are read off their loops in FACTORIZERS
-RESUMED_SWEEPS = {"lz78": _lz78_resumed}
+RESUMED_SWEEPS = {"lz78": partial(_resumed, _lz78_family)}
 RESUMED_SWEEPS.update(
-    (name, partial(_greedy_resumed, **loop.keywords))
+    (name, partial(_resumed, partial(_greedy_family, **loop.keywords)))
     for name, (_, loop) in FACTORIZERS.items()
     if getattr(loop, "func", None) is _greedy
 )
@@ -381,7 +383,7 @@ def sensitivity_of_string(
     named in ``RESUMED_SWEEPS`` (``lz78`` and the four greedy LZSS/LZ77
     flavors) parses ``T`` once and each edited text only from the phrase
     holding the edit, and the symbols that cannot change that parse at a
-    position share one (see ``_lz78_resumed`` and ``_greedy_resumed``).  Any
+    position share one (see ``_resumed``).  Any
     other measure, and a callable, takes the ``MEASURES`` path: a full parse
     of every edited text.
     """
@@ -452,32 +454,25 @@ def _renaming_memo(fn, capacity: int):
     return measure
 
 
-def _best_of_strings(args) -> SensitivityRecord | None:
-    """The record of the worst string among ``strings``, ties to the smallest
-    one, or None when no edit of the kind is legal.  Only the winner's edit
-    and ratio are built."""
+def _best_of_strings(args) -> tuple | None:
+    """The worst string among ``strings`` as ``((-gain, symbols), base,
+    (value, fields))``, or None when no edit of the kind is legal.  The
+    least key is the one tie-break of the exhaustive sweeps: the largest
+    gain, then the smallest string."""
     measure_name, strings, edit_kind, sigma, capacity = args
     size = _renaming_memo(MEASURES[measure_name], capacity)
     # canonical strings use only symbols below sigma, so sigma is the fresh one
     symbols = _sweep_alphabet(range(sigma), (), edit_kind, True)
-    kinds = (edit_kind,)
-    best = None  # (gain, syms, base, (value, fields))
-    for syms in strings:
-        base = size(syms)
-        top = _first_max(
-            (size(_edited(syms, *fields)), fields) for fields in _edit_fields(syms, symbols, kinds)
-        )
-        if top is None:
-            continue
-        gain = top[0] - base
-        if best is None or gain > best[0] or (gain == best[0] and syms < best[1]):
-            best = (gain, syms, base, top)
-    if best is None:
-        return None
-    _, syms, base, top = best
-    return _record(
-        measure_name, edit_kind, len(syms), base, top, SymbolString._trusted(syms), "exhaustive"
-    )
+
+    def tops():
+        for syms in strings:
+            base = size(syms)
+            edits = _edit_fields(syms, symbols, (edit_kind,))
+            top = _first_max((size(_edited(syms, *fields)), fields) for fields in edits)
+            if top is not None:
+                yield (base - top[0], syms), base, top
+
+    return min(tops(), default=None)
 
 
 def exhaustive_sensitivity(
@@ -501,13 +496,17 @@ def exhaustive_sensitivity(
     smallest string of largest gain is never the larger of its pair, and its
     own first maximal edit is found as before, so the record is the same.
 
-    The memo lives for one call (one chunk per worker under ``jobs``) and
-    holds at most ``config.exhaustive_budget()`` entries, the same cap as
-    sigma**n; once full it stops inserting and evaluates the rest afresh.
-    The sweep runs on symbol tuples and edit fields; only the winner gets an
-    ``Edit``.  The reduction is a deterministic max (ties to the
-    lexicographically smallest string), so neither the worker count nor the
-    memo changes the answer.
+    ``jobs`` asks for worker processes; the strings are split into
+    ``min(jobs, os.cpu_count(), len(strings))`` chunks, one per worker, and
+    a single chunk runs in this process, so no pool starts more processes
+    than there are cores.  The memo lives for one chunk and holds at most
+    ``config.exhaustive_budget()`` entries, the same cap as sigma**n; once
+    full it stops inserting and evaluates the rest afresh.  The sweep runs
+    on symbol tuples and edit fields; only the winner gets an ``Edit``.
+    Each chunk and the reduction across chunks take the least key of
+    ``_best_of_strings`` (the largest gain, ties to the lexicographically
+    smallest string), so neither the worker count nor the memo changes the
+    answer.
     """
     if measure not in MEASURES:
         raise InputError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
@@ -522,25 +521,21 @@ def exhaustive_sensitivity(
     strings = list(canonical_strings(n, sigma))
     if measure in REVERSAL_INVARIANT:
         strings = [s for s in strings if s <= tuple(_renaming_key(s[::-1]))]
-    if jobs <= 1:
-        results = [_best_of_strings((measure, strings, edit_kind, sigma, budget))]
+    jobs = max(1, min(jobs, os.cpu_count() or 1, len(strings)))
+    chunks = [(measure, strings[k::jobs], edit_kind, sigma, budget) for k in range(jobs)]
+    if jobs == 1:
+        results = map(_best_of_strings, chunks)
     else:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when used
 
-        chunks = [strings[k::jobs] for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_best_of_strings, [(measure, c, edit_kind, sigma, budget) for c in chunks])
-            )
-    best = None
-    for rec in results:
-        if rec is not None:
-            key = (-rec.AS, rec.argmax_T.symbols)
-            if best is None or key < best[0]:
-                best = (key, rec)
+            results = list(pool.map(_best_of_strings, chunks))
+    # strings differ, so the keys do: min never compares further
+    best = min((r for r in results if r is not None), default=None)
     if best is None:
-        return SensitivityRecord(measure, edit_kind, n, None, None, None, None, None, None, "exhaustive")
-    return best[1]
+        return _record(measure, edit_kind, n, None, None, None, "exhaustive")
+    (_, syms), base, top = best
+    return _record(measure, edit_kind, n, base, top, SymbolString._trusted(syms), "exhaustive")
 
 
 @dataclass(frozen=True)

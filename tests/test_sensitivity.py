@@ -35,6 +35,7 @@ from repsens.sensitivity import (
     RESUMED_SWEEPS,
     SensitivityRecord,
     _greedy_danger,
+    _lz78_danger,
     canonical_strings,
     write_csv,
 )
@@ -215,13 +216,17 @@ def test_sweep_matches_public_reference(measure):
 
 
 @pytest.mark.parametrize("measure", sorted(MEASURES))
-def test_exhaustive_matches_public_reference(measure):
+def test_exhaustive_matches_public_reference(monkeypatch, measure):
+    # serial, and reduced across two and three worker chunks: the tie-break
+    # to the smallest string must hold across chunks too
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     n = MEMO_N.get(measure, 8)
     for kind in ("sub", "ins", "del"):
         want = reference_exhaustive(measure, n, 2, kind)
-        got = exhaustive_sensitivity(measure, n, 2, kind)
-        assert got.csv_row() == want.csv_row(), kind
-        assert got.argmax_T == want.argmax_T, kind
+        for jobs in (1, 2, 3):
+            got = exhaustive_sensitivity(measure, n, 2, kind, jobs=jobs)
+            assert got.csv_row() == want.csv_row(), (kind, jobs)
+            assert got.argmax_T == want.argmax_T, (kind, jobs)
 
 
 def spy_memos(monkeypatch):
@@ -261,6 +266,42 @@ def test_exhaustive_memo_bounded_by_budget(monkeypatch):
         assert len(seen) == calls  # one memo per call
         assert 0 < len(seen[-1].memo) <= budget
     assert len(seen[-1].memo) < 2**9  # an ample cap does not bind
+
+
+class SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that records each pool's
+    worker count and maps in this process, so no process is started."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+def test_exhaustive_jobs_are_clamped_to_cores_and_strings(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "workers", [])
+    serial = exhaustive_sensitivity("delta", 7, 2, "sub")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    got = exhaustive_sensitivity("delta", 7, 2, "sub", jobs=64)
+    assert SerialPool.workers == [2]
+    assert got.csv_row() == serial.csv_row() and got.argmax_T == serial.argmax_T
+    # one string, or an unknown core count, runs in this process
+    exhaustive_sensitivity("delta", 1, 2, "sub", jobs=64)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    exhaustive_sensitivity("delta", 7, 2, "sub", jobs=64)
+    assert SerialPool.workers == [2]
 
 
 def test_exhaustive_jobs_match_serial_memoized():
@@ -628,6 +669,34 @@ def test_greedy_danger_set_keeps_the_placeholder_boundaries(flavor):
                     assert [phrase[0] for phrase in _greedy(U, overlap, take_next)] == starts, (
                         syms, kind, d, c
                     )
+
+
+def test_lz78_danger_set_keeps_the_placeholder_boundaries():
+    # every symbol outside the danger set parses with the phrase starts of
+    # the placeholder text, which is more than the sweep relies on
+    rng = random.Random(103)
+    texts = [lz78_witness(2).base]
+    texts += [SymbolString(rng.randrange(rng.randint(1, 4)) for _ in range(rng.randint(1, 30)))
+              for _ in range(80)]
+    for T in texts:
+        syms = T.symbols
+        n = len(syms)
+        phrases = _lz78(syms)
+        for kind, d in [("sub", d) for d in range(n)] + [("ins", d) for d in range(n + 1)]:
+            text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
+            placeholder = _lz78(text)
+            # the sweep resumes at the first phrase that ends at d or later;
+            # a final copy ends with the text
+            k = next((k for k, (start, length, kind_, _) in enumerate(phrases)
+                      if kind_ == "copy" or start + length - 2 >= d), len(phrases))
+            assert placeholder[:k] == phrases[:k]
+            resume = placeholder[k][0] - 1
+            danger = _lz78_danger(text, d, resume, placeholder)
+            starts = [phrase[0] for phrase in placeholder]
+            for c in set(syms) | {max(syms) + 1}:
+                if c not in danger:
+                    U = text[:d] + (c,) + text[d + 1 :]
+                    assert [phrase[0] for phrase in _lz78(U)] == starts, (syms, kind, d, c)
 
 
 @pytest.mark.parametrize("p", range(2, 7))
