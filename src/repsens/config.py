@@ -1,19 +1,30 @@
-"""Search caps for the exhaustive solvers, overridable via environment variables."""
+"""Every search cap of the exact solvers, in one table, read from the
+environment at call time.
+
+``LIMITS`` maps each ``REPSENS_LIMIT_*`` variable to its default cap and to
+the start of the ``CapabilityError`` raised past it.  ``limit`` reads a cap;
+``check`` reads it, raises past it and returns it.  A new cap, or a node
+budget for a search, is one more entry here.
+"""
 
 import os
 
-from .core import InputError
+from .core import CapabilityError, InputError
 
-DEFAULT_LZEND_OPT_LIMIT = 24
-DEFAULT_ATTRACTOR_LIMIT = 20
-DEFAULT_BMS_LIMIT = 16
-DEFAULT_EXHAUSTIVE_BUDGET = 1 << 20
+LIMITS = {
+    "REPSENS_LIMIT_LZEND_OPT": (24, "length {n} exceeds the exact LZ-End search limit"),
+    "REPSENS_LIMIT_ATTRACTOR": (20, "length {n} exceeds the smallest-attractor search limit"),
+    "REPSENS_LIMIT_BMS": (16, "length {n} exceeds the smallest-macro-scheme search limit"),
+    "REPSENS_LIMIT_EXHAUSTIVE": (1 << 20, "sigma**n = {sigma}**{n} exceeds the exhaustive budget"),
+}
 
 
-def _env_int(name, default):
+def limit(name: str) -> int:
+    """The cap of the variable ``name``: its integer value, or its default
+    when unset; any other value is an ``InputError`` naming the variable."""
     raw = os.environ.get(name)
     if raw is None:
-        return default
+        return LIMITS[name][0]
     try:
         value = int(raw)
     except ValueError as exc:
@@ -23,21 +34,13 @@ def _env_int(name, default):
     return value
 
 
-def lzend_opt_limit() -> int:
-    """Maximum text length for the exact minimum LZ-End search."""
-    return _env_int("REPSENS_LIMIT_LZEND_OPT", DEFAULT_LZEND_OPT_LIMIT)
-
-
-def attractor_limit() -> int:
-    """Maximum text length for the exact smallest-attractor search."""
-    return _env_int("REPSENS_LIMIT_ATTRACTOR", DEFAULT_ATTRACTOR_LIMIT)
-
-
-def bms_limit() -> int:
-    """Maximum text length for the exact smallest-macro-scheme search."""
-    return _env_int("REPSENS_LIMIT_BMS", DEFAULT_BMS_LIMIT)
-
-
-def exhaustive_budget() -> int:
-    """Maximum sigma**n for exhaustive sensitivity enumeration."""
-    return _env_int("REPSENS_LIMIT_EXHAUSTIVE", DEFAULT_EXHAUSTIVE_BUDGET)
+def check(name: str, n: int, sigma: int | None = None) -> int:
+    """The cap of ``name``, once it admits a text of length ``n`` or, given
+    ``sigma``, all sigma**n strings of length n; a ``CapabilityError``
+    otherwise.  sigma**n is never expanded past the cap's bit length: from
+    there on both powers exceed the cap (sigma >= 2) or neither does."""
+    cap = limit(name)
+    size = n if sigma is None else sigma ** min(n, cap.bit_length())
+    if size > cap:
+        raise CapabilityError(f"{LIMITS[name][1].format(n=n, sigma=sigma)} {cap} ({name})")
+    return cap

@@ -40,7 +40,7 @@ from functools import partial
 from itertools import starmap
 
 from . import config
-from .core import CapabilityError, InputError, SymbolString, _state_ends, _suffix_automaton
+from .core import InputError, SymbolString, _state_ends, _suffix_automaton
 
 @dataclass(frozen=True)
 class Phrase:
@@ -297,21 +297,18 @@ def lz78(T: SymbolString) -> Factorization:
     return _factorization(T, "lz78")
 
 
-def lz_end_optimal(T: SymbolString, limit: int | None = None) -> Factorization:
+def lz_end_optimal(T: SymbolString) -> Factorization:
     """A minimum-size parsing under the ends-at-a-phrase-end source rule.
 
     The source constraint is circular (admissible sources depend on the phrase
     ends of the very parsing being built), so this is an exact branch-and-bound
-    search over parse prefixes, capped at a configured length.  Its match
-    table and its greedy seed walk one automaton of T.
+    search over parse prefixes.  Its match table and its greedy seed walk one
+    automaton of T.  Texts longer than the ``REPSENS_LIMIT_LZEND_OPT`` cap
+    (``config.LIMITS``) raise ``CapabilityError``.
     """
     _require_nonempty(T)
     n = len(T)
-    cap = config.lzend_opt_limit() if limit is None else limit
-    if n > cap:
-        raise CapabilityError(
-            f"length {n} exceeds the exact LZ-End search limit {cap} (REPSENS_LIMIT_LZEND_OPT)"
-        )
+    config.check("REPSENS_LIMIT_LZEND_OPT", n)
     sa = _suffix_automaton(T)
     paths, ends = _match_states(T, "nonoverlap", sa)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import config
-from .core import CapabilityError, InputError, SymbolString, _state_ends, _suffix_automaton
+from .core import InputError, SymbolString, _state_ends, _suffix_automaton
 from .factorizers import (
     Factorization,
     Phrase,
@@ -87,20 +87,17 @@ def _disjoint_count(masks: list[int]) -> int:
     return count
 
 
-def smallest_attractor(T: SymbolString, limit: int | None = None) -> AttractorSet:
+def smallest_attractor(T: SymbolString) -> AttractorSet:
     """A minimum-cardinality attractor, by exact hitting-set search.
 
     Sizes are tried in increasing order; within a size the search branches on
     the positions of an uncovered substring mask, so the first solution found
     is minimum and the run itself certifies that one position fewer fails.
+    Texts longer than the ``REPSENS_LIMIT_ATTRACTOR`` cap
+    (``config.LIMITS``) raise ``CapabilityError``.
     """
     n = len(T)
-    cap = config.attractor_limit() if limit is None else limit
-    if n > cap:
-        raise CapabilityError(
-            f"length {n} exceeds the smallest-attractor search limit {cap} "
-            "(REPSENS_LIMIT_ATTRACTOR)"
-        )
+    config.check("REPSENS_LIMIT_ATTRACTOR", n)
     if n == 0:
         return frozenset()
     masks: list[int] = []
@@ -208,7 +205,7 @@ def as_bms(F: Factorization) -> Factorization:
     return Factorization(tuple(phrases), "bms")
 
 
-def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
+def smallest_bms(T: SymbolString) -> Factorization:
     """A minimum-size valid macro scheme, by exhaustive search.
 
     Phrase counts are tried in increasing order.  Phrases are laid left to
@@ -216,15 +213,12 @@ def smallest_bms(T: SymbolString, limit: int | None = None) -> Factorization:
     content (left candidates first, because an all-leftward assignment can
     never cycle).  Partial reference chains are walked to cut wiring that
     already loops, and the full termination check runs at each leaf.  The
-    match table and the LZSS upper bound walk one automaton of T.
+    match table and the LZSS upper bound walk one automaton of T.  Texts
+    longer than the ``REPSENS_LIMIT_BMS`` cap (``config.LIMITS``) raise
+    ``CapabilityError``.
     """
     n = len(T)
-    cap = config.bms_limit() if limit is None else limit
-    if n > cap:
-        raise CapabilityError(
-            f"length {n} exceeds the smallest-macro-scheme search limit {cap} "
-            "(REPSENS_LIMIT_BMS)"
-        )
+    config.check("REPSENS_LIMIT_BMS", n)
     if n == 0:
         raise InputError("cannot build a macro scheme for the empty string")
     # states of the prefixes at each position that occur somewhere else

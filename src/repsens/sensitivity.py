@@ -2,9 +2,9 @@
 exhaustive maximization over strings, CSV reporting, and growth fitting.
 
 The sweeps run on symbol tuples: edits are ``(kind, position, symbol)``
-fields (``core._edit_fields``) applied by ``core._edited``, one first-maximum
-loop (``_first_max``) picks the worst edit, and only the result gets an
-``Edit``, a ``Fraction`` ratio and a ``SensitivityRecord``.
+fields (``core._edit_fields``) applied by ``core._edited``, ``max`` keyed on
+the size picks the worst edit (the first of the largest), and only the result
+gets an ``Edit``, a ``Fraction`` ratio and a ``SensitivityRecord``.
 
 ``sensitivity_of_string`` given a measure by name looks it up in
 ``RESUMED_SWEEPS``: ``lz78`` and the four greedy flavors (``lzss_overlap``,
@@ -32,12 +32,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import config
 from .core import (
     EDIT_KINDS,
-    CapabilityError,
     Edit,
     InputError,
     SymbolString,
@@ -122,16 +122,6 @@ def _measure_fn(measure):
     if measure not in MEASURES:
         raise InputError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
     return MEASURES[measure], measure
-
-
-def _first_max(values: Iterable[tuple]) -> tuple | None:
-    """The first ``(value, fields)`` pair with the largest value, or None for
-    no pairs: the one maximization of every sweep."""
-    best = None
-    for pair in values:
-        if best is None or pair[0] > best[0]:
-            best = pair
-    return best
 
 
 def _resumed(family, T: SymbolString, edits: Iterable[tuple]) -> tuple[int, Iterator[tuple]]:
@@ -402,7 +392,8 @@ def sensitivity_of_string(
 
         base = size(syms)
         values = ((size(_edited(syms, *fields)), fields) for fields in edits)
-    return _record(name, edit_kind, len(T), base, _first_max(values), None, source)
+    best = max(values, key=itemgetter(0), default=None)
+    return _record(name, edit_kind, len(T), base, best, None, source)
 
 
 def canonical_strings(n: int, sigma: int) -> Iterator[tuple]:
@@ -454,25 +445,24 @@ def _renaming_memo(fn, capacity: int):
     return measure
 
 
-def _best_of_strings(args) -> tuple | None:
-    """The worst string among ``strings`` as ``((-gain, symbols), base,
-    (value, fields))``, or None when no edit of the kind is legal.  The
-    least key is the one tie-break of the exhaustive sweeps: the largest
-    gain, then the smallest string."""
+def _best_of_strings(args) -> tuple:
+    """The worst string among the non-empty ``strings`` as ``((-gain,
+    symbols), base, (value, fields))``.  The least key is the one tie-break
+    of the exhaustive sweeps: the largest gain, then the smallest string.
+    Every string of length n >= 1 has a legal edit of each kind, since the
+    fresh symbol is in the edit alphabet."""
     measure_name, strings, edit_kind, sigma, capacity = args
     size = _renaming_memo(MEASURES[measure_name], capacity)
     # canonical strings use only symbols below sigma, so sigma is the fresh one
     symbols = _sweep_alphabet(range(sigma), (), edit_kind, True)
 
-    def tops():
-        for syms in strings:
-            base = size(syms)
-            edits = _edit_fields(syms, symbols, (edit_kind,))
-            top = _first_max((size(_edited(syms, *fields)), fields) for fields in edits)
-            if top is not None:
-                yield (base - top[0], syms), base, top
+    def worst(syms: tuple) -> tuple:
+        base = size(syms)
+        edits = _edit_fields(syms, symbols, (edit_kind,))
+        top = max(((size(_edited(syms, *fields)), fields) for fields in edits), key=itemgetter(0))
+        return (base - top[0], syms), base, top
 
-    return min(tops(), default=None)
+    return min(map(worst, strings))
 
 
 def exhaustive_sensitivity(
@@ -500,7 +490,8 @@ def exhaustive_sensitivity(
     ``min(jobs, os.cpu_count(), len(strings))`` chunks, one per worker, and
     a single chunk runs in this process, so no pool starts more processes
     than there are cores.  The memo lives for one chunk and holds at most
-    ``config.exhaustive_budget()`` entries, the same cap as sigma**n; once
+    as many entries as the ``REPSENS_LIMIT_EXHAUSTIVE`` cap on sigma**n
+    (``config.LIMITS``), past which the sweep raises ``CapabilityError``; once
     full it stops inserting and evaluates the rest afresh.  The sweep runs
     on symbol tuples and edit fields; only the winner gets an ``Edit``.
     Each chunk and the reduction across chunks take the least key of
@@ -512,12 +503,7 @@ def exhaustive_sensitivity(
         raise InputError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")
     if n < 1 or sigma < 1:
         raise InputError("need n >= 1 and sigma >= 1")
-    budget = config.exhaustive_budget()
-    if sigma**n > budget:
-        raise CapabilityError(
-            f"sigma**n = {sigma**n} exceeds the exhaustive budget {budget} "
-            "(REPSENS_LIMIT_EXHAUSTIVE)"
-        )
+    budget = config.check("REPSENS_LIMIT_EXHAUSTIVE", n, sigma)
     strings = list(canonical_strings(n, sigma))
     if measure in REVERSAL_INVARIANT:
         strings = [s for s in strings if s <= tuple(_renaming_key(s[::-1]))]
@@ -531,10 +517,7 @@ def exhaustive_sensitivity(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_best_of_strings, chunks))
     # strings differ, so the keys do: min never compares further
-    best = min((r for r in results if r is not None), default=None)
-    if best is None:
-        return _record(measure, edit_kind, n, None, None, None, "exhaustive")
-    (_, syms), base, top = best
+    (_, syms), base, top = min(results)
     return _record(measure, edit_kind, n, base, top, SymbolString._trusted(syms), "exhaustive")
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repsens import SymbolString, cli, lz78_witness, lz_witness
+from repsens import SymbolString, cli, config, lz78_witness, lz_witness
 from repsens import factorizers as fz
 from repsens import sensitivity as sv
 from repsens.cli import main
@@ -215,14 +215,84 @@ def test_limit_env_overrides(capsys, monkeypatch):
 
 
 def test_limit_env_rejects_garbage(monkeypatch):
-    from repsens import config
-
     monkeypatch.setenv("REPSENS_LIMIT_BMS", "zero")
     with pytest.raises(ValueError):
-        config.bms_limit()
+        config.limit("REPSENS_LIMIT_BMS")
     monkeypatch.setenv("REPSENS_LIMIT_BMS", "0")
     with pytest.raises(ValueError):
-        config.bms_limit()
+        config.limit("REPSENS_LIMIT_BMS")
+
+
+def exhaustive_call(n):
+    return ["sensitivity", "--measure", "delta", "--exhaustive", "--n", str(n), "--sigma", "2"]
+
+
+# every cap of config.LIMITS: the CLI call that runs its search at length n
+# (on every binary string of length n for the exhaustive cap), and the cases
+# (variable's value or None for unset, n, the message, or None when admitted)
+CAP_CASES = {
+    "REPSENS_LIMIT_LZEND_OPT": (
+        lambda n: ["factorize", "--flavor", "lzend-opt", "--text", "a" * n],
+        [
+            (None, 25, "length 25 exceeds the exact LZ-End search limit 24 (REPSENS_LIMIT_LZEND_OPT)"),
+            ("25", 25, None),
+        ],
+    ),
+    "REPSENS_LIMIT_ATTRACTOR": (
+        lambda n: ["measure", "--what", "attractor-min", "--text", "a" * n],
+        [
+            (None, 21, "length 21 exceeds the smallest-attractor search limit 20 (REPSENS_LIMIT_ATTRACTOR)"),
+            ("21", 21, None),
+        ],
+    ),
+    "REPSENS_LIMIT_BMS": (
+        lambda n: ["measure", "--what", "bms-min", "--text", "a" * n],
+        [
+            (None, 17, "length 17 exceeds the smallest-macro-scheme search limit 16 (REPSENS_LIMIT_BMS)"),
+            ("17", 17, None),
+        ],
+    ),
+    "REPSENS_LIMIT_EXHAUSTIVE": (
+        exhaustive_call,
+        [
+            (None, 21, "sigma**n = 2**21 exceeds the exhaustive budget 1048576 (REPSENS_LIMIT_EXHAUSTIVE)"),
+            ("64", 7, "sigma**n = 2**7 exceeds the exhaustive budget 64 (REPSENS_LIMIT_EXHAUSTIVE)"),
+            ("64", 6, None),
+        ],
+    ),
+}
+
+
+def test_cap_cases_cover_the_table():
+    assert set(CAP_CASES) == set(config.LIMITS)
+
+
+@pytest.mark.parametrize("name", sorted(CAP_CASES))
+def test_every_cap_rejects_past_it_and_follows_its_variable(capsys, monkeypatch, name):
+    call, cases = CAP_CASES[name]
+    for value, n, message in cases:
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, *call(n))
+        if message is None:
+            assert code == 0 and err == "" and out
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+    for value in ("1.5", "zero", "0"):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, *call(2))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and name in err
+
+
+def test_exhaustive_far_over_budget_is_a_short_error(capsys):
+    # sigma**n here has 6021 digits, past int-to-str's default digit limit
+    code, out, err = run(capsys, *exhaustive_call(20000))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "REPSENS_LIMIT_EXHAUSTIVE" in err
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -212,10 +212,11 @@ def test_lzend_optimal_matches_plain_backtracking():
             assert lz_end_optimal(SymbolString(syms)).size == nv.naive_lzend_optimal_size(syms)
 
 
-def test_lzend_optimal_capability_limit():
+def test_lzend_optimal_capability_limit(monkeypatch):
     with pytest.raises(CapabilityError):
         lz_end_optimal(SymbolString([0] * 25))
-    assert lz_end_optimal(SymbolString([0] * 25), limit=30).size >= 1
+    monkeypatch.setenv("REPSENS_LIMIT_LZEND_OPT", "30")
+    assert lz_end_optimal(SymbolString([0] * 25)).size >= 1
 
 
 def test_hierarchy_small_exhaustive():

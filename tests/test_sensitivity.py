@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,9 @@ def delta_check(rec):
 def test_exhaustive_budget():
     with pytest.raises(CapabilityError):
         exhaustive_sensitivity("delta", 64, 4, "sub")
+    # far past the budget: 2**(10**6) has 301,030 digits
+    with pytest.raises(CapabilityError):
+        exhaustive_sensitivity("delta", 10**6, 2, "sub")
 
 
 def test_exhaustive_gamma_fixture():
@@ -697,6 +701,57 @@ def test_lz78_danger_set_keeps_the_placeholder_boundaries():
                 if c not in danger:
                     U = text[:d] + (c,) + text[d + 1 :]
                     assert [phrase[0] for phrase in _lz78(U)] == starts, (syms, kind, d, c)
+
+
+def own_parses(name, T, kind, monkeypatch):
+    """The edits of a resumed sweep of ``T`` that get a parse of their own:
+    every parse call but the one placeholder parse per position."""
+    family = RESUMED_SWEEPS[name].args[0]
+    calls = []
+
+    def counted(syms):
+        phrases, stops, keep, parse, danger = family(syms)
+
+        def counting(*args):
+            calls.append(None)
+            return parse(*args)
+
+        return phrases, stops, keep, counting, danger
+
+    monkeypatch.setitem(RESUMED_SWEEPS, name, partial(sv._resumed, counted))
+    sensitivity_of_string(name, T, kind, T.alphabet())
+    return len(calls) - (len(T) + (kind == "ins"))
+
+
+# (measure, witness family, p) -> own parses of the sub and the ins sweeps; a
+# danger set that grows (say, _lz78_danger without its length > depth filter)
+# shares fewer parses and fails here
+OWN_PARSES = {
+    ("lzss_overlap", "lz", 2): (20, 53),
+    ("lzss_overlap", "lz", 3): (84, 169),
+    ("lzss_overlap", "lz", 4): (233, 410),
+    ("lz77_overlap", "lz", 2): (73, 95),
+    ("lz77_overlap", "lz", 3): (219, 268),
+    ("lz77_overlap", "lz", 4): (507, 603),
+    ("lz78", "lz", 2): (93, 118),
+    ("lz78", "lz", 3): (324, 400),
+    ("lz78", "lz", 4): (825, 991),
+    ("lz78", "lz78", 2): (33, 40),
+    ("lz78", "lz78", 4): (142, 144),
+    ("lz78", "lz78", 8): (588, 544),
+}
+OWN_PARSES.update(
+    ((name.replace("_overlap", "_nonoverlap"), family, p), own)
+    for (name, family, p), own in list(OWN_PARSES.items())
+    if name.endswith("_overlap")
+)
+
+
+@pytest.mark.parametrize("name,family,p", sorted(OWN_PARSES))
+def test_danger_sets_stay_small(monkeypatch, name, family, p):
+    T = {"lz": lz_witness, "lz78": lz78_witness}[family](p).base
+    got = tuple(own_parses(name, T, kind, monkeypatch) for kind in ("sub", "ins"))
+    assert all(g <= want for g, want in zip(got, OWN_PARSES[name, family, p])), got
 
 
 @pytest.mark.parametrize("p", range(2, 7))
