@@ -3,10 +3,14 @@
 Texts are sequences of non-negative integer symbols rather than bytes so that
 constructions needing large parametric alphabets stay exact; symbols have no
 upper bound.  Every substring question is answered by one suffix automaton
-(``_suffix_automaton``), built by one construction loop (``_sa_extend``)
-that can also extend an automaton with an undo log, so that
-``_sa_rollback`` takes the appended symbols out again.  All public position
-arguments are 1-based and slices are inclusive.
+of the text, and this module owns it: ``_suffix_automaton(T)`` keeps the
+automaton of the last text it was asked for, so the parsers, searches and
+measures called in turn on one text build it once.  Its callers only read
+it.  Code that mutates an automaton builds a private one with ``_sa_new``.
+Both go through one construction loop (``_sa_extend``), which can also
+extend an automaton with an undo log, so that ``_sa_rollback`` takes the
+appended symbols out again.  All public position arguments are 1-based and
+slices are inclusive.
 
 An edit is applied in one place, ``_edited``, on a tuple of symbols.  The
 sweeps stream plain ``(kind, position, symbol)`` fields from ``_edit_fields``
@@ -250,6 +254,10 @@ def enumerate_edits(
         yield trusted(*fields)
 
 
+# (symbols, automaton) of the last text _suffix_automaton was asked for
+_cache: tuple = (None, None)
+
+
 def _suffix_automaton(
     T: SymbolString,
 ) -> tuple[list[int], list[int], list[int], list[dict], list[int]]:
@@ -262,9 +270,28 @@ def _suffix_automaton(
     state.  ``firstpos[v]`` is the smallest end position (1-based: the
     length of the shortest prefix of ``T`` that has them as suffixes) of the
     state's substrings; a clone inherits it from the state it splits, and
-    the root has 0."""
+    the root has 0.
+
+    The automaton is shared: one entry, keyed by the identity of
+    ``T.symbols``, is kept until another text's is asked for.  The entry
+    holds that tuple, so its id is not reused while it is kept, and it is
+    dropped before the next build, so two long texts' automata are never
+    alive here at once.  Callers must not mutate it; ``_sa_new`` builds one
+    that they may."""
+    global _cache
+    syms = T.symbols
+    entry = _cache  # a local, so a concurrent miss can cost a build but not the answer
+    if entry[0] is not syms:
+        entry = _cache = (None, None)  # frees the old automaton before the build
+        entry = _cache = (syms, _sa_new(syms))
+    return entry[1]
+
+
+def _sa_new(symbols) -> tuple:
+    """A private suffix automaton of ``symbols``, in the form of
+    ``_suffix_automaton``, for code that extends and rolls it back."""
     sa = ([-1], [0], [], [{}], [0])
-    _sa_extend(sa, T.symbols)
+    _sa_extend(sa, symbols)
     return sa
 
 

@@ -20,17 +20,19 @@ once, as a ``partial``.  Both resumable loops take a start position, so the
 one resumed sweep loop (``sensitivity._resumed``, one family per loop)
 re-parses each edited text only from the phrase of the unedited text whose
 walk reaches the edit: ``_greedy`` runs on the edited text's automaton,
-extended and rolled back around the unchanged prefix's, and ``_lz78``
-continues with a given trie and logs its insertions for taking out again.
+a private one extended and rolled back around the unchanged prefix's, and
+``_lz78`` continues with a given trie and logs its insertions for taking
+out again.
 
-The greedy parsers, and the match tables of the exact searches, walk one
-suffix automaton of the text (``core._suffix_automaton``; an exact search
-builds it once and hands it to every loop it runs): following the rest
-of the text from the root, each state's first end index tells whether the
-prefix read so far has an admissible earlier occurrence and where the
-leftmost one starts, and its end-position bitmask (``core._state_ends``)
-lists every occurrence.  The verifier compares symbol slices.  Correctness is
-pinned to naive reference parsers by the test suite.
+Otherwise the greedy parsers, and the match tables of the exact searches,
+walk the one suffix automaton of the text that ``core._suffix_automaton``
+owns: it is built once for every loop that reads the same text, and no
+loop mutates it.  Following the rest of the text from the root, each
+state's first end index tells whether the prefix read so far has an
+admissible earlier occurrence and where the leftmost one starts, and its
+end-position bitmask (``core._state_ends``) lists every occurrence.  The
+verifier compares symbol slices.  Correctness is pinned to naive reference
+parsers by the test suite.
 """
 
 from __future__ import annotations
@@ -84,8 +86,10 @@ def _greedy(
     leftmost occurrence is the copy's source.  So a phrase is decided by
     T[:j+1], where j is the index its walk stops at (``_walk_end``; n when
     the text runs out), and a parse from the start of any phrase yields the
-    rest of the phrases.  ``sa`` is T's automaton when the caller has built
-    it already.
+    rest of the phrases.  The loop reads T's shared automaton
+    (``core._suffix_automaton``) and does not mutate it.  ``sa`` is given
+    only by ``sensitivity._greedy_family``: its private automaton of T,
+    which it extends and rolls back around each edited text.
     """
     syms = T.symbols
     n = len(syms)
@@ -163,19 +167,18 @@ def _jump_lower_bound(jumps: list[int]) -> list[int]:
     return lb
 
 
-def _match_states(
-    T: SymbolString, rule: str, sa: tuple | None = None
-) -> tuple[list[list[int]], list[int]]:
+def _match_states(T: SymbolString, rule: str) -> tuple[list[list[int]], list[int]]:
     """``(paths, ends)``: ``ends`` is ``core._state_ends`` of T's automaton,
     and ``paths[i]`` lists the states of T[i:i+1], T[i:i+2], ... for as long
     as the prefix also occurs ending before i (``"nonoverlap"``) or starting
     anywhere but i (``"elsewhere"``, i.e. its state has two end bits).  So
     ``len(paths[i])`` is the longest such match, by one walk per start.
-    ``sa`` is T's automaton when the caller has built it already.
+    It reads T's shared automaton (``core._suffix_automaton``) and does not
+    mutate it.
     """
     syms = T.symbols
     n = len(syms)
-    link, length, prefix_state, trans, firstpos = sa or _suffix_automaton(T)
+    link, length, prefix_state, trans, firstpos = _suffix_automaton(T)
     ends = _state_ends(link, length, prefix_state)
     elsewhere = rule == "elsewhere"
     paths = []
@@ -191,7 +194,7 @@ def _match_states(
     return paths, ends
 
 
-def _lz_end(T: SymbolString, sa: tuple | None = None) -> list[tuple]:
+def _lz_end(T: SymbolString) -> list[tuple]:
     """The greedy LZ-End loop: parsing into ``(start, length, kind, source)``
     tuples where every copy's source ends exactly at the end of an earlier
     phrase.
@@ -202,12 +205,13 @@ def _lz_end(T: SymbolString, sa: tuple | None = None) -> list[tuple]:
     holding one are thus closed under suffix links.  The next phrase walks
     T[i..] while the prefix occurs before i and takes the deepest state with
     a ``minend``: the longest admissible copy, with its leftmost source
-    ending there.  ``sa`` is T's automaton when the caller has built it
-    already.
+    ending there.  It reads T's shared automaton (``core._suffix_automaton``)
+    and keeps its phrase ends in a list of its own, so the automaton is not
+    mutated.
     """
     syms = T.symbols
     n = len(syms)
-    link, _, prefix_state, trans, firstpos = sa or _suffix_automaton(T)
+    link, _, prefix_state, trans, firstpos = _suffix_automaton(T)
     minend = [0] * len(link)  # smallest phrase end (1-based last position), 0 for none
     phrases = []
     i = 0
@@ -302,21 +306,20 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
 
     The source constraint is circular (admissible sources depend on the phrase
     ends of the very parsing being built), so this is an exact branch-and-bound
-    search over parse prefixes.  Its match table and its greedy seed walk one
-    automaton of T.  Texts longer than the ``REPSENS_LIMIT_LZEND_OPT`` cap
-    (``config.LIMITS``) raise ``CapabilityError``.
+    search over parse prefixes, seeded by the greedy parse.  Texts longer
+    than the ``REPSENS_LIMIT_LZEND_OPT`` cap (``config.LIMITS``) raise
+    ``CapabilityError``.
     """
     _require_nonempty(T)
     n = len(T)
     config.check("REPSENS_LIMIT_LZEND_OPT", n)
-    sa = _suffix_automaton(T)
-    paths, ends = _match_states(T, "nonoverlap", sa)
+    paths, ends = _match_states(T, "nonoverlap")
 
     # admissible lower bound: phrases needed if every position could jump its
     # longest fully-previous match (a superset of the really admissible moves)
     lb = _jump_lower_bound([len(path) for path in paths])
 
-    seed = _lz_end(T, sa)
+    seed = _lz_end(T)
     best_count = len(seed)
     best_parse = [(length, src) for _, length, _, src in seed]
     seen: dict[tuple[int, int], int] = {}

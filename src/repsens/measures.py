@@ -31,7 +31,7 @@ def delta(T: SymbolString) -> Fraction:
     n = len(T)
     if n == 0:
         raise InputError("substring complexity of the empty string is undefined")
-    link, length = _suffix_automaton(T)[:2]  # frees trans before the counts
+    link, length = _suffix_automaton(T)[:2]  # read only: shared with T's other readers
     diff = [0] * (n + 2)
     for v in range(1, len(length)):
         diff[length[link[v]] + 1] += 1
@@ -212,24 +212,22 @@ def smallest_bms(T: SymbolString) -> Factorization:
     right; every copy picks a source among the other occurrences of its
     content (left candidates first, because an all-leftward assignment can
     never cycle).  Partial reference chains are walked to cut wiring that
-    already loops, and the full termination check runs at each leaf.  The
-    match table and the LZSS upper bound walk one automaton of T.  Texts
-    longer than the ``REPSENS_LIMIT_BMS`` cap (``config.LIMITS``) raise
-    ``CapabilityError``.
+    already loops, and the full termination check runs at each leaf; the
+    LZSS parse gives the upper bound.  Texts longer than the
+    ``REPSENS_LIMIT_BMS`` cap (``config.LIMITS``) raise ``CapabilityError``.
     """
     n = len(T)
     config.check("REPSENS_LIMIT_BMS", n)
     if n == 0:
         raise InputError("cannot build a macro scheme for the empty string")
     # states of the prefixes at each position that occur somewhere else
-    sa = _suffix_automaton(T)
-    paths, ends = _match_states(T, "elsewhere", sa)
+    paths, ends = _match_states(T, "elsewhere")
     maxrep = [len(path) for path in paths]
     lb = _jump_lower_bound(maxrep)
 
     refmap = [0] * (n + 1)
     assigned = [False] * (n + 1)
-    ub = len(_greedy(T, True, False, sa))  # the LZSS size
+    ub = len(_greedy(T, True, False))  # the LZSS size
     distinct = len(set(T.symbols))
 
     def chain_ok(start: int) -> bool:

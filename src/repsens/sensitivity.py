@@ -45,8 +45,8 @@ from .core import (
     _edit_fields,
     _edited,
     _sa_extend,
+    _sa_new,
     _sa_rollback,
-    _suffix_automaton,
 )
 from .factorizers import (
     FACTORIZERS,
@@ -227,18 +227,19 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     """A ``_greedy`` flavor for ``_resumed``.  A phrase is decided by the
     text up to the index its walk stops at (``factorizers._walk_end``), so
     every phrase of ``T`` that stops before d is a phrase of the edited text
-    too.  The state is the automaton of ``T[:d]``; each edited text extends
+    too.  The state is a private automaton of ``T[:d]`` (``core._sa_new``,
+    never the shared one, which this would mutate); each edited text extends
     it from d on, is parsed by ``_greedy`` from ``resume``, and the
     extension is rolled back (``core._sa_rollback``).  The danger set is
     ``_greedy_danger``'s."""
     phrases = _greedy(SymbolString._trusted(syms), overlap, take_next)
     stops = [_walk_end(phrase) for phrase in phrases]
-    sa = _suffix_automaton(SymbolString._trusted(()))  # of syms[:d]
+    sa = _sa_new(())  # of syms[:d]
 
     def keep(d: int, k: int) -> None:
         nonlocal sa
         if len(sa[2]) > d:
-            sa = _suffix_automaton(SymbolString._trusted(syms[:d]))
+            sa = _sa_new(syms[:d])
         _sa_extend(sa, syms[len(sa[2]) : d])
 
     def parse(text: tuple, d: int, resume: int) -> list[tuple]:

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,8 @@ from repsens import (
     smallest_attractor,
     smallest_bms,
 )
-from repsens.core import EDIT_KINDS, _sa_extend, _sa_rollback, _suffix_automaton
+import repsens.core
+from repsens.core import EDIT_KINDS, _sa_extend, _sa_new, _sa_rollback, _suffix_automaton
 from repsens.factorizers import FACTORIZERS
 from repsens.measures import as_bms
 
@@ -281,8 +283,9 @@ def test_byte_and_text_constructors():
 )
 def test_automaton_extension_rolls_back_exactly(base, steps):
     # a step extends by a list of symbols, or (None) rolls the newest
-    # extension back; all five arrays are compared with a fresh build
-    sa = _suffix_automaton(SymbolString(base))
+    # extension back; all five arrays are compared with a fresh build.  The
+    # automaton is a private one: the shared one must not be mutated
+    sa = _sa_new(tuple(base))
     text = tuple(base)
     stack = []
     for step in steps + [None] * len(steps):
@@ -299,3 +302,23 @@ def test_automaton_extension_rolls_back_exactly(base, steps):
             stack.append((tuple(step), log))
             text += tuple(step)
         assert sa == _suffix_automaton(SymbolString(text)), (base, steps)
+
+
+def test_automaton_cache_drops_the_old_entry_before_a_build(monkeypatch):
+    # keeping the cached automaton alive while the next one is built would
+    # hold two at once: about twice one automaton at the peak
+    rng = random.Random(61)
+    A, B = (SymbolString(rng.randrange(2) for _ in range(2000)) for _ in range(2))
+    monkeypatch.setattr(repsens.core, "_cache", (None, None))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _suffix_automaton(A)
+        one = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        sa = _suffix_automaton(B)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * one, (peak, one)
+    assert sa == _sa_new(B.symbols)

@@ -16,6 +16,7 @@ from repsens import (
     bms_check,
     bms_is_valid,
     delta,
+    distinct_substrings,
     enumerate_edits,
     format_factorization,
     is_attractor,
@@ -26,8 +27,7 @@ from repsens import (
     smallest_bms,
 )
 import repsens.core
-import repsens.factorizers
-import repsens.measures
+from repsens.factorizers import FACTORIZERS
 from repsens.measures import as_bms, format_attractor, parse_attractor
 
 
@@ -258,21 +258,30 @@ def test_smallest_bms_capability():
 
 @pytest.mark.parametrize("search", [lz_end_optimal, smallest_bms])
 def test_exact_search_builds_one_automaton(monkeypatch, search):
+    # builds are counted where they happen, at the cache misses in core; the
+    # search builds T's automaton, and every other reader of T reuses it
     builds = []
 
-    def counted(T):
-        builds.append(T)
-        return repsens.core._suffix_automaton(T)
+    def counted(symbols):
+        builds.append(symbols)
+        return new(symbols)
 
-    for module in (repsens.factorizers, repsens.measures):
-        monkeypatch.setattr(module, "_suffix_automaton", counted)
+    new = repsens.core._sa_new
+    monkeypatch.setattr(repsens.core, "_sa_new", counted)
+    monkeypatch.setattr(repsens.core, "_cache", (None, None))
     rng = random.Random(89)
     texts = [t("abaababaab"), t("aaaaaaaa"), t("abcabcab"), SymbolString([0])]
     texts += [SymbolString(rng.randrange(3) for _ in range(rng.randint(1, 12))) for _ in range(20)]
+    readers = [FACTORIZERS[name][0] for name in FACTORIZERS if name != "lz78"]
+    readers += [delta, lambda T: distinct_substrings(T, 1), lambda T: is_attractor(T, [1])]
+    assert len(readers) == 9
     for T in texts:
         builds.clear()
         search(T)
-        assert builds == [T], T
+        assert builds == [T.symbols], T
+        for read in readers:
+            read(T)
+        assert builds == [T.symbols], T
 
 
 def test_as_bms_reinterprets_parsings():

@@ -23,13 +23,14 @@ from repsens import (
     enumerate_edits,
     exhaustive_sensitivity,
     growth_fit,
+    is_attractor,
     lz78,
     lz78_witness,
     lz_witness,
     sensitivity_of_string,
 )
 import repsens.sensitivity as sv
-from repsens.core import _suffix_automaton
+from repsens.core import EDIT_KINDS, _sa_new, _suffix_automaton
 from repsens.factorizers import FACTORIZERS, _greedy, _lz78, _walk_end
 from repsens.sensitivity import (
     CSV_HEADER,
@@ -600,6 +601,19 @@ def test_greedy_resume_matches_full_parses(flavor):
             edits = list(enumerate_edits(T, sigma, kinds))
             want = [greedy_size(flavor, apply_edit(T, e)) for e in edits]
             assert resumed_sizes(T, edits, flavor) == want, (T.symbols, kinds)
+
+
+@pytest.mark.parametrize("flavor", ["lzss_overlap", "lz77_nonoverlap"])
+def test_resumed_sweeps_leave_the_shared_automaton_unmutated(flavor):
+    # a sweep extends and rolls back a private automaton; had it taken the
+    # shared one, the mutated automaton would stay cached under its text,
+    # and the empty text's tuple is one object for every empty text
+    T = lz_witness(2).base
+    for kind in EDIT_KINDS:
+        sensitivity_of_string(flavor, T, kind, T.alphabet())
+        assert is_attractor(SymbolString(()), ()), kind
+        sensitivity_of_string(flavor, T, kind, T.alphabet())
+        assert _suffix_automaton(T) == _sa_new(T.symbols), kind
 
 
 # text edges: the first and the last position, insertion at 0 and at n, and
