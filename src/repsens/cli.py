@@ -185,13 +185,48 @@ def cmd_witness(args) -> int:
         format_symbolic(bundle.edited[kind]) for kind in EDIT_KINDS
     ]
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(text_lines) + "\n")
-        with open(args.output + ".jsonl", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(sidecar_lines) + "\n")
+        texts = {args.output: text_lines, args.output + ".jsonl": sidecar_lines}
+        new = [path for path in texts if not os.path.lexists(path)]
+        with contextlib.ExitStack() as stack:
+            try:  # open both, truncating neither, before writing either
+                files = [stack.enter_context(open(path, "a", encoding="utf-8", newline="\n"))
+                         for path in texts]
+            except OSError:
+                for path in new:  # created by an open before the one that failed
+                    with contextlib.suppress(OSError):
+                        os.remove(path)
+                raise
+            for fh, lines in zip(files, texts.values()):
+                fh.truncate(0)
+                fh.write("\n".join(lines) + "\n")
     else:
         sys.stdout.write("\n".join(text_lines + sidecar_lines) + "\n")
     return 0
+
+
+def _sweep_texts(args):
+    """``(text, alphabet, source)`` per text of a witness, random or
+    single-text sweep; the sweep's flags are checked before the first."""
+    if args.witness:
+        lo = 2 if args.p_min is None else args.p_min
+        hi = lo if args.p_max is None else args.p_max
+        if hi < lo:
+            raise InputError(f"--p-max {hi} is below --p-min {lo}")
+        if args.fit and hi - lo < 3:
+            raise InputError(f"--fit needs at least 4 p values, got --p-min {lo} --p-max {hi}")
+        for p in range(lo, hi + 1):
+            base = wt.FAMILIES[args.witness](p).base
+            yield base, base.alphabet(), "witness"
+    elif args.random_count is not None:
+        if min(args.random_count, args.n, args.sigma) < 1:
+            raise InputError("--random, --n and --sigma must be at least 1")
+        rng = random.Random(args.seed or 0)
+        for _ in range(args.random_count):
+            T = SymbolString(rng.randrange(args.sigma) for _ in range(args.n))
+            yield T, range(args.sigma), "random"
+    else:
+        T = _load_text(args)
+        yield T, T.alphabet(), "witness"
 
 
 def cmd_sensitivity(args) -> int:
@@ -221,46 +256,19 @@ def cmd_sensitivity(args) -> int:
     if args.fit and not args.witness:
         # every row of the other sweeps has the same n, and a fit needs four
         raise InputError("--fit applies only to --witness sweeps over at least 4 p values")
-    records = []
+    if sweeps in (["--exhaustive"], ["--random"]) and None in (args.n, args.sigma):
+        raise InputError(f"{sweeps[0]} needs --n and --sigma")
     if args.exhaustive:
-        if args.n is None or args.sigma is None:
-            raise InputError("--exhaustive needs --n and --sigma")
-        for kind in kinds:
-            records.append(
-                sv.exhaustive_sensitivity(args.measure, args.n, args.sigma, kind, jobs=args.jobs)
-            )
-    elif args.witness:
-        lo = 2 if args.p_min is None else args.p_min
-        hi = lo if args.p_max is None else args.p_max
-        if hi < lo:
-            raise InputError(f"--p-max {hi} is below --p-min {lo}")
-        if args.fit and hi - lo < 3:
-            raise InputError(f"--fit needs at least 4 p values, got --p-min {lo} --p-max {hi}")
-        for p in range(lo, hi + 1):
-            bundle = wt.FAMILIES[args.witness](p)
-            for kind in kinds:
-                rec = sv.sensitivity_of_string(
-                    args.measure, bundle.base, kind, bundle.base.alphabet(), source="witness"
-                )
-                records.append(rec)
-    elif args.random_count is not None:
-        rng = random.Random(args.seed or 0)
-        if args.n is None or args.sigma is None:
-            raise InputError("--random needs --n and --sigma")
-        if min(args.random_count, args.n, args.sigma) < 1:
-            raise InputError("--random, --n and --sigma must be at least 1")
-        for _ in range(args.random_count):
-            T = SymbolString(rng.randrange(args.sigma) for _ in range(args.n))
-            for kind in kinds:
-                records.append(
-                    sv.sensitivity_of_string(args.measure, T, kind, range(args.sigma), source="random")
-                )
+        records = [
+            sv.exhaustive_sensitivity(args.measure, args.n, args.sigma, kind, jobs=args.jobs)
+            for kind in kinds
+        ]
     else:
-        T = _load_text(args)
-        for kind in kinds:
-            records.append(
-                sv.sensitivity_of_string(args.measure, T, kind, T.alphabet(), source="witness")
-            )
+        records = [
+            sv.sensitivity_of_string(args.measure, T, kind, alphabet, source=source)
+            for T, alphabet, source in _sweep_texts(args)
+            for kind in kinds
+        ]
     with _output(args) as out:
         sv.write_csv(records, out)
         if args.fit:

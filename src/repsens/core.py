@@ -12,9 +12,10 @@ extend an automaton with an undo log, so that ``_sa_rollback`` takes the
 appended symbols out again.  All public position arguments are 1-based and
 slices are inclusive.
 
-An edit is applied in one place, ``_edited``, on a tuple of symbols.  The
-sweeps stream plain ``(kind, position, symbol)`` fields from ``_edit_fields``
-and build an ``Edit`` only for their result; ``enumerate_edits`` and
+An edit is applied in one place, ``_edited``, on a tuple of symbols, also
+the sweeps' placeholder edit by -1.  The sweeps stream ``(kind, position,
+symbol)`` fields of one kind in position order from ``_edit_fields`` and
+build an ``Edit`` only for their result; ``enumerate_edits`` and
 ``apply_edit`` are the same pieces behind the public objects.
 """
 

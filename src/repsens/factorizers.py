@@ -121,9 +121,10 @@ def _greedy(
 
 
 def _walk_end(phrase: tuple) -> int:
-    """The 0-based index at which ``_greedy``'s walk for this phrase tuple
-    stopped: a literal's own index, a copylit's taken symbol, and the index
-    after a copy (the text's length when it ran out)."""
+    """The 0-based index at which the walk for this phrase tuple stopped, in
+    both loops ``sensitivity._resumed`` resumes, ``_greedy`` and ``_lz78``:
+    a literal's own index, a copylit's last symbol, and the index after a
+    copy (the text's length when it ran out)."""
     start, length, kind, _ = phrase
     if kind == "literal":
         return start - 1

@@ -10,12 +10,13 @@ gets an ``Edit``, a ``Fraction`` ratio and a ``SensitivityRecord``.
 ``RESUMED_SWEEPS``: ``lz78`` and the four greedy flavors (``lzss_overlap``,
 ``lzss_nonoverlap``, ``lz77_overlap``, ``lz77_nonoverlap``) parse each
 edited text only from the phrase holding the edit.  One loop, ``_resumed``,
-does this for two families, ``_lz78_family`` and ``_greedy_family``.  For a
-substitution or insertion at one position, every symbol outside a small
-danger set (``_lz78_danger``, ``_greedy_danger``) shares one parse of the
-text with a placeholder symbol there; the others get a parse of their own.
-Deletions are resumed only.  Every other measure, and every measure given as
-a callable, parses each edited text in full and stays the referee.
+does this for two families, ``_lz78_family`` and ``_greedy_family``, over
+one edit kind in position order.  For a substitution or insertion at one
+position, every symbol outside a small danger set (``_lz78_danger``,
+``_greedy_danger``) shares one parse of the text with a placeholder symbol
+there; the others get a parse of their own.  Deletions are resumed only.
+Every other measure, and every measure given as a callable, parses each
+edited text in full and stays the referee.
 
 ``exhaustive_sensitivity`` enumerates strings up to symbol renaming, and the
 sweeps of delta, gamma and bms (``REVERSAL_INVARIANT``) up to reversal too.
@@ -124,41 +125,41 @@ def _measure_fn(measure):
     return MEASURES[measure], measure
 
 
-def _resumed(family, T: SymbolString, edits: Iterable[tuple]) -> tuple[int, Iterator[tuple]]:
-    """The size of ``T`` and an iterator of ``(size, fields)`` over the texts
-    edited by the ``(kind, position, symbol)`` fields of ``edits``, each
-    parsed only from the first phrase of ``T`` the edit can change: the one
-    resume-and-share loop of every resumed sweep.
+def _resumed(family, T: SymbolString, kind: str, symbols: list) -> tuple[int, Iterator]:
+    """The size of ``T`` and an iterator of ``(size, fields)`` over the
+    ``kind`` edits of ``T`` by the sorted ``symbols`` (``_edit_fields``),
+    each edited text parsed only from the first phrase of ``T`` the edit can
+    change: the one resume-and-share loop of every resumed sweep.
 
-    ``family(symbols)`` gives ``(phrases, stops, keep, parse, danger)``:
-    the parse of ``T``; the index each phrase's decision reads up to, so the
-    phrases that stop before the first changed index d are kept;
-    ``keep(d, k)``, which brings the parser state to ``T[:d]`` and the first
-    k phrases (d never decreases within one kind, so the state only grows; a
-    smaller d starts it afresh); ``parse(text, d, resume)``, the phrases of
-    ``text`` from ``resume``, with the state restored after; and
+    The edits come in position order, so the first changed index d only
+    grows, and the phrases whose walk stops before d (``_walk_end``) are
+    kept.  ``family(symbols)`` gives ``(phrases, keep, parse, danger)``: the
+    parse of ``T``; ``keep(d, k)``, which grows the parser state to
+    ``T[:d]`` and the first k phrases; ``parse(text, d, resume)``, the
+    phrases of ``text`` from ``resume``, with the state restored after; and
     ``danger(text, d, resume, tail)``, the symbols that may parse otherwise
-    than the placeholder text ``text``, whose parse from ``resume`` is
-    ``tail``.  The placeholder is -1, a symbol no text has, at d: one parse
-    of it serves every substitution or insertion at d by a symbol outside
-    the danger set.  Deletions are resumed only.
+    than the placeholder text ``text`` (``_edited`` with the symbol -1, which
+    no text has), whose parse from ``resume`` is ``tail``.  One parse of it
+    serves every substitution or insertion at that position by a symbol
+    outside the danger set.  Deletions are resumed only.
     """
     syms = T.symbols
-    phrases, stops, keep, parse, danger = family(syms)
+    phrases, keep, parse, danger = family(syms)
+    stops = [_walk_end(phrase) for phrase in phrases]
 
     def sizes():
-        shared = None, 0, ()  # (kind, position), size with the placeholder, danger set
-        for fields in edits:
-            kind, position, symbol = fields
+        shared = None, 0, ()  # position, size with the placeholder, danger set
+        for fields in _edit_fields(syms, symbols, (kind,)):
+            _, position, symbol = fields
             d = position if kind == "ins" else position - 1
             k = bisect_left(stops, d)
             keep(d, k)
             resume = phrases[k][0] - 1 if k < len(phrases) else len(syms)
             if kind != "del":
-                if shared[0] != (kind, position):
-                    text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
+                if shared[0] != position:
+                    text = _edited(syms, kind, position, -1)
                     tail = parse(text, d, resume)
-                    shared = (kind, position), k + len(tail), danger(text, d, resume, tail)
+                    shared = position, k + len(tail), danger(text, d, resume, tail)
                 if symbol not in shared[2]:
                     yield shared[1], fields
                     continue
@@ -170,25 +171,20 @@ def _resumed(family, T: SymbolString, edits: Iterable[tuple]) -> tuple[int, Iter
 def _lz78_family(syms: tuple) -> tuple:
     """lz78 for ``_resumed``.  Every phrase of ``T`` that ends before d is a
     phrase of the edited text too, made from the same symbols against the
-    same dictionary; a final ``copy`` phrase is never kept, since it ends
-    because the text runs out.  The base trie holds the kept phrases; each
-    edited text is parsed from the next phrase's start with an undo log, and
-    its additions are taken out again."""
-    n = len(syms)
+    same dictionary; a final ``copy`` phrase is never kept, since its walk
+    stops where the text runs out.  The base trie holds the kept phrases,
+    and grows with d; each edited text is parsed from the next phrase's
+    start with an undo log, and its additions are taken out again."""
     phrases = _lz78(syms)
-    # 0-based last index of each phrase; a final copy counts as ending at n
-    stops = [n if kind == "copy" else start + length - 2 for start, length, kind, _ in phrases]
     root: dict = {}
     kept = 0  # phrases of T in root
     undo: list = []
 
     def keep(d: int, k: int) -> None:
         nonlocal kept
-        if k < kept:
-            root.clear()
-            kept = 0
         if kept < k:  # phrases kept..k-1 of T, parsed again into root
-            _lz78(syms[: stops[k - 1] + 1], phrases[kept][0] - 1, root)
+            start, length, _, _ = phrases[k - 1]
+            _lz78(syms[: start - 1 + length], phrases[kept][0] - 1, root)
             kept = k
 
     def parse(text: tuple, d: int, resume: int) -> list[tuple]:
@@ -201,7 +197,7 @@ def _lz78_family(syms: tuple) -> tuple:
     def danger(text: tuple, d: int, resume: int, tail: list[tuple]) -> set:
         return _lz78_danger(text, d, resume, phrases[:kept] + tail)  # kept == k
 
-    return phrases, stops, keep, parse, danger
+    return phrases, keep, parse, danger
 
 
 def _lz78_danger(text: tuple, d: int, resume: int, phrases: list[tuple]) -> set:
@@ -228,18 +224,14 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     text up to the index its walk stops at (``factorizers._walk_end``), so
     every phrase of ``T`` that stops before d is a phrase of the edited text
     too.  The state is a private automaton of ``T[:d]`` (``core._sa_new``,
-    never the shared one, which this would mutate); each edited text extends
-    it from d on, is parsed by ``_greedy`` from ``resume``, and the
-    extension is rolled back (``core._sa_rollback``).  The danger set is
-    ``_greedy_danger``'s."""
+    never the shared one, which this would mutate), extended as d grows;
+    each edited text extends it from d on, is parsed by ``_greedy`` from
+    ``resume``, and the extension is rolled back (``core._sa_rollback``).
+    The danger set is ``_greedy_danger``'s."""
     phrases = _greedy(SymbolString._trusted(syms), overlap, take_next)
-    stops = [_walk_end(phrase) for phrase in phrases]
     sa = _sa_new(())  # of syms[:d]
 
     def keep(d: int, k: int) -> None:
-        nonlocal sa
-        if len(sa[2]) > d:
-            sa = _sa_new(syms[:d])
         _sa_extend(sa, syms[len(sa[2]) : d])
 
     def parse(text: tuple, d: int, resume: int) -> list[tuple]:
@@ -253,7 +245,7 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     def danger(text: tuple, d: int, resume: int, tail: list[tuple]) -> set:
         return _greedy_danger(sa, text, d, resume, tail, take_next)
 
-    return phrases, stops, keep, parse, danger
+    return phrases, keep, parse, danger
 
 
 def _greedy_danger(
@@ -321,8 +313,8 @@ def _greedy_danger(
     return danger
 
 
-# measure name -> resumed sweep: (T, edit fields) -> (size of T, (size, fields)
-# per edit); the greedy flavors' flags are read off their loops in FACTORIZERS
+# measure name -> resumed sweep: (T, kind, symbols) -> (size of T, (size,
+# fields) per edit); greedy flavors' flags are read off FACTORIZERS' loops
 RESUMED_SWEEPS = {"lz78": partial(_resumed, _lz78_family)}
 RESUMED_SWEEPS.update(
     (name, partial(_resumed, partial(_greedy_family, **loop.keywords)))
@@ -334,8 +326,10 @@ RESUMED_SWEEPS.update(
 def _sweep_alphabet(
     alphabet: Iterable[int], syms: tuple, edit_kind: str, include_fresh: bool
 ) -> list[int]:
-    """The sorted edit symbols of a sweep: ``alphabet``, plus by default one
-    symbol new to it and to the text."""
+    """The sorted edit symbols of a sweep of a checked edit kind:
+    ``alphabet``, plus by default one symbol new to it and to the text."""
+    if edit_kind not in EDIT_KINDS:
+        raise InputError(f"unknown edit kind {edit_kind!r}")
     sigma = set(alphabet)
     if include_fresh:
         sigma.add(max(sigma | set(syms), default=-1) + 1)
@@ -374,24 +368,21 @@ def sensitivity_of_string(
     named in ``RESUMED_SWEEPS`` (``lz78`` and the four greedy LZSS/LZ77
     flavors) parses ``T`` once and each edited text only from the phrase
     holding the edit, and the symbols that cannot change that parse at a
-    position share one (see ``_resumed``).  Any
-    other measure, and a callable, takes the ``MEASURES`` path: a full parse
-    of every edited text.
+    position share one (see ``_resumed``).  Any other measure, and a
+    callable, takes the ``MEASURES`` path: a full parse of every edited text.
     """
     fn, name = _measure_fn(measure)
-    if edit_kind not in EDIT_KINDS:
-        raise InputError(f"unknown edit kind {edit_kind!r}")
     syms = T.symbols
     sigma = _sweep_alphabet(alphabet, syms, edit_kind, include_fresh)
-    edits = _edit_fields(syms, sigma, (edit_kind,))
     resumed = RESUMED_SWEEPS.get(measure) if isinstance(measure, str) else None
     if resumed:
-        base, values = resumed(T, edits)
+        base, values = resumed(T, edit_kind, sigma)
     else:
         def size(U: tuple):
             return fn(SymbolString._trusted(U)) if U else 0
 
         base = size(syms)
+        edits = _edit_fields(syms, sigma, (edit_kind,))
         values = ((size(_edited(syms, *fields)), fields) for fields in edits)
     best = max(values, key=itemgetter(0), default=None)
     return _record(name, edit_kind, len(T), base, best, None, source)
@@ -400,9 +391,6 @@ def sensitivity_of_string(
 def canonical_strings(n: int, sigma: int) -> Iterator[tuple]:
     """One representative per symbol-renaming class: strings over 0..sigma-1
     where each first occurrence introduces the next unused symbol."""
-    if n == 0:
-        yield ()
-        return
 
     def grow(prefix: tuple, used: int):
         if len(prefix) == n:
@@ -452,10 +440,8 @@ def _best_of_strings(args) -> tuple:
     of the exhaustive sweeps: the largest gain, then the smallest string.
     Every string of length n >= 1 has a legal edit of each kind, since the
     fresh symbol is in the edit alphabet."""
-    measure_name, strings, edit_kind, sigma, capacity = args
+    measure_name, strings, edit_kind, symbols, capacity = args
     size = _renaming_memo(MEASURES[measure_name], capacity)
-    # canonical strings use only symbols below sigma, so sigma is the fresh one
-    symbols = _sweep_alphabet(range(sigma), (), edit_kind, True)
 
     def worst(syms: tuple) -> tuple:
         base = size(syms)
@@ -505,11 +491,13 @@ def exhaustive_sensitivity(
     if n < 1 or sigma < 1:
         raise InputError("need n >= 1 and sigma >= 1")
     budget = config.check("REPSENS_LIMIT_EXHAUSTIVE", n, sigma)
+    # canonical strings use only symbols below sigma, so sigma is the fresh one
+    symbols = _sweep_alphabet(range(sigma), (), edit_kind, True)
     strings = list(canonical_strings(n, sigma))
     if measure in REVERSAL_INVARIANT:
         strings = [s for s in strings if s <= tuple(_renaming_key(s[::-1]))]
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(strings)))
-    chunks = [(measure, strings[k::jobs], edit_kind, sigma, budget) for k in range(jobs)]
+    chunks = [(measure, strings[k::jobs], edit_kind, symbols, budget) for k in range(jobs)]
     if jobs == 1:
         results = map(_best_of_strings, chunks)
     else:

@@ -90,6 +90,22 @@ def test_witness_file_output_writes_sidecar(tmp_path, capsys):
     assert json.loads(sidecar[1])["record"] == "symbols"
 
 
+@pytest.mark.parametrize("existing", [True, False])
+def test_witness_file_output_writes_both_files_or_neither(tmp_path, capsys, existing):
+    # the sidecar path is a directory, so it cannot be written
+    target = tmp_path / "fam.sym"
+    (tmp_path / "fam.sym.jsonl").mkdir()
+    if existing:
+        target.write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, "witness", "--family", "lz78", "--p", "3",
+                         "--output", str(target))
+    assert code == 2 and out == "" and "error:" in err
+    if existing:
+        assert target.read_bytes() == b"earlier output\n"
+    else:
+        assert not target.exists()
+
+
 def test_sensitivity_exhaustive_delta(capsys):
     code, out, _ = run(
         capsys, "sensitivity", "--measure", "delta", "--exhaustive",

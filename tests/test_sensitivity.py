@@ -87,6 +87,7 @@ def test_canonical_strings_cover_renaming_classes():
     assert len(got) == 8
     assert all(s[0] == 0 for s in got)
     assert sum(1 for _ in canonical_strings(7, 4)) == 715
+    assert list(canonical_strings(0, 2)) == [()]
 
 
 def test_exhaustive_single_symbol_strings():
@@ -113,6 +114,16 @@ def test_exhaustive_budget():
     # far past the budget: 2**(10**6) has 301,030 digits
     with pytest.raises(CapabilityError):
         exhaustive_sensitivity("delta", 10**6, 2, "sub")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exhaustive_rejects_an_unknown_kind_before_the_sweep(monkeypatch, jobs):
+    def no_strings(n, sigma):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(sv, "canonical_strings", no_strings)
+    with pytest.raises(InputError, match="unknown edit kind 'bogus'"):
+        exhaustive_sensitivity("delta", 20, 2, "bogus", jobs=jobs)
 
 
 def test_exhaustive_gamma_fixture():
@@ -457,15 +468,19 @@ def lz78_size(U):
     return lz78(U).size if len(U) else 0
 
 
-def resumed_sizes(T, edits, measure="lz78"):
-    """The sizes of the edited texts as the measure's resumed sweep computes
-    them from the edits' (kind, position, symbol) fields."""
-    fields = [(e.kind, e.position, e.symbol) for e in edits]
-    base, sizes = RESUMED_SWEEPS[measure](T, iter(fields))
+def resumed_sizes(T, kind, symbols, measure="lz78"):
+    """``((kind, position, symbol), size)`` for every ``kind`` edit of ``T``
+    by ``symbols``, as the measure's resumed sweep computes them."""
+    base, sizes = RESUMED_SWEEPS[measure](T, kind, sorted(symbols))
     assert base == MEASURES[measure](T)
-    got = list(sizes)
-    assert [f for _, f in got] == fields
-    return [size for size, _ in got]
+    return [(fields, size) for size, fields in sizes]
+
+
+def full_sizes(T, kind, symbols, size):
+    """The same pairs from ``enumerate_edits`` and a full parse of each
+    edited text by ``size``."""
+    edits = enumerate_edits(T, symbols, (kind,))
+    return [((e.kind, e.position, e.symbol), size(apply_edit(T, e))) for e in edits]
 
 
 def test_lz78_resume_matches_full_parses():
@@ -476,10 +491,28 @@ def test_lz78_resume_matches_full_parses():
         texts.append(SymbolString(rng.randrange(sigma) for _ in range(n)))
     for T in texts:
         sigma = set(T.symbols) | {max(T.symbols) + 1}
-        for kinds in (("sub",), ("ins",), ("del",), ("sub", "ins", "del")):
-            edits = list(enumerate_edits(T, sigma, kinds))
-            want = [lz78_size(apply_edit(T, e)) for e in edits]
-            assert resumed_sizes(T, edits) == want, (T.symbols, kinds)
+        for kind in EDIT_KINDS:
+            want = full_sizes(T, kind, sigma, lz78_size)
+            assert resumed_sizes(T, kind, sigma) == want, (T.symbols, kind)
+
+
+def test_walk_end_is_the_last_index_an_lz78_phrase_reads():
+    # a literal or copylit reads up to its last symbol; a final copy runs
+    # out at the text's end
+    rng = random.Random(107)
+    texts = [lz78_witness(p).base.symbols for p in range(1, 9)]
+    texts += [tuple(rng.randrange(rng.randint(1, 5)) for _ in range(rng.randint(1, 80)))
+              for _ in range(200)]
+    for syms in texts:
+        for start, length, kind, source in _lz78(syms):
+            last = len(syms) if kind == "copy" else start + length - 2
+            assert _walk_end((start, length, kind, source)) == last, (syms, start)
+
+
+def edge_sweep(T, edit):
+    """The edit alphabet of a text-edge case: the text's symbols and the
+    edit's own."""
+    return set(T.symbols) | ({edit.symbol} - {None})
 
 
 # (text, edit, lz78 size of the edited text); c is a symbol new to the text
@@ -503,37 +536,20 @@ LZ78_EDGES = [
 
 @pytest.mark.parametrize("text,edit,want", LZ78_EDGES)
 def test_lz78_resume_at_text_edges(text, edit, want):
+    # the whole sweep of the edit's kind, which passes through the edge
     T = SymbolString.from_text(text)
-    assert resumed_sizes(T, [edit]) == [want]
+    sigma = edge_sweep(T, edit)
+    got = resumed_sizes(T, edit.kind, sigma)
+    assert got == full_sizes(T, edit.kind, sigma, lz78_size)
+    assert ((edit.kind, edit.position, edit.symbol), want) in got
     assert lz78_size(apply_edit(T, edit)) == want
 
 
 @settings(derandomize=True, deadline=None, database=None)
-@given(
-    st.lists(st.integers(0, 3), min_size=1, max_size=40),
-    st.lists(st.tuples(st.sampled_from(("sub", "ins", "del")), st.integers(0, 40), st.integers(0, 4)),
-             min_size=1, max_size=12),
-)
-def test_lz78_resume_property(syms, picks):
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.sampled_from(EDIT_KINDS))
+def test_lz78_resume_property(syms, kind):
     T = SymbolString(syms)
-    edits = picked_edits(syms, picks)
-    assert resumed_sizes(T, edits) == [lz78_size(apply_edit(T, e)) for e in edits]
-
-
-def picked_edits(syms, picks):
-    """The edits of ``syms`` that hypothesis's ``(kind, pos, sym)`` picks
-    name, positions taken modulo the text; a substitution by the same
-    symbol is dropped."""
-    n = len(syms)
-    edits = []
-    for kind, pos, sym in picks:
-        if kind == "ins":
-            edits.append(Edit("ins", pos % (n + 1), sym))
-        elif kind == "del":
-            edits.append(Edit("del", pos % n + 1))
-        elif sym != syms[pos % n]:
-            edits.append(Edit("sub", pos % n + 1, sym))
-    return edits
+    assert resumed_sizes(T, kind, range(5)) == full_sizes(T, kind, range(5), lz78_size)
 
 
 def test_lz78_loop_resumes_from_any_phrase_and_undoes():
@@ -596,11 +612,9 @@ def test_greedy_resume_matches_full_parses(flavor):
         texts.append(SymbolString(rng.randrange(sigma) for _ in range(n)))
     for T in texts:
         sigma = set(T.symbols) | {max(T.symbols) + 1}
-        # one kind at a time, and all three in one stream (d starts afresh)
-        for kinds in (("sub",), ("ins",), ("del",), ("sub", "ins", "del")):
-            edits = list(enumerate_edits(T, sigma, kinds))
-            want = [greedy_size(flavor, apply_edit(T, e)) for e in edits]
-            assert resumed_sizes(T, edits, flavor) == want, (T.symbols, kinds)
+        for kind in EDIT_KINDS:
+            want = full_sizes(T, kind, sigma, partial(greedy_size, flavor))
+            assert resumed_sizes(T, kind, sigma, flavor) == want, (T.symbols, kind)
 
 
 @pytest.mark.parametrize("flavor", ["lzss_overlap", "lz77_nonoverlap"])
@@ -640,22 +654,23 @@ GREEDY_EDGES = [
 @pytest.mark.parametrize("flavor", GREEDY)
 @pytest.mark.parametrize("text,edit", GREEDY_EDGES)
 def test_greedy_resume_at_text_edges(flavor, text, edit):
+    # the whole sweep of the edit's kind, which passes through the edge
     T = SymbolString.from_text(text)
-    assert resumed_sizes(T, [edit], flavor) == [greedy_size(flavor, apply_edit(T, edit))]
+    sigma = edge_sweep(T, edit)
+    want = full_sizes(T, edit.kind, sigma, partial(greedy_size, flavor))
+    assert resumed_sizes(T, edit.kind, sigma, flavor) == want
 
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
     st.sampled_from(GREEDY),
     st.lists(st.integers(0, 3), min_size=1, max_size=40),
-    st.lists(st.tuples(st.sampled_from(("sub", "ins", "del")), st.integers(0, 40), st.integers(0, 4)),
-             min_size=1, max_size=12),
+    st.sampled_from(EDIT_KINDS),
 )
-def test_greedy_resume_property(flavor, syms, picks):
+def test_greedy_resume_property(flavor, syms, kind):
     T = SymbolString(syms)
-    edits = picked_edits(syms, picks)
-    want = [greedy_size(flavor, apply_edit(T, e)) for e in edits]
-    assert resumed_sizes(T, edits, flavor) == want
+    want = full_sizes(T, kind, range(5), partial(greedy_size, flavor))
+    assert resumed_sizes(T, kind, range(5), flavor) == want
 
 
 @pytest.mark.parametrize("flavor", GREEDY)
@@ -703,10 +718,8 @@ def test_lz78_danger_set_keeps_the_placeholder_boundaries():
         for kind, d in [("sub", d) for d in range(n)] + [("ins", d) for d in range(n + 1)]:
             text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
             placeholder = _lz78(text)
-            # the sweep resumes at the first phrase that ends at d or later;
-            # a final copy ends with the text
-            k = next((k for k, (start, length, kind_, _) in enumerate(phrases)
-                      if kind_ == "copy" or start + length - 2 >= d), len(phrases))
+            # the sweep resumes at the first phrase whose walk stops at d or later
+            k = next((k for k, phrase in enumerate(phrases) if _walk_end(phrase) >= d), len(phrases))
             assert placeholder[:k] == phrases[:k]
             resume = placeholder[k][0] - 1
             danger = _lz78_danger(text, d, resume, placeholder)
@@ -724,13 +737,13 @@ def own_parses(name, T, kind, monkeypatch):
     calls = []
 
     def counted(syms):
-        phrases, stops, keep, parse, danger = family(syms)
+        phrases, keep, parse, danger = family(syms)
 
         def counting(*args):
             calls.append(None)
             return parse(*args)
 
-        return phrases, stops, keep, counting, danger
+        return phrases, keep, counting, danger
 
     monkeypatch.setitem(RESUMED_SWEEPS, name, partial(sv._resumed, counted))
     sensitivity_of_string(name, T, kind, T.alphabet())
