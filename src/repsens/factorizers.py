@@ -406,9 +406,12 @@ def check_factorization(T: SymbolString, F: Factorization) -> str | None:
     if pos != n + 1:
         return f"phrases cover [1, {pos - 1}] but the text has length {n}"
 
-    end_set = {p.end for p in F.phrases}
-    # (start, length) -> 1-based phrase index, for lz78 parent lookups
-    index = {(p.start, p.length): k for k, p in enumerate(F.phrases, 1)}
+    # each lookup table is built only for the flavor that reads it: lzend's
+    # phrase ends, and lz78's (start, length) -> 1-based phrase index
+    end_set = {p.end for p in F.phrases} if F.flavor == "lzend" else None
+    index = None
+    if F.flavor == "lz78":
+        index = {(p.start, p.length): k for k, p in enumerate(F.phrases, 1)}
 
     for k, ph in enumerate(F.phrases, 1):
         p0 = ph.start - 1

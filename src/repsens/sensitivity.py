@@ -2,9 +2,9 @@
 exhaustive maximization over strings, CSV reporting, and growth fitting.
 
 The sweeps run on symbol tuples: edits are ``(kind, position, symbol)``
-fields (``core._edit_fields``) applied by ``core._edited``, ``max`` keyed on
-the size picks the worst edit (the first of the largest), and only the result
-gets an ``Edit``, a ``Fraction`` ratio and a ``SensitivityRecord``.
+fields (``core._edit_fields``) applied by ``core._edited``, the worst edit is
+the first of the largest sizes, and only the result gets an ``Edit``, a
+``Fraction`` ratio and a ``SensitivityRecord``.
 
 ``sensitivity_of_string`` given a measure by name looks it up in
 ``RESUMED_SWEEPS``: ``lz78`` and the four greedy flavors (``lzss_overlap``,
@@ -15,8 +15,11 @@ one edit kind in position order.  For a substitution or insertion at one
 position, every symbol outside a small danger set (``_lz78_danger``,
 ``_greedy_danger``) shares one parse of the text with a placeholder symbol
 there; the others get a parse of their own.  Deletions are resumed only.
-Every other measure, and every measure given as a callable, parses each
-edited text in full and stays the referee.
+Every other measure, and every measure given as a callable, goes through one
+loop, ``_first_max``, which parses edited texts in full; a callable is
+measured on every edited text and stays the referee.  By name, the exact
+searches named in ``UPPER_BOUNDS`` run there only where a cheap upper bound
+can still beat the largest size so far.
 
 ``exhaustive_sensitivity`` enumerates strings up to symbol renaming, and the
 sweeps of delta, gamma and bms (``REVERSAL_INVARIANT``) up to reversal too.
@@ -70,6 +73,19 @@ MEASURES.update(
     gamma=lambda T: len(smallest_attractor(T)),
     bms=lambda T: smallest_bms(T).size,
 )
+
+UPPER_BOUNDS = {"lzend_opt": "lzend", "bms": "lzss_overlap"}
+"""Exact measure -> a cheap measure that is never smaller on any text:
+
+* lzend_opt <= lzend: the greedy LZ-End parse is an LZ-End parse, and
+  ``lz_end_optimal`` seeds its search with it;
+* bms <= lzss_overlap: the greedy LZSS parse, its sources all to the left,
+  is a valid macro scheme, and ``smallest_bms`` takes it as its upper bound.
+
+The sweeps (``_first_max``) run the exact search on an edited text only when
+its bound is above the value it has to beat.  gamma has no entry: with
+``lzss_overlap`` as its bound, most edits still needed the exact search and
+the sweep got slower."""
 
 REVERSAL_INVARIANT = frozenset({"delta", "gamma", "bms"})
 """The measures that take the same value on a text and on its reversal:
@@ -348,6 +364,33 @@ def _record(name, edit_kind, n, base, best, argmax_T, source) -> SensitivityReco
     )
 
 
+def _first_max(size, upper, syms: tuple, kind: str, symbols: list, floor=None):
+    """The first largest ``(size, fields)`` over the ``kind`` edits of
+    ``syms`` by the sorted ``symbols`` (``_edit_fields``), or None when its
+    size is not above ``floor`` (or no edit of the kind is legal).
+
+    ``upper``, None or a function never below ``size``, prunes: an edited
+    text is measured only when its bound is above the bar, the larger of
+    ``floor`` and the first maximum so far, since only a strictly larger
+    value can replace either.  With no floor, the first edit is always
+    measured, so a cap of the exact search is never skipped.
+    """
+    best, bar = None, floor
+    for fields in _edit_fields(syms, symbols, (kind,)):
+        U = _edited(syms, *fields)
+        if bar is not None and upper is not None and upper(U) <= bar:
+            continue
+        value = size(U)
+        if bar is None or value > bar:
+            best, bar = (value, fields), value
+    return best
+
+
+def _sized(fn):
+    """``fn`` of the text with these symbols; the empty text measures 0."""
+    return lambda syms: fn(SymbolString._trusted(syms)) if syms else 0
+
+
 def sensitivity_of_string(
     measure,
     T: SymbolString,
@@ -369,22 +412,25 @@ def sensitivity_of_string(
     flavors) parses ``T`` once and each edited text only from the phrase
     holding the edit, and the symbols that cannot change that parse at a
     position share one (see ``_resumed``).  Any other measure, and a
-    callable, takes the ``MEASURES`` path: a full parse of every edited text.
+    callable, takes the ``MEASURES`` path (``_first_max``): a full parse of
+    every edited text, except that a measure named in ``UPPER_BOUNDS`` is
+    solved only where its bound is above the first maximum so far, the bar
+    a later edit must pass to replace it.
     """
     fn, name = _measure_fn(measure)
     syms = T.symbols
     sigma = _sweep_alphabet(alphabet, syms, edit_kind, include_fresh)
-    resumed = RESUMED_SWEEPS.get(measure) if isinstance(measure, str) else None
+    by_name = isinstance(measure, str)
+    resumed = RESUMED_SWEEPS.get(measure) if by_name else None
     if resumed:
         base, values = resumed(T, edit_kind, sigma)
+        best = max(values, key=itemgetter(0), default=None)
     else:
-        def size(U: tuple):
-            return fn(SymbolString._trusted(U)) if U else 0
-
+        size = _sized(fn)
+        bound = UPPER_BOUNDS.get(measure) if by_name else None
+        upper = _sized(MEASURES[bound]) if bound else None
         base = size(syms)
-        edits = _edit_fields(syms, sigma, (edit_kind,))
-        values = ((size(_edited(syms, *fields)), fields) for fields in edits)
-    best = max(values, key=itemgetter(0), default=None)
+        best = _first_max(size, upper, syms, edit_kind, sigma)
     return _record(name, edit_kind, len(T), base, best, None, source)
 
 
@@ -439,17 +485,25 @@ def _best_of_strings(args) -> tuple:
     symbols), base, (value, fields))``.  The least key is the one tie-break
     of the exhaustive sweeps: the largest gain, then the smallest string.
     Every string of length n >= 1 has a legal edit of each kind, since the
-    fresh symbol is in the edit alphabet."""
+    fresh symbol is in the edit alphabet.
+
+    The strings come in increasing order, so a later one replaces the worst
+    so far only with a strictly larger gain: its edits must beat ``base +
+    gain``, the floor given to ``_first_max``.  A measure named in
+    ``UPPER_BOUNDS`` is solved only where its bound is above that bar; the
+    bound has its own renaming memo of the same capacity."""
     measure_name, strings, edit_kind, symbols, capacity = args
     size = _renaming_memo(MEASURES[measure_name], capacity)
-
-    def worst(syms: tuple) -> tuple:
+    bound = UPPER_BOUNDS.get(measure_name)
+    upper = _renaming_memo(MEASURES[bound], capacity) if bound else None
+    worst = None
+    for syms in strings:
         base = size(syms)
-        edits = _edit_fields(syms, symbols, (edit_kind,))
-        top = max(((size(_edited(syms, *fields)), fields) for fields in edits), key=itemgetter(0))
-        return (base - top[0], syms), base, top
-
-    return min(map(worst, strings))
+        floor = None if worst is None else base - worst[0][0]
+        top = _first_max(size, upper, syms, edit_kind, symbols, floor)
+        if top is not None:
+            worst = (base - top[0], syms), base, top
+    return worst
 
 
 def exhaustive_sensitivity(
@@ -485,6 +539,16 @@ def exhaustive_sensitivity(
     ``_best_of_strings`` (the largest gain, ties to the lexicographically
     smallest string), so neither the worker count nor the memo changes the
     answer.
+
+    That tie-break sets a bar: a chunk sweeps its strings in increasing
+    order, so a string replaces the worst so far only if one of its edits
+    beats ``base + gain`` of the worst so far, and within a string only if
+    it beats the first maximum so far.  A measure in ``UPPER_BOUNDS``
+    (``lzend_opt``, bms) runs its exact search on an edited string only when
+    the string's bound, memoised by renaming class in a second memo of the
+    same capacity, is above the bar; every other measure is evaluated once
+    per renaming class of the edited strings.  Either way the record is the
+    one that measuring every edited string would give.
     """
     if measure not in MEASURES:
         raise InputError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")

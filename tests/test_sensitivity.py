@@ -284,6 +284,19 @@ def test_exhaustive_memo_bounded_by_budget(monkeypatch):
     assert len(seen[-1].memo) < 2**9  # an ample cap does not bind
 
 
+@pytest.mark.parametrize("measure,n", [("lzend_opt", 8), ("bms", 7)])
+def test_exhaustive_bound_memo_is_capped_without_changing_answer(monkeypatch, measure, n):
+    free = exhaustive_sensitivity(measure, n, 2, "sub")
+    seen = spy_memos(monkeypatch)
+    monkeypatch.setenv("REPSENS_LIMIT_EXHAUSTIVE", str(2**n))
+    capped = exhaustive_sensitivity(measure, n, 2, "sub")
+    assert capped.csv_row() == free.csv_row()
+    assert capped.argmax_T == free.argmax_T
+    exact, bounds = seen  # one memo each for the call
+    assert len(exact.memo) <= 2**n
+    assert len(bounds.memo) == 2**n  # full: the cap is what stopped it growing
+
+
 class SerialPool:
     """A stand-in for ``ProcessPoolExecutor`` that records each pool's
     worker count and maps in this process, so no process is started."""
@@ -786,3 +799,86 @@ def test_lz_witness_sub_sweep_is_pinned(p):
     base = lz_witness(p).base
     rec = sensitivity_of_string("lzss_overlap", base, "sub", base.alphabet())
     assert (rec.c_T, rec.AS) == (2 * p * p + 2 * p + 1, p * p + 1)
+
+
+# exhaustive records of the two exact searches over every edit kind, frozen
+# from the sweep that ran the exact search on every edited string
+EXACT_PINS = {
+    ("lzend_opt", 10, "sub"): (
+        "lzend_opt,sub,10,5,8,3,8,5,3,2,exhaustive",
+        (0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+    ),
+    ("lzend_opt", 10, "ins"): (
+        "lzend_opt,ins,10,6,9,3,3,2,5,2,exhaustive",
+        (0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    ),
+    ("lzend_opt", 10, "del"): (
+        "lzend_opt,del,10,5,7,2,7,5,3,,exhaustive",
+        (0, 1, 0, 1, 0, 0, 1, 0, 1, 0),
+    ),
+    ("bms", 8, "sub"): ("bms,sub,8,2,4,2,2,1,2,1,exhaustive", (0,) * 8),
+    ("bms", 8, "ins"): ("bms,ins,8,2,4,2,2,1,1,1,exhaustive", (0,) * 8),
+    ("bms", 8, "del"): ("bms,del,8,4,5,1,5,4,6,,exhaustive", (0, 0, 0, 0, 1, 0, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("measure,n,kind", sorted(EXACT_PINS))
+def test_exhaustive_exact_searches_are_pinned(measure, n, kind):
+    rec = exhaustive_sensitivity(measure, n, 2, kind)
+    assert (rec.csv_row(), rec.argmax_T.symbols) == EXACT_PINS[measure, n, kind]
+
+
+@pytest.mark.parametrize("measure", sorted(sv.UPPER_BOUNDS))
+def test_upper_bounds_are_never_below_their_exact_measure(measure):
+    exact, upper = MEASURES[measure], MEASURES[sv.UPPER_BOUNDS[measure]]
+    for sigma, top in ((2, 10), (3, 7)):
+        for n in range(1, top + 1):
+            for syms in canonical_strings(n, sigma):
+                T = SymbolString(syms)
+                assert exact(T) <= upper(T), syms
+
+
+def counted_exact_calls(monkeypatch, measure):
+    """A list that grows by one per call of the exact ``MEASURES`` entry."""
+    calls = []
+    exact = MEASURES[measure]
+
+    def counting(T):
+        calls.append(None)
+        return exact(T)
+
+    monkeypatch.setitem(MEASURES, measure, counting)
+    return calls
+
+
+# (measure, n) -> most exact calls of the binary sub sweep; without the
+# bounds the sweeps make 3017 and 480
+EXACT_CALLS = {("lzend_opt", 10): 520, ("bms", 8): 100}
+
+
+@pytest.mark.parametrize("measure,n", sorted(EXACT_CALLS))
+def test_exhaustive_sweeps_solve_only_where_the_bound_can_win(monkeypatch, measure, n):
+    calls = counted_exact_calls(monkeypatch, measure)
+    rec = exhaustive_sensitivity(measure, n, 2, "sub")
+    assert rec.csv_row() == EXACT_PINS[measure, n, "sub"][0]
+    assert 0 < len(calls) <= EXACT_CALLS[measure, n]
+
+
+def test_single_text_sweep_solves_only_where_the_bound_can_win(monkeypatch):
+    T = SymbolString((0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+    want = sensitivity_of_string(MEASURES["lzend_opt"], T, "sub", range(2))
+    calls = counted_exact_calls(monkeypatch, "lzend_opt")
+    got = sensitivity_of_string("lzend_opt", T, "sub", range(2))
+    assert got.csv_row().split(",", 1)[1] == want.csv_row().split(",", 1)[1]
+    # the base, the first edit and the first maximum, of 20 edits
+    assert len(calls) == 3
+
+
+def test_pruned_sweeps_still_raise_the_exact_search_cap(monkeypatch):
+    # the first edit of a sweep is always solved exactly, so an edited text
+    # past the cap raises even where its bound would have pruned the rest
+    monkeypatch.setenv("REPSENS_LIMIT_LZEND_OPT", "10")
+    with pytest.raises(CapabilityError, match="REPSENS_LIMIT_LZEND_OPT"):
+        exhaustive_sensitivity("lzend_opt", 10, 2, "ins")
+    with pytest.raises(CapabilityError, match="REPSENS_LIMIT_LZEND_OPT"):
+        sensitivity_of_string("lzend_opt", SymbolString((0,) * 10), "ins", range(2))
