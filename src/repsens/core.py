@@ -47,7 +47,8 @@ class SymbolString:
     """Immutable sequence of non-negative integer symbols.
 
     ``at(i)`` and ``sub(i, j)`` use 1-based inclusive indexing; ``sub``
-    returns the empty string when ``i > j``.
+    returns the empty string when ``i > j``.  Hashable and picklable, with
+    value equality.
     """
 
     __slots__ = ("symbols",)
@@ -59,13 +60,13 @@ class SymbolString:
             raise InputError(f"symbols must be integers: {exc}") from None
         if syms and min(syms) < 0:
             raise InputError(f"symbols must be non-negative, got {min(syms)}")
-        self.symbols = syms
+        _set_symbols(self, syms)
 
     @classmethod
     def _trusted(cls, syms: tuple) -> "SymbolString":
         """Wrap a tuple of symbols that are already known to be valid."""
         self = object.__new__(cls)
-        self.symbols = syms
+        _set_symbols(self, syms)
         return self
 
     @classmethod
@@ -80,12 +81,14 @@ class SymbolString:
 
     def at(self, i: int) -> int:
         """The i-th symbol, 1-based."""
+        i = _integer(i, "position")
         if not 1 <= i <= len(self.symbols):
             raise InputError(f"position {i} out of range [1, {len(self.symbols)}]")
         return self.symbols[i - 1]
 
     def sub(self, i: int, j: int) -> "SymbolString":
         """Inclusive slice [i, j]; empty when i > j."""
+        i, j = _integer(i, "slice start"), _integer(j, "slice end")
         if i > j:
             return SymbolString()
         if i < 1 or j > len(self.symbols):
@@ -94,6 +97,15 @@ class SymbolString:
 
     def alphabet(self) -> frozenset[int]:
         return frozenset(self.symbols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable SymbolString")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable SymbolString")
+
+    def __reduce__(self):
+        return (SymbolString, (self.symbols,))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -111,6 +123,10 @@ class SymbolString:
 
     def __repr__(self) -> str:
         return f"SymbolString({list(self.symbols)!r})"
+
+
+# the slot setter, which bypasses the immutability guard of __setattr__
+_set_symbols = SymbolString.__dict__["symbols"].__set__
 
 
 class Edit:
@@ -386,6 +402,7 @@ def _state_ends(link: list[int], length: list[int], prefix_state: list[int]) -> 
 def distinct_substrings(T: SymbolString, k: int) -> int:
     """Number of distinct length-k substrings of ``T``."""
     n = len(T)
+    k = _integer(k, "substring length")
     if not 1 <= k <= n:
         raise InputError(f"substring length {k} out of range [1, {n}]")
     link, length = _suffix_automaton(T)[:2]

@@ -11,18 +11,20 @@ Phrase kinds:
 
 Each parser family has one loop, which emits plain ``(start, length, kind,
 source)`` tuples: ``_greedy`` for LZSS/LZ77, ``_lz_end`` for greedy LZ-End and
-``_lz78``.  ``FACTORIZERS`` is the one place that names each factorizer and
-its loop call: the public factorizers build a ``Factorization`` of ``Phrase``
-objects from the loop's tuples, the sweeps' sizes (``sensitivity.MEASURES``)
-count them, and the CLI spellings (``cli.FLAVOR_FLAGS``) are its names with
-``-`` for ``_``; each greedy flavor's ``_greedy`` flags are written there
-once, as a ``partial``.  Both resumable loops take a start position, so the
-one resumed sweep loop (``sensitivity._resumed``, one family per loop)
-re-parses each edited text only from the phrase of the unedited text whose
-walk reaches the edit: ``_greedy`` runs on the edited text's automaton,
-a private one extended and rolled back around the unchanged prefix's, and
-``_lz78`` continues with a given trie and logs its insertions for taking
-out again.
+``_lz78``.  The two exact searches, ``lz_end_optimal`` and
+``measures.smallest_bms``, keep the parse they build in the same tuples and
+make ``Phrase`` objects once, for the result.  ``FACTORIZERS`` is the one
+place that names each factorizer and its loop call: the public factorizers
+build a ``Factorization`` of ``Phrase`` objects from the loop's tuples, the
+sweeps' sizes (``sensitivity.MEASURES``) count them, and the CLI spellings
+(``cli.FLAVOR_FLAGS``) are its names with ``-`` for ``_``; each greedy
+flavor's ``_greedy`` flags are written there once, as a ``partial``.  Both
+resumable loops take a start position, so the one resumed sweep loop
+(``sensitivity._resumed``, one family per loop) re-parses each edited text
+only from the phrase of the unedited text whose walk reaches the edit:
+``_greedy`` runs on the edited text's automaton, a private one extended and
+rolled back around the unchanged prefix's, and ``_lz78`` continues with a
+given trie and logs its insertions for taking out again.
 
 Otherwise the greedy parsers, and the match tables of the exact searches,
 walk the one suffix automaton of the text that ``core._suffix_automaton``
@@ -307,8 +309,10 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
 
     The source constraint is circular (admissible sources depend on the phrase
     ends of the very parsing being built), so this is an exact branch-and-bound
-    search over parse prefixes, seeded by the greedy parse.  Texts longer
-    than the ``REPSENS_LIMIT_LZEND_OPT`` cap (``config.LIMITS``) raise
+    search over parse prefixes, seeded by the greedy parse.  The prefix and
+    the best parse so far are ``(start, length, kind, source)`` tuples, the
+    seed being ``_lz_end``'s list as it is.  Texts longer than the
+    ``REPSENS_LIMIT_LZEND_OPT`` cap (``config.LIMITS``) raise
     ``CapabilityError``.
     """
     _require_nonempty(T)
@@ -320,9 +324,8 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
     # longest fully-previous match (a superset of the really admissible moves)
     lb = _jump_lower_bound([len(path) for path in paths])
 
-    seed = _lz_end(T)
-    best_count = len(seed)
-    best_parse = [(length, src) for _, length, _, src in seed]
+    best_parse = _lz_end(T)
+    best_count = len(best_parse)
     seen: dict[tuple[int, int], int] = {}
 
     def dfs(pos0: int, bmask: int, count: int, acc: list) -> None:
@@ -350,26 +353,19 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
                 continue
             took_any = True
             e = (hit & -hit).bit_length() - 1
-            acc.append((length, e - length + 1))
+            acc.append((pos0 + 1, length, "copy", e - length + 1))
             dfs(pos0 + length, bmask | (1 << (pos0 + length)), count + 1, acc)
             acc.pop()
         if top == 0:
             # fresh symbol: the only move is a literal
-            acc.append((1, None))
+            acc.append((pos0 + 1, 1, "literal", None))
             dfs(pos0 + 1, bmask | (1 << (pos0 + 1)), count + 1, acc)
             acc.pop()
         elif not took_any:
             raise AssertionError("internal: no admissible phrase at a repeated symbol")
 
     dfs(0, 1, 0, [])
-
-    phrases = []
-    pos = 1
-    for length, src in best_parse:
-        kind = "literal" if src is None else "copy"
-        phrases.append(Phrase(pos, length, kind, src))
-        pos += length
-    return Factorization(tuple(phrases), "lzend")
+    return Factorization(tuple(starmap(Phrase, best_parse)), "lzend")
 
 
 # name -> (public factorizer, parse loop); the exact search has no loop

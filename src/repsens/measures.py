@@ -5,10 +5,11 @@ bidirectional macro schemes, with exact smallest-set searches at desk scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, starmap
+from operator import index
 
 from . import config
-from .core import InputError, SymbolString, _state_ends, _suffix_automaton
+from .core import InputError, SymbolString, _integer, _state_ends, _suffix_automaton
 from .factorizers import (
     Factorization,
     Phrase,
@@ -65,12 +66,22 @@ def _coverage_masks(T: SymbolString) -> list[int]:
     return masks
 
 
+def _attractor_positions(positions) -> frozenset[int]:
+    """``positions`` as a set of ints; InputError for a non-integer one,
+    which the second pass names."""
+    positions = tuple(positions)
+    try:
+        return frozenset(map(index, positions))
+    except TypeError:
+        return frozenset(_integer(p, "attractor position") for p in positions)
+
+
 def is_attractor(T: SymbolString, positions) -> bool:
     """True iff every distinct substring of ``T`` has an occurrence containing
     one of the positions."""
     n = len(T)
     pmask = 0
-    for p in frozenset(positions):
+    for p in _attractor_positions(positions):
         if not 1 <= p <= n:
             raise InputError(f"attractor position {p} out of range [1, {n}]")
         pmask |= 1 << (p - 1)
@@ -213,7 +224,12 @@ def smallest_bms(T: SymbolString) -> Factorization:
     content (left candidates first, because an all-leftward assignment can
     never cycle).  Partial reference chains are walked to cut wiring that
     already loops, and the full termination check runs at each leaf; the
-    LZSS parse gives the upper bound.  Texts longer than the
+    LZSS parse gives the upper bound.  ``refmap`` holds each position's
+    reference (0 ground, the source position of a copy, -1 unassigned): a
+    literal is a length-1 phrase with source 0, so literals and copies are
+    placed by one slice assignment and undone by another.  The phrases laid
+    so far are ``(start, length, kind, source)`` tuples, as in the parse
+    loops (``factorizers``).  Texts longer than the
     ``REPSENS_LIMIT_BMS`` cap (``config.LIMITS``) raise ``CapabilityError``.
     """
     n = len(T)
@@ -225,65 +241,47 @@ def smallest_bms(T: SymbolString) -> Factorization:
     maxrep = [len(path) for path in paths]
     lb = _jump_lower_bound(maxrep)
 
-    refmap = [0] * (n + 1)
-    assigned = [False] * (n + 1)
+    refmap = [0] + [-1] * n
     ub = len(_greedy(T, True, False))  # the LZSS size
     distinct = len(set(T.symbols))
 
-    def chain_ok(start: int) -> bool:
-        # follow assigned references; unassigned territory is fine for now
+    def chain_ok(x: int) -> bool:
+        # follow assigned references to ground (0) or unassigned territory (-1)
         seen = set()
-        x = start
-        while True:
-            if x == 0 or not assigned[x]:
-                return True
+        while x > 0:
             if x in seen:
                 return False
             seen.add(x)
             x = refmap[x]
+        return True
 
-    def place(pos0: int, left: int, acc: list[Phrase]):
+    def place(pos0: int, left: int, acc: list) -> list | None:
         if pos0 == n:
-            if left == 0 and _map_terminates(refmap):
-                return list(acc)
-            return None
+            return list(acc) if left == 0 and _map_terminates(refmap) else None
         if left == 0 or lb[pos0] > left or (n - pos0) < left:
             return None
+        start = pos0 + 1
         top = min(max(1, maxrep[pos0]), n - pos0 - (left - 1))
         for length in range(top, 0, -1):
-            start = pos0 + 1
-            if length == 1:
-                assigned[start] = True
-                refmap[start] = 0
-                acc.append(Phrase(start, 1, "literal"))
-                found = place(pos0 + 1, left - 1, acc)
-                acc.pop()
-                assigned[start] = False
-                if found is not None:
-                    return found
-                continue
-            if length > maxrep[pos0]:
-                continue
-            for src0 in _other_starts(ends[paths[pos0][length - 1]], pos0, length):
-                for j in range(length):
-                    assigned[start + j] = True
-                    refmap[start + j] = src0 + 1 + j
-                if all(chain_ok(start + j) for j in range(length)):
-                    acc.append(Phrase(start, length, "copy", src0 + 1))
+            sources = [0] if length == 1 else [
+                src0 + 1 for src0 in _other_starts(ends[paths[pos0][length - 1]], pos0, length)
+            ]
+            for src in sources:
+                refmap[start : start + length] = range(src, src + length)
+                found = None
+                if all(map(chain_ok, range(start, start + length))):
+                    acc.append((start, length, "copy", src) if src else (start, 1, "literal", None))
                     found = place(pos0 + length, left - 1, acc)
                     acc.pop()
-                    if found is not None:
-                        for j in range(length):
-                            assigned[start + j] = False
-                        return found
-                for j in range(length):
-                    assigned[start + j] = False
+                refmap[start : start + length] = (-1,) * length
+                if found is not None:
+                    return found
         return None
 
     for size in range(max(distinct, lb[0]), ub + 1):
         found = place(0, size, [])
         if found is not None:
-            return Factorization(tuple(found), "bms")
+            return Factorization(tuple(starmap(Phrase, found)), "bms")
     raise AssertionError("internal: the greedy parsing bound was not reachable")
 
 

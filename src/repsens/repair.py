@@ -16,7 +16,7 @@ from math import isqrt
 
 from .core import Edit, InputError, SymbolString, _suffix_automaton, apply_edit, check_edit
 from .factorizers import Factorization, Phrase, check_factorization
-from .measures import bms_check, is_attractor
+from .measures import _attractor_positions, bms_check, is_attractor
 
 
 @dataclass
@@ -79,7 +79,7 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     """
     global _last_attractor
     _check_repair_edit(T, e)
-    gamma = frozenset(gamma)
+    gamma = _attractor_positions(gamma)  # ints before the memo check: {2.0} == {2}
     if (T.symbols, gamma) != _last_attractor:
         if not is_attractor(T, gamma):
             raise InputError("the given position set is not an attractor of the text")

@@ -599,6 +599,9 @@ def growth_fit(records) -> GrowthFit:
             points.append((n, gain))
     if any(gain is None or gain <= 0 for _, gain in points):
         raise InputError("growth fit needs positive increases")
+    for point in points:
+        if point[0] <= 0:
+            raise InputError(f"growth fit needs positive sizes, got the point {point}")
     if len({n for n, _ in points}) < 4:
         raise InputError("growth fit needs at least 4 distinct sizes")
     xs = [math.log(n) for n, _ in points]

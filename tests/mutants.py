@@ -1,0 +1,352 @@
+"""Re-runnable mutants of the subtle code, each with the tests that kill it.
+
+    python3 tests/mutants.py
+
+Each entry of ``MUTANTS`` names a file under ``src/repsens``, a source
+snippet that must occur there exactly once, its replacement, and the pytest
+node ids that must fail once it is applied (a parametrized test's id fails
+when any of its cases does).  For each mutant the script copies ``src/`` to
+a temporary directory, applies the replacement there and runs the listed
+tests against the copy, two mutants at a time.  pytest is given
+``-o pythonpath=<copy>/src``: without it, pyproject's ``pythonpath =
+["src"]`` imports the unmutated tree.  The working tree's ``src/`` is never
+written.
+
+The script exits non-zero when a snippet no longer occurs exactly once (a
+refactor then updates the mutant rather than dropping it), when a listed
+test passes on its mutant, or when pytest ends in anything but failed tests
+or runs past ``TIMEOUT_S``.  Its name does not start with ``test_``, so
+pytest does not collect it.
+
+Equivalent mutants are left out: ``smallest_bms``'s ``chain_ok`` returning
+True passes all of ``tests/test_measures.py``, because the leaf
+``_map_terminates`` check is what rejects cycles.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120  # per mutant; its tests take seconds on the unmutated tree
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/repsens
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # the exact searches
+    Mutant(
+        "bms-undo-dropped",
+        "measures.py",
+        "                refmap[start : start + length] = (-1,) * length\n",
+        "",
+        (
+            "tests/test_measures.py::test_exact_referee_outputs_pinned",
+            "tests/test_measures.py::test_smallest_bms_matches_naive",
+        ),
+    ),
+    Mutant(
+        "bms-literal-with-source",
+        "measures.py",
+        '(start, length, "copy", src) if src else (start, 1, "literal", None)',
+        '(start, length, "copy" if src else "literal", src)',
+        ("tests/test_measures.py::test_smallest_bms_validity_and_parsing_bound",),
+    ),
+    Mutant(
+        "lzend-opt-best-aliases-prefix",
+        "factorizers.py",
+        "best_parse = list(acc)",
+        "best_parse = acc",
+        (
+            "tests/test_measures.py::test_exact_referee_outputs_pinned",
+            "tests/test_factorizers.py::test_lzend_optimal_matches_plain_backtracking",
+        ),
+    ),
+    # the exhaustive sweeps
+    Mutant(
+        "first-max-skips-one-above-bar",
+        "sensitivity.py",
+        "upper(U) <= bar:",
+        "upper(U) <= bar + 1:",
+        (
+            "tests/test_sensitivity.py::test_exhaustive_matches_public_reference[lzend_opt]",
+            "tests/test_sensitivity.py::test_exhaustive_matches_public_reference[bms]",
+        ),
+    ),
+    Mutant(
+        "reversal-filter-strict",
+        "sensitivity.py",
+        "s <= tuple(_renaming_key(s[::-1]))",
+        "s < tuple(_renaming_key(s[::-1]))",
+        (
+            "tests/test_sensitivity.py::test_exhaustive_matches_public_reference[delta]",
+            "tests/test_sensitivity.py::test_exhaustive_sweeps_one_string_per_reversal_class",
+        ),
+    ),
+    Mutant(
+        "lzend-opt-reversal-invariant",
+        "sensitivity.py",
+        'REVERSAL_INVARIANT = frozenset({"delta", "gamma", "bms"})',
+        'REVERSAL_INVARIANT = frozenset({"delta", "gamma", "bms", "lzend_opt"})',
+        (
+            "tests/test_sensitivity.py::test_exhaustive_matches_public_reference[lzend_opt]",
+            "tests/test_sensitivity.py::"
+            "test_measures_outside_the_invariant_set_change_under_reversal[lzend_opt]",
+        ),
+    ),
+    Mutant(
+        "lz78-danger-empty",
+        "sensitivity.py",
+        "    return {\n        text[start - 1 + depth]\n",
+        "    return set() and {\n        text[start - 1 + depth]\n",
+        (
+            "tests/test_sensitivity.py::test_lz78_danger_set_keeps_the_placeholder_boundaries",
+            "tests/test_sensitivity.py::test_lz78_resume_matches_full_parses",
+        ),
+    ),
+    # the resumed sweeps: their danger sets, stop rule and undoable automaton
+    Mutant(
+        "greedy-danger-a-dropped",
+        "sensitivity.py",
+        "if resume < d or take_next:  # (a)",
+        "if False:  # (a)",
+        (
+            "tests/test_sensitivity.py::test_greedy_danger_set_keeps_the_placeholder_boundaries",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
+        ),
+    ),
+    Mutant(
+        "greedy-danger-b-dropped",
+        "sensitivity.py",
+        "if not take_next and d + 1 < n:  # (b)",
+        "if False:  # (b)",
+        (
+            "tests/test_sensitivity.py::test_greedy_danger_set_keeps_the_placeholder_boundaries[lzss_overlap]",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lzss_overlap]",
+        ),
+    ),
+    Mutant(
+        "greedy-danger-c-dropped",
+        "sensitivity.py",
+        "for phrase in tail:  # (c)",
+        "for phrase in ():  # (c)",
+        (
+            "tests/test_sensitivity.py::test_greedy_danger_set_keeps_the_placeholder_boundaries",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
+        ),
+    ),
+    Mutant(
+        "lz77-danger-a-skipped-at-resume",
+        "sensitivity.py",
+        "if resume < d or take_next:  # (a)",
+        "if resume < d:  # (a)",
+        (
+            "tests/test_sensitivity.py::test_greedy_danger_set_keeps_the_placeholder_boundaries[lz77_overlap]",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lz77_overlap]",
+        ),
+    ),
+    Mutant(
+        "lz77-literal-window-widened",
+        "sensitivity.py",
+        'j = _walk_end(phrase) + (not take_next and phrase[2] == "literal")',
+        'j = _walk_end(phrase) + (phrase[2] == "literal")',
+        (
+            "tests/test_sensitivity.py::test_greedy_danger_set_keeps_the_placeholder_boundaries[lz77_overlap]",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lz77_nonoverlap]",
+        ),
+    ),
+    Mutant(
+        "lz78-danger-without-length-filter",
+        "sensitivity.py",
+        "if length > depth and text[start - 1 : start - 1 + depth] == word",
+        "if start - 1 + depth < len(text) and text[start - 1 : start - 1 + depth] == word",
+        ("tests/test_sensitivity.py::test_danger_sets_stay_small",),
+    ),
+    Mutant(
+        "lz78-danger-kept-phrases-ignored",
+        "sensitivity.py",
+        "_lz78_danger(text, d, resume, phrases[:kept] + tail)",
+        "_lz78_danger(text, d, resume, tail)",
+        (
+            "tests/test_sensitivity.py::test_lz78_resume_matches_full_parses",
+            "tests/test_sensitivity.py::test_sweep_matches_public_reference[lz78]",
+        ),
+    ),
+    Mutant(
+        "lz78-danger-placeholder-tail-ignored",
+        "sensitivity.py",
+        "_lz78_danger(text, d, resume, phrases[:kept] + tail)",
+        "_lz78_danger(text, d, resume, phrases[:kept])",
+        (
+            "tests/test_sensitivity.py::test_lz78_resume_matches_full_parses",
+            "tests/test_sensitivity.py::test_sweep_matches_public_reference[lz78]",
+        ),
+    ),
+    Mutant(
+        "resume-one-phrase-late",
+        "sensitivity.py",
+        "k = bisect_left(stops, d)",
+        "k = bisect_left(stops, d + 1)",
+        (
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
+            "tests/test_sensitivity.py::test_lz78_resume_matches_full_parses",
+        ),
+    ),
+    Mutant(
+        "reversal-filter-keeps-larger",
+        "sensitivity.py",
+        "s <= tuple(_renaming_key(s[::-1]))",
+        "s >= tuple(_renaming_key(s[::-1]))",
+        (
+            "tests/test_sensitivity.py::test_exhaustive_matches_public_reference[gamma]",
+            "tests/test_sensitivity.py::test_exhaustive_sweeps_one_string_per_reversal_class",
+        ),
+    ),
+    Mutant(
+        "rollback-leaves-split-link",
+        "core.py",
+        "            link[q] = link[clone]\n",
+        "",
+        (
+            "tests/test_core.py::test_automaton_extension_rolls_back_exactly",
+            "tests/test_sensitivity.py::test_resumed_sweeps_leave_the_shared_automaton_unmutated",
+        ),
+    ),
+    # the repairs' size bounds
+    Mutant(
+        "lzend-repair-bound-2t",
+        "repair.py",
+        'bound = (2 if kind == "ins" else 3) * t',
+        "bound = 2 * t",
+        ("tests/test_repair.py::test_repair_outputs_pinned",),
+    ),
+    Mutant(
+        "attractor-repair-bound-one-less",
+        "repair.py",
+        "bound = len(gamma) + g + cap + 2",
+        "bound = len(gamma) + g + cap + 1",
+        (
+            "tests/test_repair.py::test_attractor_repair_running_example",
+            "tests/test_repair.py::test_repair_outputs_pinned",
+        ),
+    ),
+    Mutant(
+        "bms-repair-bound-one-less",
+        "repair.py",
+        "bound = sum(caps)",
+        "bound = sum(caps) - 1",
+        (
+            "tests/test_repair.py::test_bms_repair_all_ground_scheme",
+            "tests/test_repair.py::test_bms_repair_exhaustive_small",
+        ),
+    ),
+    # input checks
+    Mutant(
+        "symbol-string-assignable",
+        "core.py",
+        'raise AttributeError(f"cannot assign to field {name!r} of an immutable SymbolString")',
+        "object.__setattr__(self, name, value)",
+        ("tests/test_core.py::test_symbol_string_is_immutable",),
+    ),
+    Mutant(
+        "attractor-repair-memo-before-ints",
+        "repair.py",
+        "gamma = _attractor_positions(gamma)",
+        "gamma = frozenset(gamma)",
+        ("tests/test_core.py::test_integer_arguments_are_checked",),
+    ),
+    Mutant(
+        "distinct-substrings-float-length",
+        "core.py",
+        '    k = _integer(k, "substring length")\n',
+        "",
+        ("tests/test_core.py::test_integer_arguments_are_checked",),
+    ),
+    Mutant(
+        "growth-fit-admits-size-zero",
+        "sensitivity.py",
+        "if point[0] <= 0:",
+        "if point[0] < 0:",
+        ("tests/test_sensitivity.py::test_growth_fit_input_validation",),
+    ),
+    Mutant(
+        "exhaustive-cap-exponent-short",
+        "config.py",
+        "sigma ** min(n, cap.bit_length())",
+        "sigma ** min(n, cap.bit_length() - 1)",
+        ("tests/test_cli.py::test_exhaustive_cap_compares_the_whole_power",),
+    ),
+)
+
+
+def _source(m: Mutant, src: Path) -> Path:
+    return src / "repsens" / m.file
+
+
+def _misplaced(m: Mutant) -> str | None:
+    """Why the mutant cannot be applied to the working tree, or None."""
+    count = _source(m, ROOT / "src").read_text().count(m.old)
+    return None if count == 1 else f"its snippet occurs {count} times in {m.file}"
+
+
+def _run(m: Mutant) -> str | None:
+    """What went wrong when the listed tests ran on the mutant, or None when
+    every one of them failed."""
+    with tempfile.TemporaryDirectory(prefix="repsens-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = _source(m, src)
+        path.write_text(path.read_text().replace(m.old, m.new))
+        # no bytecode is written, so concurrent runs never share a cache file
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"]
+        command += ["-o", f"pythonpath={src}", *m.tests]
+        try:
+            run = subprocess.run(
+                command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return f"its tests ran past {TIMEOUT_S} s"
+    if run.returncode != 1:  # 1: some tests failed; anything else is no kill
+        return f"pytest exited {run.returncode}:\n{run.stdout[-3000:]}{run.stderr[-3000:]}"
+    failed = [line[7:] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    passed = [
+        test
+        for test in m.tests
+        if not any(f == test or f.startswith((test + " ", test + "[")) for f in failed)
+    ]
+    return f"survives {', '.join(passed)}" if passed else None
+
+
+def main() -> int:
+    stale = [(m, why) for m, why in zip(MUTANTS, map(_misplaced, MUTANTS)) if why]
+    for m, why in stale:
+        print(f"STALE   {m.name}: {why}")
+    if stale:
+        return 1
+    started = time.monotonic()
+    with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        outcomes = list(pool.map(_run, MUTANTS))
+    for m, why in zip(MUTANTS, outcomes):
+        print(f"killed  {m.name}" if why is None else f"ALIVE   {m.name}: {why}")
+    killed = outcomes.count(None)
+    print(f"{killed}/{len(MUTANTS)} mutants killed in {time.monotonic() - started:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repsens import SymbolString, cli, config, lz78_witness, lz_witness
+from repsens import CapabilityError, SymbolString, cli, config, lz78_witness, lz_witness
 from repsens import factorizers as fz
 from repsens import sensitivity as sv
 from repsens.cli import main
@@ -237,6 +237,21 @@ def test_limit_env_rejects_garbage(monkeypatch):
     monkeypatch.setenv("REPSENS_LIMIT_BMS", "0")
     with pytest.raises(ValueError):
         config.limit("REPSENS_LIMIT_BMS")
+
+
+@pytest.mark.parametrize(
+    "n, sigma, admitted",
+    [(20, 2, True), (21, 2, False), (12, 3, True), (13, 3, False), (10**6, 1, True), (10**6, 2, False)],
+)
+def test_exhaustive_cap_compares_the_whole_power(monkeypatch, n, sigma, admitted):
+    # sigma**n against the default 2**20, though the power is cut at the
+    # cap's bit length
+    monkeypatch.delenv("REPSENS_LIMIT_EXHAUSTIVE", raising=False)
+    if admitted:
+        assert config.check("REPSENS_LIMIT_EXHAUSTIVE", n, sigma) == 1 << 20
+    else:
+        with pytest.raises(CapabilityError, match=f"^sigma\\*\\*n = {sigma}\\*\\*{n} exceeds"):
+            config.check("REPSENS_LIMIT_EXHAUSTIVE", n, sigma)
 
 
 def exhaustive_call(n):

@@ -86,6 +86,29 @@ def test_non_integer_symbols_and_positions_rejected():
     assert Edit("sub", 2, False) == Edit("sub", 2, 0)
 
 
+@pytest.mark.parametrize(
+    "call, args, what",
+    [
+        (distinct_substrings, (1.5,), "substring length"),  # used to count k=2
+        (SymbolString.at, (2.0,), "position"),
+        (SymbolString.sub, (1.5, 3), "slice start"),
+        (SymbolString.sub, (1, 3.0), "slice end"),
+        *((is_attractor, ([bad],), "attractor position") for bad in (1.5, 2.0, "1", None)),
+        *(
+            (attractor_repair, (gamma, Edit("sub", 1, 1)), "attractor position")
+            for gamma in ([1.5, 4], [3, 4.0], ["3", 4], [None, 4])
+        ),
+    ],
+)
+def test_integer_arguments_are_checked(call, args, what):
+    T = SymbolString([0, 1, 0, 1, 1])
+    # {3, 4} is an attractor of T, so [3, 4.0] used to pass the repair's
+    # check of the last attractor it was given without a check
+    attractor_repair(T, {3, 4}, Edit("sub", 1, 1))
+    with pytest.raises(InputError, match=f"^{what} must be an integer, got "):
+        call(T, *args)
+
+
 def test_edit_value_semantics():
     e = Edit("sub", 3, 2)
     assert repr(e) == "Edit(kind='sub', position=3, symbol=2)"
@@ -103,6 +126,19 @@ def test_edit_value_semantics():
     with pytest.raises(AttributeError):
         del e.kind
     assert (e.kind, e.position, e.symbol) == ("sub", 3, 2)
+
+
+def test_symbol_string_is_immutable():
+    T = SymbolString([0, 1])
+    key = hash(T)
+    with pytest.raises(AttributeError):
+        T.symbols = (-1, 5)  # would skip the non-negative check and rehash T
+    with pytest.raises(AttributeError):
+        del T.symbols
+    assert T.symbols == (0, 1) and hash(T) == key
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(T, protocol))
+        assert copy == T and type(copy) is SymbolString
 
 
 def test_enumerated_edits_equal_validated_ones():

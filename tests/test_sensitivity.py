@@ -452,6 +452,10 @@ def test_growth_fit_input_validation():
         growth_fit([(8, 0), (16, 1), (32, 2), (64, 3)])
     with pytest.raises(InputError):
         growth_fit([(8, 1), (8, 2), (8, 3)])
+    for size in (0, -8):  # log(size) used to raise ValueError: math domain error
+        message = rf"^growth fit needs positive sizes, got the point \({size}, 1\)$"
+        with pytest.raises(InputError, match=message):
+            growth_fit([(size, 1), (16, 2), (32, 3), (64, 4)])
 
 
 def test_csv_schema_and_rows():
