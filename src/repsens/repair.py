@@ -4,7 +4,12 @@ text with a per-instance size bound, without re-solving from scratch.
 
 Every procedure reports how each input phrase was handled so the per-case
 phrase budgets can be audited; ``case_tally`` is that ledger summed per label.
-One cut (``_cut_damaged``) serves both copies whose source the edit damages:
+The two phrase repairs take the input phrases in order, and each phrase
+emits its pieces, already in edited coordinates, its ledger row and (for
+``bms_repair``) its cap in one place.  An insertion between phrases becomes
+a lone new symbol with ledger row ``(0, label, 1)``: it comes last in
+``bms_repair``'s ledger and in phrase order in ``lzend_repair``'s.  One cut
+(``_cut_damaged``) serves both copies whose source the edit damages:
 ``bms_repair``'s case 3 and ``lzend_repair``'s case 3B.
 """
 
@@ -13,6 +18,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from math import isqrt
+from operator import attrgetter
 
 from .core import Edit, InputError, SymbolString, _suffix_automaton, apply_edit, check_edit
 from .factorizers import Factorization, Phrase, check_factorization
@@ -169,137 +175,110 @@ def _tally(ledger, labels=()) -> dict:
     return tally
 
 
-# start marker for the inserted symbol, which has no original coordinate
-_NEW_CHAR = -1
+def _shifted(shift, p: int, L: int, q) -> Phrase:
+    """The phrase [p, p + L) copying from q (None: ground), in edited
+    coordinates."""
+    return Phrase(shift(p), L, "literal") if q is None else Phrase(shift(p), L, "copy", shift(q))
+
+
+def _bms_pieces(kind: str, i: int, shift, p: int, L: int, q) -> list[Phrase]:
+    """Edited-text phrases for the part [p, p + L) of an input phrase that
+    copies from q (None: ground): none when it is empty, else the part
+    itself or, where the edit damages its source, ``_cut_damaged``'s pieces;
+    a piece one symbol long is ground."""
+    if L > 1 and q is not None and _interval_hit(kind, i, q, q + L - 1):
+        pieces = _cut_damaged(kind, i, p, L, q)
+    else:
+        pieces = [(p, L, q)] if L else []
+    return [_shifted(shift, at, length, src if length > 1 else None) for at, length, src in pieces]
 
 
 def bms_repair(T: SymbolString, S: Factorization, e: Edit):
     """Valid macro scheme for the edited text built from one of the original.
 
-    The phrase holding the edit splits into at most five pieces; untouched
-    phrases survive; a phrase whose source was damaged either re-points at a
-    surviving copy of that source (when nested inside another damaged source)
-    or splits into at most three pieces around the damaged spot.
+    A first pass finds the copies whose source, but not their own region,
+    the edit damages (case 3), and the host of each one nested in another's
+    source: the first such enclosing copy not nested itself.  A second pass
+    takes the phrases in order, each emitting its pieces (in edited
+    coordinates), its ledger row and its cap: the phrase holding the edit
+    splits into at most five pieces (case 1), an untouched phrase survives
+    (case 2), a nested damaged copy re-points at its host's copy of that
+    source, and any other damaged copy splits into at most three pieces
+    around the damaged spot.  An insertion between phrases stands alone,
+    placed before the phrase after it; its ledger row, phrase 0, comes last.
     """
     reason = bms_check(T, S)
     if reason is not None:
         raise InputError(f"input scheme is not a valid macro scheme: {reason}")
     _check_repair_edit(T, e)
-    n = len(T)
-    i = e.position
-    kind = e.kind
+    i, kind = e.position, e.kind
     Tp = apply_edit(T, e)
     shift = _shift_fn(kind, i)
+    phrases = S.phrases
 
-    def ground(pieces):
-        # macro-scheme phrases of length 1 are always ground; empty pieces are dropped
-        return [
-            (at, length, src if length > 1 else None) for at, length, src in pieces if length
+    # case 3 copies by source interval; j holds k when j's source encloses
+    # k's, an equal one held by the earliest
+    damaged = {
+        k: (ph.source, ph.source + ph.length)
+        for k, ph in enumerate(phrases)
+        if ph.source is not None
+        and _interval_hit(kind, i, ph.source, ph.source + ph.length - 1)
+        and not _interval_hit(kind, i, ph.start, ph.end)
+    }
+    holders = {
+        k: [
+            j for j, (a, b) in damaged.items()
+            if a <= q and end <= b and ((a, b) != (q, end) or j < k)
         ]
+        for k, (q, end) in damaged.items()
+    }
+    host = {k: next(j for j in held if not holders[j]) for k, held in holders.items() if held}
 
-    def split_edited_phrase(p, L, q):
-        """Pieces for the phrase whose own region holds the edit: the part
-        before the edited spot, the new symbol (if any), and the part after.
-        The side pieces' source portions may be damaged as well; at most one
-        side can be, keeping the total small."""
-        left = (i + 1 if kind == "ins" else i) - p
-        right = p + L - i - 1
-        mid = {"sub": [(i, 1, None)], "ins": [(_NEW_CHAR, 1, None)], "del": []}[kind]
-        out = []
-        for at, length, src in ground(
-            [(p, left, q)] + mid + [(i + 1, right, q + (i + 1 - p) if right else None)]
-        ):
-            if src is not None and _interval_hit(kind, i, src, src + length - 1):
-                out.extend(ground(_cut_damaged(kind, i, at, length, src)))
-            else:
-                out.append((at, length, src))
-        return out
-
-    pieces_by_phrase: list = []
-    case_by_phrase: list[str] = []
-    caps: list[int] = []
-    pool = []  # (index0, start, length, source) copies whose source is damaged
+    seam = i + 1 if kind == "ins" else i  # where the new symbol lands
+    new = Phrase(seam, 1, "literal")
     hit_cap = {"sub": 5, "del": 4, "ins": 4}[kind]
-    damage_cap = {"sub": 3, "del": 3, "ins": 2}[kind]
-
-    for idx0, ph in enumerate(S.phrases):
+    cut_cap = {"sub": 3, "del": 3, "ins": 2}[kind]
+    out, ledger, bound = [], [], 0
+    for k, ph in enumerate(phrases):
         p, L, q = ph.start, ph.length, ph.source
-        if _interval_hit(kind, i, p, p + L - 1):
-            pieces_by_phrase.append(split_edited_phrase(p, L, q))
-            case_by_phrase.append("bms:1")
-            caps.append(hit_cap if L > 1 else (0 if kind == "del" else 1))
-        elif q is not None and _interval_hit(kind, i, q, q + L - 1):
-            pieces_by_phrase.append(None)  # resolved after nesting analysis
-            case_by_phrase.append("bms:3")
-            caps.append(damage_cap)
-            pool.append((idx0, p, L, q))
+        if _interval_hit(kind, i, p, ph.end):
+            # the part before the edited spot, the new symbol, the part after
+            label, cap = "bms:1", hit_cap if L > 1 else int(kind != "del")
+            pieces = _bms_pieces(kind, i, shift, p, seam - p, q)
+            if kind != "del":
+                pieces.append(new)
+            tail = None if q is None else q + (i + 1 - p)
+            pieces += _bms_pieces(kind, i, shift, i + 1, ph.end - i, tail)
+        elif k in host:
+            h = phrases[host[k]]
+            label, cap, pieces = "bms:3", 1, [_shifted(shift, p, L, h.start + (q - h.source))]
+        elif k in damaged:
+            label, cap, pieces = "bms:3", cut_cap, _bms_pieces(kind, i, shift, p, L, q)
         else:
-            pieces_by_phrase.append([(p, L, q)])
-            case_by_phrase.append("bms:2")
-            caps.append(1)
-
-    # a damaged source nested inside another damaged source re-points at the
-    # surviving copy held by the enclosing phrase instead of splitting
-    survivors = []
-    for idx0, p, L, q in pool:
-        lo, hi = q, q + L - 1
-        nested = any(
-            qj <= lo and hi <= qj + Lj - 1 and ((qj, Lj) != (q, L) or jdx0 < idx0)
-            for jdx0, pj, Lj, qj in pool
-            if jdx0 != idx0
-        )
-        if not nested:
-            survivors.append((idx0, p, L, q))
-    for idx0, p, L, q in pool:
-        host = next(
-            (
-                s
-                for s in survivors
-                if s[0] != idx0 and s[3] <= q and q + L - 1 <= s[3] + s[2] - 1
-            ),
-            None,
-        )
-        if host is not None:
-            pieces_by_phrase[idx0] = [(p, L, host[1] + (q - host[3]))]
-            caps[idx0] = 1
-        else:
-            pieces_by_phrase[idx0] = ground(_cut_damaged(kind, i, p, L, q))
-
-    ledger = [
-        (idx0 + 1, label, len(pieces))
-        for idx0, (label, pieces) in enumerate(zip(case_by_phrase, pieces_by_phrase))
-    ]
-    if kind == "ins" and "bms:1" not in case_by_phrase:
-        # the insertion sits between phrases: the new symbol stands alone
-        pieces_by_phrase.append([(_NEW_CHAR, 1, None)])
+            label, cap, pieces = "bms:2", 1, [_shifted(shift, p, L, q)]
+        out += pieces
+        ledger.append((k + 1, label, len(pieces)))
+        bound += cap
+    if kind == "ins" and new not in out:
+        # no phrase holds the insertion: the new symbol stands alone, before
+        # the phrase after it
+        bisect.insort(out, new, key=attrgetter("start"))
         ledger.append((0, "bms:1", 1))
-        caps.append(1)
+        bound += 1
 
-    out_phrases = []
-    for pieces in pieces_by_phrase:
-        for start, length, src in pieces:
-            if start == _NEW_CHAR:
-                out_phrases.append(Phrase(i + 1, 1, "literal"))
-            elif src is None:
-                out_phrases.append(Phrase(shift(start), length, "literal"))
-            else:
-                out_phrases.append(Phrase(shift(start), length, "copy", shift(src)))
-    bound = sum(caps)
-
-    out_phrases.sort(key=lambda ph: ph.start)
-    scheme = Factorization(tuple(out_phrases), "bms")
+    scheme = Factorization(tuple(out), "bms")
     reason = bms_check(Tp, scheme)
     if reason is not None:
         raise AssertionError(f"internal: repaired scheme invalid ({reason})")
     report = RepairReport(
         "bms", e, S.size, scheme.size, bound, _tally(ledger), tuple(ledger),
-        n_in=n, n_out=len(Tp),
+        n_in=len(T), n_out=len(Tp),
     )
     return scheme, report
 
 
-def _boundary_walk(phrases, old_ends: list[int], w_start0: int, w_len: int):
-    """Split the text region [w_start0, w_start0 + w_len) into copy pieces
+def _boundary_walk(phrases, old_ends: list[int], w_start0: int, w_len: int) -> list[Phrase]:
+    """Split the text region [w_start0, w_start0 + w_len) into copy phrases
     whose sources end at phrase ends from ``old_ends``.
 
     Keeps one occurrence of the remaining part in hand; while it contains no
@@ -324,32 +303,36 @@ def _boundary_walk(phrases, old_ends: list[int], w_start0: int, w_len: int):
                 raise AssertionError("internal: boundary walk entered a literal")
             occ0 = (ph.source - 1) + (occ0 - (ph.start - 1))
         piece_len = end - occ0
-        pieces.append((piece_len, occ0 + 1))
+        pieces.append(Phrase(w_start0 + w_len - rem + 1, piece_len, "copy", occ0 + 1))
         rem -= piece_len
         occ0 = end
     return pieces
 
 
-def _single_char_phrase(syms_out: tuple, pos1: int, ends_so_far) -> Phrase:
+def _single_char_phrase(syms_out: tuple, pos1: int, emitted) -> Phrase:
     """Phrase for one symbol of the edited text: a literal when the symbol is
-    fresh, otherwise a copy whose source ends at an already-built phrase end."""
+    fresh, otherwise a copy whose source ends at the end of an ``emitted``
+    phrase."""
     c = syms_out[pos1 - 1]
     if syms_out.index(c) == pos1 - 1:
         return Phrase(pos1, 1, "literal")
-    for end in ends_so_far:
-        if end <= pos1 - 1 and syms_out[end - 1] == c:
-            return Phrase(pos1, 1, "copy", end)
+    for ph in emitted:
+        if ph.end <= pos1 - 1 and syms_out[ph.end - 1] == c:
+            return Phrase(pos1, 1, "copy", ph.end)
     raise AssertionError("internal: repeated symbol with no phrase-end occurrence")
 
 
 def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
     """LZ-End parsing of the edited text built from one of the original.
 
-    Phrases before the edited phrase are kept.  The edited phrase is rebuilt
-    as boundary-walk pieces, the edited symbol, and a tail sourced at the old
-    source's tail.  Later phrases survive unchanged (case 3A) unless their
-    source was damaged (case 3B), in which case ``_cut_damaged`` splits them
-    around the damaged symbol, in two on insertion.
+    One pass takes the phrases in order, each emitting its pieces (in edited
+    coordinates) and its ledger row.  A phrase before the edit is kept (case
+    1).  The phrase holding it is rebuilt as boundary-walk pieces, the edited
+    symbol, and a tail sourced at the old source's tail (case 2).  A later
+    phrase survives unchanged (case 3A) unless its source was damaged (case
+    3B), in which case ``_cut_damaged`` splits it around the damaged symbol,
+    in two on insertion.  An insertion between phrases stands alone before
+    the phrase after it, and its ledger row, phrase 0, sits in that place.
     """
     if F.flavor != "lzend":
         raise InputError(f"expected an lzend factorization, got flavor {F.flavor!r}")
@@ -358,77 +341,52 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
         raise InputError(f"input factorization invalid: {reason}")
     _check_repair_edit(T, e)
     n = len(T)
-    i = e.position
-    kind = e.kind
+    i, kind = e.position, e.kind
     Tp = apply_edit(T, e)
     symsp = Tp.symbols
     shift = _shift_fn(kind, i)
+    seam = i + 1 if kind == "ins" else i  # where the new symbol lands
     phrases = F.phrases
-    t = F.size
-
-    edited_idx0 = next(
-        (k for k, ph in enumerate(phrases) if _interval_hit(kind, i, ph.start, ph.end)), None
-    )
-
     out: list[Phrase] = []
-    ends_out: list[int] = []
     ledger = []
-
-    def emit(ph: Phrase):
-        out.append(ph)
-        ends_out.append(ph.end)
-
-    prefix_count = (
-        edited_idx0 if edited_idx0 is not None else sum(1 for ph in phrases if ph.end <= i)
-    )
-    for idx0 in range(prefix_count):
-        emit(phrases[idx0])
-        ledger.append((idx0 + 1, "lzend:1", 1))
-
-    if edited_idx0 is not None:
-        fI = phrases[edited_idx0]
-        old_ends = ends_out[:]
-        w1_len = (i - fI.start + 1) if kind == "ins" else (i - fI.start)
-        pieces = 0
-        if w1_len > 0:
-            walked = _boundary_walk(phrases, old_ends, fI.start - 1, w1_len)
-            if len(walked) > edited_idx0:
-                raise AssertionError("internal: boundary walk exceeded its piece budget")
-            at = fI.start
-            for length, src in walked:
-                emit(Phrase(at, length, "copy", src))
-                at += length
-                pieces += 1
-        if kind != "del":
-            pos1 = i if kind == "sub" else i + 1
-            emit(_single_char_phrase(symsp, pos1, ends_out))
-            pieces += 1
-        w2_len = fI.end - i
-        if w2_len > 0:
-            emit(Phrase(shift(i + 1), w2_len, "copy", fI.source + (i + 1 - fI.start)))
-            pieces += 1
-        ledger.append((edited_idx0 + 1, "lzend:2", pieces))
-    else:
-        emit(_single_char_phrase(symsp, i + 1, ends_out))
-        ledger.append((0, "lzend:2", 1))
-
-    first_suffix = prefix_count if edited_idx0 is None else edited_idx0 + 1
-    for idx0 in range(first_suffix, t):
-        ph = phrases[idx0]
+    for k, ph in enumerate(phrases, 1):
         p, L, q = ph.start, ph.length, ph.source
-        damaged = q is not None and _interval_hit(kind, i, q, q + L - 1)
-        pieces = _cut_damaged(kind, i, p, L, q) if damaged else [(p, L, q)]
-        for start, length, src in pieces:
-            if src is None:
-                emit(_single_char_phrase(symsp, shift(start), ends_out))
-            else:
-                emit(Phrase(shift(start), length, "copy", shift(src)))
-        ledger.append((idx0 + 1, "lzend:3B" if damaged else "lzend:3A", len(pieces)))
+        if kind == "ins" and p == seam:  # between phrases: the new symbol first
+            out.append(_single_char_phrase(symsp, seam, out))
+            ledger.append((0, "lzend:2", 1))
+        emitted = len(out)
+        if ph.end < seam:
+            label = "lzend:1"
+            out.append(ph)
+        elif _interval_hit(kind, i, p, ph.end):
+            label = "lzend:2"
+            walked = _boundary_walk(phrases, [f.end for f in out], p - 1, seam - p)
+            if len(walked) >= k:
+                raise AssertionError("internal: boundary walk exceeded its piece budget")
+            out += walked
+            if kind != "del":
+                out.append(_single_char_phrase(symsp, seam, out))
+            if ph.end > i:
+                out.append(Phrase(shift(i + 1), ph.end - i, "copy", q + (i + 1 - p)))
+        else:
+            damaged = q is not None and _interval_hit(kind, i, q, q + L - 1)
+            label = "lzend:3B" if damaged else "lzend:3A"
+            for start, length, src in _cut_damaged(kind, i, p, L, q) if damaged else [(p, L, q)]:
+                out.append(
+                    _single_char_phrase(symsp, shift(start), out)
+                    if src is None
+                    else _shifted(shift, start, length, src)
+                )
+        ledger.append((k, label, len(out) - emitted))
+    if kind == "ins" and i == n:  # after the last phrase
+        out.append(_single_char_phrase(symsp, seam, out))
+        ledger.append((0, "lzend:2", 1))
 
     result = Factorization(tuple(out), "lzend")
     reason = check_factorization(Tp, result)
     if reason is not None:
         raise AssertionError(f"internal: repaired parsing invalid ({reason})")
+    t = F.size
     bound = (2 if kind == "ins" else 3) * t
     tally = _tally(ledger, ("lzend:1", "lzend:2", "lzend:3A", "lzend:3B"))
     report = RepairReport(

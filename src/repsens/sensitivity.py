@@ -339,16 +339,13 @@ RESUMED_SWEEPS.update(
 )
 
 
-def _sweep_alphabet(
-    alphabet: Iterable[int], syms: tuple, edit_kind: str, include_fresh: bool
-) -> list[int]:
+def _sweep_alphabet(alphabet: Iterable[int], syms: tuple, edit_kind: str) -> list[int]:
     """The sorted edit symbols of a sweep of a checked edit kind:
-    ``alphabet``, plus by default one symbol new to it and to the text."""
+    ``alphabet`` plus one symbol new to it and to the text."""
     if edit_kind not in EDIT_KINDS:
         raise InputError(f"unknown edit kind {edit_kind!r}")
     sigma = set(alphabet)
-    if include_fresh:
-        sigma.add(max(sigma | set(syms), default=-1) + 1)
+    sigma.add(max(sigma | set(syms), default=-1) + 1)
     return _edit_alphabet(sigma, {edit_kind})
 
 
@@ -396,13 +393,12 @@ def sensitivity_of_string(
     T: SymbolString,
     edit_kind: str,
     alphabet: Iterable[int],
-    include_fresh: bool = True,
     source: str = "witness",
 ) -> SensitivityRecord:
     """Worst increase of the measure over all edits of one kind on ``T``.
 
-    One symbol never occurring in ``T`` is added to the edit alphabet by
-    default, since the worst growth typically needs a fresh symbol.  The
+    One symbol never occurring in ``T`` or ``alphabet`` is added to the edit
+    alphabet, since the worst growth typically needs a fresh symbol.  The
     maximizer is the first edit in enumeration order, so reruns agree.  The
     empty text (left by deleting the only symbol) measures 0 here.
 
@@ -419,7 +415,7 @@ def sensitivity_of_string(
     """
     fn, name = _measure_fn(measure)
     syms = T.symbols
-    sigma = _sweep_alphabet(alphabet, syms, edit_kind, include_fresh)
+    sigma = _sweep_alphabet(alphabet, syms, edit_kind)
     by_name = isinstance(measure, str)
     resumed = RESUMED_SWEEPS.get(measure) if by_name else None
     if resumed:
@@ -556,7 +552,7 @@ def exhaustive_sensitivity(
         raise InputError("need n >= 1 and sigma >= 1")
     budget = config.check("REPSENS_LIMIT_EXHAUSTIVE", n, sigma)
     # canonical strings use only symbols below sigma, so sigma is the fresh one
-    symbols = _sweep_alphabet(range(sigma), (), edit_kind, True)
+    symbols = _sweep_alphabet(range(sigma), (), edit_kind)
     strings = list(canonical_strings(n, sigma))
     if measure in REVERSAL_INVARIANT:
         strings = [s for s in strings if s <= tuple(_renaming_key(s[::-1]))]

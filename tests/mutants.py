@@ -64,7 +64,10 @@ MUTANTS = (
         "measures.py",
         '(start, length, "copy", src) if src else (start, 1, "literal", None)',
         '(start, length, "copy" if src else "literal", src)',
-        ("tests/test_measures.py::test_smallest_bms_validity_and_parsing_bound",),
+        (
+            "tests/test_measures.py::test_exact_referee_outputs_pinned",
+            "tests/test_measures.py::test_smallest_bms_validity_and_parsing_bound",
+        ),
     ),
     Mutant(
         "lzend-opt-best-aliases-prefix",
@@ -247,12 +250,30 @@ MUTANTS = (
     Mutant(
         "bms-repair-bound-one-less",
         "repair.py",
-        "bound = sum(caps)",
-        "bound = sum(caps) - 1",
+        "bound += cap\n",
+        "bound += cap - (k == 0)\n",
         (
             "tests/test_repair.py::test_bms_repair_all_ground_scheme",
             "tests/test_repair.py::test_bms_repair_exhaustive_small",
         ),
+    ),
+    # the one-pass phrase repairs
+    Mutant(
+        "bms-repair-lone-row-in-phrase-order",
+        "repair.py",
+        'ledger.append((0, "bms:1", 1))',
+        'ledger.insert(sum(ph.end <= i for ph in phrases), (0, "bms:1", 1))',
+        (
+            "tests/test_repair.py::test_repair_outputs_pinned",
+            "tests/test_cli.py::test_repair_trace_orders_an_insertion_between_phrases",
+        ),
+    ),
+    Mutant(
+        "bms-repair-nested-copy-cut",
+        "repair.py",
+        "elif k in host:",
+        "elif False:",
+        ("tests/test_repair.py::test_repair_outputs_pinned",),
     ),
     # input checks
     Mutant(

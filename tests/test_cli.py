@@ -141,6 +141,23 @@ def test_repair_row_and_trace(capsys):
     assert any(ln.startswith("# phrase") for ln in lines)
 
 
+@pytest.mark.parametrize("proc,pos,symbol,rows", [
+    # bms lists the lone new symbol's row last, lzend in phrase order
+    ("bms", "1", "97", ["1 bms:2", "0 bms:1"]),
+    ("bms", "0", "97", ["1 bms:2", "0 bms:1"]),
+    ("lzend", "0", "1", ["0 lzend:2", "1 lzend:3A"]),
+    ("lzend", "1", "1", ["1 lzend:1", "0 lzend:2"]),
+])
+def test_repair_trace_orders_an_insertion_between_phrases(capsys, proc, pos, symbol, rows):
+    code, out, _ = run(
+        capsys, "repair", "--proc", proc, "--edit", "ins", "--pos", pos,
+        "--symbol", symbol, "--text", "a", "--trace",
+    )
+    assert code == 0
+    ledger = [ln for ln in out.splitlines() if ln.startswith("# phrase")]
+    assert ledger == [f"# phrase {row} -> 1" for row in rows]
+
+
 def test_repair_bms_and_attractor(capsys):
     code, out, _ = run(
         capsys, "repair", "--proc", "bms", "--edit", "del", "--pos", "1", "--text", "abab"

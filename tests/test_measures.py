@@ -15,6 +15,7 @@ from repsens import (
     apply_edit,
     bms_check,
     bms_is_valid,
+    check_factorization,
     delta,
     distinct_substrings,
     enumerate_edits,
@@ -153,13 +154,17 @@ REFEREE_DIGEST = "54dc8a744449be676779e85530263cd6527ad0e854e91b60ff64482b449ec1
 
 
 def test_exact_referee_outputs_pinned():
+    # the digest text prints a literal's source None as 0, so each parse is
+    # also checked: a literal carrying a source fails its checker
     h = hashlib.sha256()
     for sigma, nmax in ((2, 10), (3, 6)):
         for n in range(1, nmax + 1):
             for syms in itertools.product(range(sigma), repeat=n):
                 T = SymbolString(syms)
-                for fn in (lz_end_optimal, smallest_bms):
-                    h.update(format_factorization(fn(T), n).encode())
+                for fn, check in ((lz_end_optimal, check_factorization), (smallest_bms, bms_check)):
+                    F = fn(T)
+                    assert check(T, F) is None, (syms, fn.__name__)
+                    h.update(format_factorization(F, n).encode())
     assert h.hexdigest() == REFEREE_DIGEST
 
 

@@ -54,10 +54,13 @@ def test_unary_delta_substitution():
     assert rec.AS == 1  # the fresh symbol doubles the single-length count
 
 
-def test_no_legal_edit_is_flagged():
-    rec = sensitivity_of_string("delta", SymbolString([0]), "sub", {0}, include_fresh=False)
-    assert rec.AS is None and rec.MS is None and rec.edit is None
-    assert rec.c_T == 1
+@pytest.mark.parametrize("measure", ["delta", "lz78"])  # lz78 takes its resumed path
+def test_no_legal_edit_is_flagged(measure):
+    # the empty text has no position to substitute or delete
+    for kind in ("sub", "del"):
+        rec = sensitivity_of_string(measure, SymbolString([]), kind, {0})
+        assert rec.AS is None and rec.MS is None and rec.edit is None
+        assert rec.c_T == 0 and rec.c_Tprime is None
 
 
 def test_argmax_reproduces():
@@ -177,7 +180,7 @@ def test_exhaustive_memo_matches_unmemoized(measure):
         assert got.argmax_T == want.argmax_T, kind
 
 
-def reference_sweep(measure, T, kind, alphabet, include_fresh=True, source="witness"):
+def reference_sweep(measure, T, kind, alphabet, source="witness"):
     """Reference for sensitivity_of_string from public pieces only: every
     ``Edit`` of enumerate_edits applied with apply_edit and measured by the
     raw MEASURES function, the first largest value kept."""
@@ -187,8 +190,7 @@ def reference_sweep(measure, T, kind, alphabet, include_fresh=True, source="witn
         return fn(U) if len(U) else 0
 
     sigma = set(alphabet)
-    if include_fresh:
-        sigma.add(max(sigma | set(T.symbols), default=-1) + 1)
+    sigma.add(max(sigma | set(T.symbols), default=-1) + 1)
     base = size(T)
     best = None
     for e in enumerate_edits(T, sigma, (kind,)):
@@ -221,12 +223,11 @@ def test_sweep_matches_public_reference(measure):
         n, sigma = rng.randint(1, 12), rng.randint(1, 4)
         T = SymbolString(rng.randrange(sigma) for _ in range(n))
         alphabet = range(rng.randint(1, sigma))
-        fresh = rng.random() < 0.8
         for kind in ("sub", "ins", "del"):
-            want = reference_sweep(measure, T, kind, alphabet, fresh)
+            want = reference_sweep(measure, T, kind, alphabet)
             # by name (lz78 takes its resumed path) and as a plain function
             for by in (measure, MEASURES[measure]):
-                got = sensitivity_of_string(by, T, kind, alphabet, fresh)
+                got = sensitivity_of_string(by, T, kind, alphabet)
                 assert got.csv_row().split(",", 1)[1] == want.csv_row().split(",", 1)[1], (T, kind)
                 assert got.edit == want.edit and got.argmax_T is None
 
