@@ -253,7 +253,11 @@ def lz_end_greedy(T: SymbolString) -> Factorization:
 
 
 def _lz78(
-    syms: tuple, pos0: int = 0, root: dict | None = None, undo: list | None = None
+    syms: tuple,
+    pos0: int = 0,
+    root: dict | None = None,
+    undo: list | None = None,
+    stop: int | None = None,
 ) -> list[tuple]:
     """The one LZ78 loop: dictionary parsing of ``syms[pos0:]`` into
     ``(start, length, kind, source)`` tuples (1-based starts in ``syms``).
@@ -263,13 +267,17 @@ def _lz78(
     phrase added to it is recorded as ``(node, symbol)`` in ``undo`` when one
     is given, so a caller can take the additions out again.  The final phrase
     is a ``copy`` of an earlier one when the text ends mid-walk; it depends
-    on where the text ends and adds nothing to the trie.
+    on where the text ends and adds nothing to the trie.  With ``stop`` (at
+    most ``len(syms)``), only the phrases that start before that 0-based
+    index are parsed.
     """
     n = len(syms)
     if root is None:
         root = {}
+    if stop is None:
+        stop = n
     phrases = []
-    while pos0 < n:
+    while pos0 < stop:
         node = root
         j = pos0
         source = None

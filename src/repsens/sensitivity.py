@@ -14,7 +14,12 @@ does this for two families, ``_lz78_family`` and ``_greedy_family``, over
 one edit kind in position order.  For a substitution or insertion at one
 position, every symbol outside a small danger set (``_lz78_danger``,
 ``_greedy_danger``) shares one parse of the text with a placeholder symbol
-there; the others get a parse of their own.  Deletions are resumed only.
+there; the others get a parse of their own.  In lz78 those share work too:
+each walks only the phrase holding the edit, and the parse of the text after
+that phrase on the trie of the kept phrases, the same for every symbol at
+the position, is made once per phrase end and taken as it is unless it
+creates the symbol's new word (``_lz78_family``).  Deletions are resumed
+only.
 Every other measure, and every measure given as a callable, goes through one
 loop, ``_first_max``, which parses edited texts in full; a callable is
 measured on every edited text and stays the referee.  By name, the exact
@@ -188,27 +193,96 @@ def _lz78_family(syms: tuple) -> tuple:
     """lz78 for ``_resumed``.  Every phrase of ``T`` that ends before d is a
     phrase of the edited text too, made from the same symbols against the
     same dictionary; a final ``copy`` phrase is never kept, since its walk
-    stops where the text runs out.  The base trie holds the kept phrases,
-    and grows with d; each edited text is parsed from the next phrase's
-    start with an undo log, and its additions are taken out again."""
+    stops where the text runs out.  The base trie D holds the kept phrases,
+    and grows with d.
+
+    A substitution or insertion is parsed by walking only the phrase at
+    ``resume`` on D.  That phrase runs out as a final ``copy``, or its walk
+    stops at index x - 1 >= d and adds a new word u; the rest of the parse
+    is then the parse of ``text[x:]`` on D ∪ {u}.  The text after d is the
+    same for every symbol at one position, so one tail parse of ``text[x:]``
+    on D serves them all: ``tails`` keeps one per x until d changes.
+
+    The tail on D ∪ {u} equals the tail on D, sources included, unless the
+    tail on D creates u.  A walk in D ∪ {u} differs from a walk in D only by
+    stepping into u; at that step the walk in D stands at u's parent, reads
+    u's last symbol and finds no child, so its phrase creates u.  Until a
+    tail phrase does, every walk visits the same nodes in both tries, so the
+    phrases and their sources agree.  A phrase creates the word of its
+    source's node extended by its last symbol, so the tail creates u iff one
+    of its phrases has u's source and last symbol (``creates``).  When that
+    is phrase j, the two tails agree on phrases 0..j-1: the tail's first j
+    insertions are put back, u is inserted with its start ``resume + 1``,
+    the text is parsed from phrase j's start, and every insertion is taken
+    out again.
+
+    The placeholder text takes the same path with x = d + 1 and u = W·(-1)
+    (W = ``text[resume:d]``), which no tail creates, since -1 occurs only at
+    d.  A deletion, the one edit at its position, is parsed whole from
+    ``resume``."""
     phrases = _lz78(syms)
     root: dict = {}
     kept = 0  # phrases of T in root
-    undo: list = []
+    at = None  # the d of the tails
+    tails: dict = {}  # x -> tail_from(text, x)
 
     def keep(d: int, k: int) -> None:
-        nonlocal kept
+        nonlocal kept, at
         if kept < k:  # phrases kept..k-1 of T, parsed again into root
-            start, length, _, _ = phrases[k - 1]
-            _lz78(syms[: start - 1 + length], phrases[kept][0] - 1, root)
+            _lz78(syms, phrases[kept][0] - 1, root, None, phrases[k - 1][0])
             kept = k
+        if at != d:
+            at = d
+            tails.clear()
 
-    def parse(text: tuple, d: int, resume: int) -> list[tuple]:
-        tail = _lz78(text, resume, root, undo)
+    def parsed(text: tuple, pos0: int, undo: list) -> list[tuple]:
+        """``text`` parsed from ``pos0`` on root, which then loses the
+        insertions in ``undo``: the ones made before and the parse's own."""
+        phrases = _lz78(text, pos0, root, undo)
         for node, c in reversed(undo):
             del node[c]
-        undo.clear()
-        return tail
+        return phrases
+
+    def tail_from(text: tuple, x: int) -> tuple:
+        """The parse of ``text[x:]`` on D; its trie insertions, as
+        ``(node, symbol)`` and as the entries they insert; and the phrase
+        that creates each word, by the word's source and last symbol (one
+        insertion per phrase but a final copy)."""
+        made: list = []
+        tail = _lz78(text, x, root, made)
+        entries = [node[c] for node, c in made]
+        for node, c in reversed(made):
+            del node[c]
+        creates = {
+            (source, text[start + length - 2]): j
+            for j, (start, length, kind, source) in enumerate(tail)
+            if kind != "copy"
+        }
+        return tail, made, entries, creates
+
+    def parse(text: tuple, d: int, resume: int) -> list[tuple]:
+        if len(text) < len(syms):  # a deletion, the one edit at its position
+            return parsed(text, resume, [])
+        log: list = []
+        first = _lz78(text, resume, root, log, resume + 1)
+        if not log:  # a final copy
+            return first
+        node, c = log[0]
+        u = node.pop(c)
+        x = resume + first[0][1]
+        memo = tails.get(x)
+        if memo is None:
+            memo = tails[x] = tail_from(text, x)
+        tail, made, entries, creates = memo
+        j = creates.get((first[0][3], c))
+        if j is None:
+            return first + tail
+        undo = made[:j]  # the tail's first j words, then u
+        for (parent, s), entry in zip(undo, entries):
+            parent[s] = entry
+        node[c] = u
+        undo.append((node, c))
+        return first + tail[:j] + parsed(text, tail[j][0] - 1, undo)
 
     def danger(text: tuple, d: int, resume: int, tail: list[tuple]) -> set:
         return _lz78_danger(text, d, resume, phrases[:kept] + tail)  # kept == k

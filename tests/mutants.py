@@ -121,7 +121,7 @@ MUTANTS = (
             "tests/test_sensitivity.py::test_lz78_resume_matches_full_parses",
         ),
     ),
-    # the resumed sweeps: their danger sets, stop rule and undoable automaton
+    # the resumed sweeps: their danger sets, lz78 tails, stop rule and undoable automaton
     Mutant(
         "greedy-danger-a-dropped",
         "sensitivity.py",
@@ -197,6 +197,36 @@ MUTANTS = (
         (
             "tests/test_sensitivity.py::test_lz78_resume_matches_full_parses",
             "tests/test_sensitivity.py::test_sweep_matches_public_reference[lz78]",
+        ),
+    ),
+    Mutant(
+        "lz78-tail-shared-unchecked",
+        "sensitivity.py",
+        "j = creates.get((first[0][3], c))",
+        "j = None",
+        (
+            "tests/test_sensitivity.py::test_lz78_tail_sharing_matches_full_parses",
+            "tests/test_sensitivity.py::test_lz78_resume_matches_full_parses",
+        ),
+    ),
+    Mutant(
+        "lz78-rewind-one-word-short",
+        "sensitivity.py",
+        "undo = made[:j]",
+        "undo = made[: max(j - 1, 0)]",
+        (
+            "tests/test_sensitivity.py::test_lz78_tail_sharing_matches_full_parses",
+            "tests/test_sensitivity.py::test_lz78_resume_matches_full_parses",
+        ),
+    ),
+    Mutant(
+        "lz78-tails-kept-across-positions",
+        "sensitivity.py",
+        "            tails.clear()\n",
+        "",
+        (
+            "tests/test_sensitivity.py::test_lz78_tail_sharing_matches_full_parses",
+            "tests/test_sensitivity.py::test_lz78_sweeps_share_their_tails",
         ),
     ),
     Mutant(

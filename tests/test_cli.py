@@ -633,6 +633,10 @@ GOLDEN_STDOUT = {
         "dd2fc2cc1867fc6c6b2bcb431fee1ee9459017c330dabdf274a66daefb6f5b80",
     "sensitivity --measure lzend --exhaustive --n 7 --sigma 3 --edit all --jobs 2":
         "b5a19db2fcf0343d3415f98c6ad87f3d8b47dcb1b6b7afa8dcc3e5bfe8bdcef5",
+    "sensitivity --measure lz78 --witness lz78 --p-min 1 --p-max 16 --edit all --fit":
+        "c8f094f9c2704cf1a1a53b2c2abbfe956690a58ac6fa3775aacb3407eb045313",
+    "sensitivity --measure lz78 --witness lz --p-min 2 --p-max 5 --edit all":
+        "ca24a45a15d41052ec42f93a2d1db7a19b868375a64db9b6209623a2c3a3eedb",
 }
 
 

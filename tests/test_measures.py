@@ -21,7 +21,12 @@ from repsens import (
     enumerate_edits,
     format_factorization,
     is_attractor,
+    lz77_nonoverlapping,
+    lz77_overlapping,
+    lz78,
+    lz78_witness,
     lz_end_optimal,
+    lz_witness,
     lzss_nonoverlapping,
     lzss_overlapping,
     smallest_attractor,
@@ -295,6 +300,25 @@ def test_as_bms_reinterprets_parsings():
         n = rng.randint(1, 32)
         T = SymbolString(rng.randrange(2) for _ in range(n))
         assert bms_is_valid(T, as_bms(lzss_nonoverlapping(T)))
+
+
+def test_as_bms_splits_copylit_phrases():
+    # lz77 and lz78 parses end their phrases with a new symbol: as_bms makes
+    # that symbol ground and keeps the rest as a copy, or grounds it too
+    rng = random.Random(113)
+    texts = [lz78_witness(p).base for p in (1, 3, 6)] + [lz_witness(p).base for p in (2, 3)]
+    for _ in range(100):
+        n, sigma = rng.randint(1, 40), rng.randint(1, 4)
+        texts.append(SymbolString(rng.randrange(sigma) for _ in range(n)))
+    lengths = set()
+    for T in texts:
+        for F in (lz77_overlapping(T), lz77_nonoverlapping(T), lz78(T)):
+            copylits = [ph.length for ph in F.phrases if ph.kind == "copylit"]
+            S = as_bms(F)
+            assert bms_is_valid(T, S), (T.symbols, F.flavor)
+            assert S.size == F.size + len(copylits)
+            lengths.update(copylits)
+    assert 2 in lengths and max(lengths) > 2, lengths
 
 
 def test_attractor_serialization():

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import io
 import itertools
@@ -5,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -30,7 +32,7 @@ from repsens import (
     sensitivity_of_string,
 )
 import repsens.sensitivity as sv
-from repsens.core import EDIT_KINDS, _sa_new, _suffix_automaton
+from repsens.core import EDIT_KINDS, _edit_fields, _edited, _sa_new, _suffix_automaton
 from repsens.factorizers import FACTORIZERS, _greedy, _lz78, _walk_end
 from repsens.sensitivity import (
     CSV_HEADER,
@@ -587,6 +589,84 @@ def test_lz78_loop_resumes_from_any_phrase_and_undoes():
             for node, c in reversed(undo):
                 del node[c]
             assert repr(root) == before
+
+
+def check_lz78_tails(syms, kind, paths):
+    """Run the lz78 family's ``parse`` on every ``kind`` edit of ``syms`` by
+    its symbols and a fresh one, as ``_resumed`` calls it (each position's
+    placeholder text first), and check it against ``_lz78(edited)[k:]``.
+    Count in ``paths`` the path each edit takes, read off full parses: a
+    final copy first phrase, the tail on the base trie shared as it is (and
+    shared by two symbols at one position), or a rewind to the phrase of
+    that tail which creates the first phrase's word."""
+    phrases, keep, parse, _ = sv._lz78_family(syms)
+    stops = [_walk_end(phrase) for phrase in phrases]
+    symbols = sorted(set(syms) | {max(syms, default=-1) + 1})
+    shared_at = None, set()  # position, the x of its shared tails
+    for _, position, symbol in _edit_fields(syms, symbols, (kind,)):
+        d = position if kind == "ins" else position - 1
+        k = bisect.bisect_left(stops, d)
+        keep(d, k)
+        resume = phrases[k][0] - 1 if k < len(phrases) else len(syms)
+        if shared_at[0] != position:
+            text = _edited(syms, kind, position, -1)
+            assert parse(text, d, resume) == _lz78(text)[k:], (syms, kind, position)
+            shared_at = position, set()
+        U = _edited(syms, kind, position, symbol)
+        want = _lz78(U)[k:]
+        assert parse(U, d, resume) == want, (syms, kind, position, symbol)
+        if want[0][2] == "copy":
+            paths["copy"] += 1
+            continue
+        x = resume + want[0][1]
+        root = {}
+        _lz78(syms[:resume], 0, root)
+        if _lz78(U, x, root) != want[1:]:
+            paths["rewind"] += 1
+        elif x in shared_at[1]:
+            paths["shared by two"] += 1
+        else:
+            paths["shared"] += 1
+            shared_at[1].add(x)
+
+
+def test_lz78_tail_sharing_matches_full_parses():
+    rng = random.Random(109)
+    texts = [lz78_witness(p).base.symbols for p in range(1, 11)]
+    for _ in range(120):
+        n, sigma = rng.randint(1, 80), rng.randint(1, 5)
+        texts.append(tuple(rng.randrange(sigma) for _ in range(n)))
+    paths = Counter()
+    for syms in texts:
+        for kind in ("sub", "ins"):
+            check_lz78_tails(syms, kind, paths)
+    assert set(paths) == {"copy", "shared", "shared by two", "rewind"}, paths
+
+
+# symbols read by _lz78 in the lz78 sub and ins sweeps of each text; parsing
+# every danger-set hit from the phrase holding the edit read 22,065 and
+# 20,661 (lz78_witness(8)), 13,835 and 16,496 (lz_witness(3))
+LZ78_READS = {("lz78", 8): (11_000, 10_600), ("lz", 3): (7_200, 9_100)}
+
+
+@pytest.mark.parametrize("family,p", sorted(LZ78_READS))
+def test_lz78_sweeps_share_their_tails(monkeypatch, family, p):
+    T = {"lz": lz_witness, "lz78": lz78_witness}[family](p).base
+    reads = []
+
+    def counted(*args):
+        phrases = _lz78(*args)
+        reads.append(sum(length for _, length, _, _ in phrases))
+        return phrases
+
+    want = [sensitivity_of_string("lz78", T, kind, T.alphabet()) for kind in ("sub", "ins")]
+    monkeypatch.setattr(sv, "_lz78", counted)
+    got = []
+    for kind, rec in zip(("sub", "ins"), want):
+        reads.clear()
+        assert sensitivity_of_string("lz78", T, kind, T.alphabet()) == rec
+        got.append(sum(reads))
+    assert all(g <= bound for g, bound in zip(got, LZ78_READS[family, p])), got
 
 
 @pytest.mark.parametrize("kind", ["sub", "ins", "del"])
