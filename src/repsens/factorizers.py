@@ -22,9 +22,10 @@ flavor's ``_greedy`` flags are written there once, as a ``partial``.  Both
 resumable loops take a start position, so the one resumed sweep loop
 (``sensitivity._resumed``, one family per loop) re-parses each edited text
 only from the phrase of the unedited text whose walk reaches the edit:
-``_greedy`` runs on the edited text's automaton, a private one extended and
-rolled back around the unchanged prefix's, and ``_lz78`` continues with a
-given trie and logs its insertions for taking out again.
+``_greedy`` extends a private automaton of the unchanged prefix only as far
+as its walk reads, and stops where a given rule says the rest of the parse
+is the unedited one's; ``_lz78`` continues with a given trie and logs its
+insertions for taking out again.
 
 Otherwise the greedy parsers, and the match tables of the exact searches,
 walk the one suffix automaton of the text that ``core._suffix_automaton``
@@ -44,7 +45,7 @@ from functools import partial
 from itertools import starmap
 
 from . import config
-from .core import InputError, SymbolString, _state_ends, _suffix_automaton
+from .core import InputError, SymbolString, _sa_extend, _state_ends, _suffix_automaton
 
 @dataclass(frozen=True)
 class Phrase:
@@ -74,7 +75,14 @@ def _require_nonempty(T: SymbolString) -> None:
 
 
 def _greedy(
-    T: SymbolString, overlap: bool, take_next: bool, sa: tuple | None = None, start: int = 0
+    T: SymbolString,
+    overlap: bool,
+    take_next: bool,
+    sa: tuple | None = None,
+    start: int = 0,
+    log: list | None = None,
+    joins: list | None = None,
+    barrier: int = 0,
 ) -> list[tuple]:
     """The one LZSS/LZ77 loop: greedy longest-match parsing of ``T`` from
     0-based position ``start`` into ``(start, length, kind, source)`` tuples
@@ -89,24 +97,55 @@ def _greedy(
     T[:j+1], where j is the index its walk stops at (``_walk_end``; n when
     the text runs out), and a parse from the start of any phrase yields the
     rest of the phrases.  The loop reads T's shared automaton
-    (``core._suffix_automaton``) and does not mutate it.  ``sa`` is given
-    only by ``sensitivity._greedy_family``: its private automaton of T,
-    which it extends and rolls back around each edited text.
+    (``core._suffix_automaton``) and does not mutate it.
+
+    The occurrences a walk at j tests end before j, so the automaton of
+    T[:j] serves it.  ``sensitivity._greedy_family`` gives the other four
+    arguments: its private automaton ``sa`` of a prefix of T, which the walk
+    extends (``log`` takes the clones, for ``core._sa_rollback``) only when
+    it reads past it, and a stop rule: the parse stops at the first phrase
+    start i with ``joins[i] > barrier`` and returns the phrases before i.
+    A walk at j past the automaton's text extends it to the next index
+    s >= j with ``joins[s] > barrier``, and by T[j] at least; a parse that
+    stops at s reads T[s - 1] first, so no symbol is appended in vain.  An
+    extension splits a state only by moving its shorter words into a clone,
+    of the same ``firstpos``, on its suffix links, so the walk's word, of
+    length j - i, is found down v's links.
     """
     syms = T.symbols
     n = len(syms)
-    trans, firstpos = (sa or _suffix_automaton(T))[3:]
+    if sa is None:
+        sa = _suffix_automaton(T)
+    link, depth, prefix_state, trans, firstpos = sa
+    built = len(prefix_state)  # the automaton is of syms[:built]
     phrases = []
     i = start
+    watch = n if joins is None else start  # the phrase starts the stop rule reads
     while i < n:
+        if i >= watch and joins[i] > barrier:
+            return phrases
         v = 0
         j = i
-        while j < n:
-            w = trans[v][syms[j]]
-            if firstpos[w] > (j if overlap else i):
-                break
-            v = w
-            j += 1
+        while True:
+            while j < built:
+                w = trans[v][syms[j]]
+                if firstpos[w] > (j if overlap else i):
+                    break
+                v = w
+                j += 1
+            else:
+                if j < n:  # the walk reads past the automaton's text
+                    # up to the next phrase start the parse may stop at
+                    stop = j
+                    while stop < n and joins[stop] <= barrier:
+                        stop += 1
+                    built = max(stop, j + 1)
+                    _sa_extend(sa, syms[j:built], log)
+                    # a split moves the walk's word down v's suffix links
+                    while j > i and depth[link[v]] >= j - i:
+                        v = link[v]
+                    continue
+            break
         length = j - i
         if length == 0:
             phrases.append((i + 1, 1, "literal", None))

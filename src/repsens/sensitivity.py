@@ -18,8 +18,14 @@ there; the others get a parse of their own.  In lz78 those share work too:
 each walks only the phrase holding the edit, and the parse of the text after
 that phrase on the trie of the kept phrases, the same for every symbol at
 the position, is made once per phrase end and taken as it is unless it
-creates the symbol's new word (``_lz78_family``).  Deletions are resumed
-only.
+creates the symbol's new word (``_lz78_family``).  In the greedy flavors
+each parse, the placeholder's too, extends its automaton only as far as its
+walk reads, and stops at the first phrase start of the unedited parse,
+moved by the edit, after which no phrase can change: none is fragile (every
+earlier occurrence of its copy covers the edit) and none has its window
+occur over the edit with the edit's symbol.  The unedited parse's phrases
+left are then the rest of the size (``_greedy_family``).  Deletions are
+resumed only.
 Every other measure, and every measure given as a callable, goes through one
 loop, ``_first_max``, which parses edited texts in full; a callable is
 measured on every edited text and stays the referee.  By name, the exact
@@ -56,6 +62,8 @@ from .core import (
     _sa_extend,
     _sa_new,
     _sa_rollback,
+    _state_ends,
+    _suffix_automaton,
 )
 from .factorizers import (
     FACTORIZERS,
@@ -157,33 +165,35 @@ def _resumed(family, T: SymbolString, kind: str, symbols: list) -> tuple[int, It
     kept.  ``family(symbols)`` gives ``(phrases, keep, parse, danger)``: the
     parse of ``T``; ``keep(d, k)``, which grows the parser state to
     ``T[:d]`` and the first k phrases; ``parse(text, d, resume)``, the
-    phrases of ``text`` from ``resume``, with the state restored after; and
-    ``danger(text, d, resume, tail)``, the symbols that may parse otherwise
-    than the placeholder text ``text`` (``_edited`` with the symbol -1, which
-    no text has), whose parse from ``resume`` is ``tail``.  One parse of it
-    serves every substitution or insertion at that position by a symbol
-    outside the danger set.  Deletions are resumed only.
+    phrases of ``text`` from ``resume`` (or as many tuples: a greedy parse
+    ends with T's own once it re-joins T's parse), with the state restored
+    after; and ``danger(text, d, resume, tail)``, the symbols that may parse
+    otherwise than the placeholder text ``text`` (``_edited`` with the
+    symbol -1, which no text has), whose parse from ``resume`` is ``tail``.
+    One parse of it serves every substitution or insertion at that position
+    by a symbol outside the danger set.  Deletions are resumed only.
     """
     syms = T.symbols
     phrases, keep, parse, danger = family(syms)
     stops = [_walk_end(phrase) for phrase in phrases]
 
     def sizes():
-        shared = None, 0, ()  # position, size with the placeholder, danger set
+        at = None  # the position of d, k, resume and the shared parse
         for fields in _edit_fields(syms, symbols, (kind,)):
             _, position, symbol = fields
-            d = position if kind == "ins" else position - 1
-            k = bisect_left(stops, d)
-            keep(d, k)
-            resume = phrases[k][0] - 1 if k < len(phrases) else len(syms)
-            if kind != "del":
-                if shared[0] != position:
+            if at != position:
+                at = position
+                d = position if kind == "ins" else position - 1
+                k = bisect_left(stops, d)
+                keep(d, k)
+                resume = phrases[k][0] - 1 if k < len(phrases) else len(syms)
+                if kind != "del":
                     text = _edited(syms, kind, position, -1)
                     tail = parse(text, d, resume)
-                    shared = position, k + len(tail), danger(text, d, resume, tail)
-                if symbol not in shared[2]:
-                    yield shared[1], fields
-                    continue
+                    shared, unsafe = k + len(tail), danger(text, d, resume, tail)
+            if kind != "del" and symbol not in unsafe:
+                yield shared, fields
+                continue
             yield k + len(parse(_edited(syms, kind, position, symbol), d, resume)), fields
 
     return len(phrases), sizes()
@@ -314,28 +324,159 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     text up to the index its walk stops at (``factorizers._walk_end``), so
     every phrase of ``T`` that stops before d is a phrase of the edited text
     too.  The state is a private automaton of ``T[:d]`` (``core._sa_new``,
-    never the shared one, which this would mutate), extended as d grows;
-    each edited text extends it from d on, is parsed by ``_greedy`` from
-    ``resume``, and the extension is rolled back (``core._sa_rollback``).
-    The danger set is ``_greedy_danger``'s."""
-    phrases = _greedy(SymbolString._trusted(syms), overlap, take_next)
+    never the shared one, which this would mutate), extended as d grows.
+    An edited text U is parsed by ``_greedy`` from ``resume`` on it: the
+    walk extends it only as far as it reads, and the extension is rolled
+    back after (``core._sa_rollback``).
+
+    The parse stops where it re-joins the parse of T.  The edit keeps T[:d]
+    in place and moves T[r:] by s: a substitution has r = d + 1 and s = 0,
+    an insertion r = d and s = 1, a deletion r = d + 1 and s = -1.  An
+    occurrence in T covers the edit if it holds d (substitution, deletion)
+    or both d - 1 and d (insertion): these are the occurrences of T that U
+    lacks.  The occurrences of U that T lacks cover d in U: they hold U[d]
+    (substitution, insertion), or U[d - 1] and U[d] (deletion).  Every other
+    occurrence is in both texts, in place before the edit and moved by s
+    after it, so it starts (with overlap) or ends (without) before T's
+    phrase at a >= r exactly when it does before a + s in U.  Say that
+    phrase's walk reads W and stops at x, the index's symbol; its window is
+    W·x (``_window_end``).  The phrase is blocked if
+
+    * it is fragile: every admissible occurrence of W in T covers the edit,
+      so the walk in U may stop inside W.  Those occurrences all hold the
+      interval [lo, hi] of ``fragile`` (lo the start of the last one, hi
+      the end of the first, read off ``core._state_ends``), so the phrase is
+      fragile at d iff lo <= d <= hi, or lo + 1 <= d <= hi for an
+      insertion.  A literal copies nothing and is never fragile.
+    * or its window occurs in U covering d, so the walk in U may read past
+      x.  For a substitution or insertion this is clause (c) of
+      ``_greedy_danger`` (``_crossing``), and the window's symbol at U[d] is
+      the edit's; for a deletion the window spans U[d - 1] and U[d]
+      (``_spans``).  A walk that ran out at the text's end has no window.
+
+    Otherwise W occurs admissibly in U and W·x does not, so the walk at
+    a + s in U reads W and stops at x, or runs out at the end if T's did.
+    LZSS, with overlap or without, then makes the same phrase: a copy of W,
+    or a literal, which a copy of length one would not move either, so an
+    LZSS literal's window takes one more symbol.  LZ77 makes W·x, a literal
+    when W is empty, and a final copy when the walk ran out; a literal's
+    window is not widened, since a copy there makes a phrase of two symbols.
+    So once the parse of U stands at a + s for T's phrase m, and no phrase
+    from m on is blocked, it goes on with T's phrases from m on, moved by s:
+    the size is the phrases made so far plus T's phrases left.
+
+    The barrier is the last blocked phrase, or the last before r.  The
+    fragile phrases, and a deletion's spanning windows, are found once per
+    position; the windows with a symbol once per position and symbol
+    (``blocks``), among T's phrases after that barrier.  The placeholder
+    symbol -1 is in no window, so its parse stops past the fragile phrases,
+    and the parse with symbol c also past the windows with c.  ``parse``
+    returns the phrases it made, then T's phrases from the one it re-joined
+    at: the right count.  The placeholder parse's phrases from there on
+    have T's windows, so its danger set is ``_greedy_danger``'s over the
+    phrases it made plus the symbols of ``blocks`` from that phrase on."""
+    T = SymbolString._trusted(syms)
+    phrases = _greedy(T, overlap, take_next)
+    n = len(syms)
+    link, length, prefix_state, trans, firstpos = _suffix_automaton(T)
+    ends = _state_ends(link, length, prefix_state)
+    starts, fragile, windows = [], [], []
+    for phrase in phrases:
+        a = phrase[0] - 1
+        copied = _walk_end(phrase) - a
+        lo, hi = n, -1  # a literal copies nothing
+        if copied:
+            v = 0
+            for x in syms[a : a + copied]:
+                v = trans[v][x]
+            # the occurrences that start (overlap) or end (no overlap) before a
+            admissible = ends[v] & ((1 << (a + copied - 1 if overlap else a)) - 1)
+            lo, hi = admissible.bit_length() - copied, firstpos[v] - 1
+        fragile.append((lo, hi))
+        starts.append(a)
+        j = _window_end(phrase, take_next)
+        windows.append(syms[a:j] if j <= n else None)
     sa = _sa_new(())  # of syms[:d]
+    joins: list = []  # index of U -> the phrase of T moved there, else -1
+    at = None  # the (d, s) of barrier and blocks
+    barrier = joined = 0  # joined: the phrase of T the last parse re-joined at
+    blocks: dict = {}  # symbol -> the last phrase after barrier its window blocks
 
     def keep(d: int, k: int) -> None:
         _sa_extend(sa, syms[len(sa[2]) : d])
 
     def parse(text: tuple, d: int, resume: int) -> list[tuple]:
-        tail = text[d:]
+        nonlocal joins, at, barrier, joined, blocks
+        shift = len(text) - n
+        if len(joins) != len(text):
+            joins = [-1] * len(text)
+            for m, a in enumerate(starts):
+                if 0 <= a + shift < len(text):
+                    joins[a + shift] = m
+        if at != (d, shift):
+            at = d, shift
+            blocks = {}
+            barrier = bisect_left(starts, d + (shift <= 0)) - 1  # the phrases before r
+            for m in range(len(phrases) - 1, barrier, -1):
+                lo, hi = fragile[m]
+                w = windows[m]
+                if lo + (shift > 0) <= d <= hi or (shift < 0 and w and _spans(text, d, w)):
+                    barrier = m
+                    break
         log: list = []
-        _sa_extend(sa, tail, log)
-        out = _greedy(SymbolString._trusted(text), overlap, take_next, sa, resume)
-        _sa_rollback(sa, tail, log)
-        return out
+        c = text[d] if shift >= 0 else None
+        U = SymbolString._trusted(text)
+        tail = _greedy(U, overlap, take_next, sa, resume, log, joins, max(barrier, blocks.get(c, -1)))
+        _sa_rollback(sa, text[d : len(sa[2])], log)
+        stop = tail[-1][0] - 1 + tail[-1][1] if tail else resume
+        joined = joins[stop] if stop < len(text) else len(phrases)
+        return tail + phrases[joined:]
 
     def danger(text: tuple, d: int, resume: int, tail: list[tuple]) -> set:
-        return _greedy_danger(sa, text, d, resume, tail, take_next)
+        # tail is the placeholder parse's, the last one made
+        for m in range(len(phrases) - 1, barrier, -1):
+            for c in _crossing(text, d, windows[m] or ()):
+                blocks.setdefault(c, m)
+        made = tail[: len(tail) - len(phrases) + joined]
+        danger = _greedy_danger(sa, text, d, resume, made, take_next)
+        danger.update(c for c, m in blocks.items() if m >= joined)
+        return danger
 
     return phrases, keep, parse, danger
+
+
+def _window_end(phrase: tuple, take_next: bool) -> int:
+    """The index after the window of a ``_greedy`` phrase: the symbols its
+    walk read, the one it stopped at included, and one more for an LZSS
+    literal; past the text's end when the walk ran out."""
+    return _walk_end(phrase) + 1 + (not take_next and phrase[2] == "literal")
+
+
+def _crossing(text: tuple, d: int, w: tuple) -> Iterator[int]:
+    """The symbols ``w[x]`` for the offsets x at which ``w`` occurs in
+    ``text`` from d - x, but for the symbol at d."""
+    m = len(w)
+    for x in range(min(m, d + 1)):
+        # the symbols next to d first, then the whole suffix and prefix
+        if (
+            (x == 0 or text[d - 1] == w[x - 1])
+            and (x == m - 1 or text[d + 1] == w[x + 1])
+            and text[d - x : d] == w[:x]
+            and text[d + 1 : d + m - x] == w[x + 1 :]
+        ):
+            yield w[x]
+
+
+def _spans(text: tuple, d: int, w: tuple) -> bool:
+    """Whether ``w`` occurs in ``text`` holding both d - 1 and d."""
+    m = len(w)
+    return any(
+        text[d - 1] == w[x - 1]
+        and text[d] == w[x]
+        and text[d - x : d] == w[:x]
+        and text[d : d + m - x] == w[x:]
+        for x in range(1, min(m, d + 1))
+    )
 
 
 def _greedy_danger(
@@ -384,22 +525,9 @@ def _greedy_danger(
             danger.add(r0)
     for phrase in tail:  # (c)
         a = phrase[0] - 1
-        if a <= d:
-            continue
-        j = _walk_end(phrase) + (not take_next and phrase[2] == "literal")
-        if j >= n:
-            continue
-        w = text[a : j + 1]
-        m = len(w)
-        for x in range(min(m, d + 1)):
-            # the symbols next to d first, then the whole suffix and prefix
-            if (
-                (x == 0 or text[d - 1] == w[x - 1])
-                and (x == m - 1 or text[d + 1] == w[x + 1])
-                and text[d - x : d] == w[:x]
-                and text[d + 1 : d + m - x] == w[x + 1 :]
-            ):
-                danger.add(w[x])
+        j = _window_end(phrase, take_next)
+        if a > d and j <= n:
+            danger.update(_crossing(text, d, text[a:j]))
     return danger
 
 

@@ -165,11 +165,44 @@ MUTANTS = (
     Mutant(
         "lz77-literal-window-widened",
         "sensitivity.py",
-        'j = _walk_end(phrase) + (not take_next and phrase[2] == "literal")',
-        'j = _walk_end(phrase) + (phrase[2] == "literal")',
+        'return _walk_end(phrase) + 1 + (not take_next and phrase[2] == "literal")',
+        'return _walk_end(phrase) + 1 + (phrase[2] == "literal")',
         (
             "tests/test_sensitivity.py::test_greedy_danger_set_keeps_the_placeholder_boundaries[lz77_overlap]",
             "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lz77_nonoverlap]",
+        ),
+    ),
+    Mutant(
+        "greedy-fragile-interval-one-short",
+        "sensitivity.py",
+        "lo, hi = admissible.bit_length() - copied, firstpos[v] - 1",
+        "lo, hi = admissible.bit_length() - copied, firstpos[v] - 2",
+        (
+            "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
+        ),
+    ),
+    Mutant(
+        "greedy-rejoin-one-phrase-early",
+        "factorizers.py",
+        "if i >= watch and joins[i] > barrier:",
+        "if i >= watch and joins[i] >= barrier:",
+        (
+            "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
+            "tests/test_sensitivity.py::test_lz_witness_sub_sweep_is_pinned",
+        ),
+    ),
+    Mutant(
+        "greedy-window-barrier-from-placeholder-tail",
+        "sensitivity.py",
+        "        # tail is the placeholder parse's, the last one made\n"
+        "        for m in range(len(phrases) - 1, barrier, -1):\n",
+        "        # tail is the placeholder parse's, the last one made\n"
+        "        for m in range(len(phrases) - 1, joined - 1, -1):\n",
+        (
+            "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
         ),
     ),
     Mutant(

@@ -637,6 +637,10 @@ GOLDEN_STDOUT = {
         "c8f094f9c2704cf1a1a53b2c2abbfe956690a58ac6fa3775aacb3407eb045313",
     "sensitivity --measure lz78 --witness lz --p-min 2 --p-max 5 --edit all":
         "ca24a45a15d41052ec42f93a2d1db7a19b868375a64db9b6209623a2c3a3eedb",
+    "sensitivity --measure lz77_overlap --witness lz --p-min 2 --p-max 5 --edit all":
+        "7f40bee5e618a847df18c44780c07097f824c84d20762c5fac4a9a49236b1529",
+    "sensitivity --measure lzss_nonoverlap --witness lz --p-min 2 --p-max 5 --edit all":
+        "baa5f464b326b076141012be936df6f5c7641cd767f0611135eb1db971befeee",
 }
 
 

@@ -31,8 +31,9 @@ from repsens import (
     lz_witness,
     sensitivity_of_string,
 )
+import repsens.factorizers as fz
 import repsens.sensitivity as sv
-from repsens.core import EDIT_KINDS, _edit_fields, _edited, _sa_new, _suffix_automaton
+from repsens.core import EDIT_KINDS, _edit_fields, _edited, _sa_extend, _sa_new, _suffix_automaton
 from repsens.factorizers import FACTORIZERS, _greedy, _lz78, _walk_end
 from repsens.sensitivity import (
     CSV_HEADER,
@@ -802,6 +803,150 @@ def test_greedy_danger_set_keeps_the_placeholder_boundaries(flavor):
                     )
 
 
+def near_periodic(rng, n, sigma):
+    """A random period of 1 to 6 symbols repeated to length n, with up to
+    three symbols replaced."""
+    period = [rng.randrange(sigma) for _ in range(rng.randint(1, 6))]
+    syms = (period * n)[:n]
+    for _ in range(rng.randint(0, 3)):
+        syms[rng.randrange(n)] = rng.randrange(sigma)
+    return tuple(syms)
+
+
+class StopOracle:
+    """The stop rule of the greedy families restated from its definition, for
+    one flavor and one text: which phrases of T's parse block a re-join."""
+
+    def __init__(self, flavor, syms):
+        self.overlap, self.take_next = FACTORIZERS[flavor][1].keywords.values()
+        self.syms = syms
+        self.phrases = _greedy(SymbolString(syms), self.overlap, self.take_next)
+        self.starts = [phrase[0] - 1 for phrase in self.phrases]
+        n = len(syms)
+        self.copied, self.occurrences, self.windows = [], [], []
+        for (start, length, kind, _), a in zip(self.phrases, self.starts):
+            read = a if kind == "literal" else a + length - (kind == "copylit")
+            copy = syms[a:read]
+            self.copied.append(len(copy))
+            # the earlier occurrences a walk may copy from
+            self.occurrences.append([
+                t for t in range(n - len(copy) + 1)
+                if copy and syms[t : t + len(copy)] == copy
+                and (t < a if self.overlap else t + len(copy) <= a)
+            ])
+            # what the walk read, the symbol it stopped at, and for an LZSS
+            # literal the next one too; None past the text's end
+            end = read + 1 + (kind == "literal" and not self.take_next)
+            self.windows.append(syms[a:end] if end <= n else None)
+
+    def blocked(self, text, d):
+        """The index of the first phrase after the edit, and the phrases
+        from there on that are fragile and whose window occurs over d."""
+        shift = len(text) - len(self.syms)
+        first = bisect.bisect_left(self.starts, d + (shift <= 0))
+        fragile, window = [], []
+        for m in range(first, len(self.phrases)):
+            copied = self.copied[m]
+            if shift > 0:  # an insertion breaks the occurrences holding d - 1 and d
+                covers = [t <= d - 1 and t + copied - 1 >= d for t in self.occurrences[m]]
+            else:
+                covers = [t <= d <= t + copied - 1 for t in self.occurrences[m]]
+            if covers and all(covers):
+                fragile.append(m)
+            w = self.windows[m]
+            if w is not None:
+                low = 1 if shift < 0 else 0  # a deletion's window spans d - 1 and d
+                if any(text[d - x : d - x + len(w)] == w for x in range(low, min(len(w), d + 1))):
+                    window.append(m)
+        return first, fragile, window
+
+
+def spy_stops(monkeypatch, flavor, calls):
+    """Record in ``calls`` every parse of the flavor's resumed sweeps as
+    ``[text, d, resume, barrier, phrases made]``."""
+    family = RESUMED_SWEEPS[flavor].args[0]
+    real = sv._greedy
+
+    def spied_family(syms):
+        phrases, keep, parse, danger = family(syms)
+
+        def spied_parse(text, d, resume):
+            calls.append([text, d, resume])
+            return parse(text, d, resume)
+
+        return phrases, keep, spied_parse, danger
+
+    def spied_greedy(U, overlap, take_next, sa=None, start=0, log=None, joins=None, barrier=0):
+        made = real(U, overlap, take_next, sa, start, log, joins, barrier)
+        if joins is not None:  # not the family's parse of T
+            calls[-1] += [barrier, made]
+        return made
+
+    monkeypatch.setitem(RESUMED_SWEEPS, flavor, partial(sv._resumed, spied_family))
+    monkeypatch.setattr(sv, "_greedy", spied_greedy)
+
+
+def check_stops(oracle, calls, paths):
+    """Each recorded parse has the oracle's barrier and stops at the first
+    phrase start of T's parse past it, moved by the edit; count in ``paths``
+    the early stops, the parses that never re-join, and the re-joins passed
+    by for a fragile phrase, for a window with the edit's symbol, or for a
+    window spanning a deletion."""
+    n = len(oracle.syms)
+    for text, d, resume, barrier, made in calls:
+        shift = len(text) - n
+        first, fragile, window = oracle.blocked(text, d)
+        assert barrier == max([first - 1] + fragile + window), (oracle.syms, text, d)
+        ends = [resume] + [start - 1 + length for start, length, _, _ in made]
+        # per phrase start of U: T's phrase after the edit moved there, else -1
+        landed = [bisect.bisect_left(oracle.starts, end - shift) for end in ends]
+        landed = [m if first <= m < len(oracle.phrases) and oracle.starts[m] == end - shift else -1
+                  for m, end in zip(landed, ends)]
+        if ends[-1] < len(text):
+            assert landed[-1] > barrier, (oracle.syms, text, d)
+            paths["early stop"] += 1
+            landed.pop()
+        elif first < len(oracle.phrases):
+            paths["never re-joins"] += 1
+        for m in landed:
+            if m < 0:
+                continue
+            assert m <= barrier, (oracle.syms, text, d, m)  # it would have stopped
+            if fragile and fragile[-1] >= m:
+                paths["fragile"] += 1
+            if window and window[-1] >= m:
+                paths["spanning window" if shift < 0 else "window"] += 1
+
+
+def test_greedy_stop_rule_matches_full_parses(monkeypatch):
+    rng = random.Random(113)
+    texts = [lz_witness(p).base.symbols for p in (2, 3, 4)]
+    for _ in range(16):
+        n, sigma = rng.randint(1, 60), rng.randint(1, 4)
+        texts.append(tuple(rng.randrange(sigma) for _ in range(n)))
+        texts.append(near_periodic(rng, rng.randint(1, 60), rng.randint(1, 4)))
+    paths = Counter()
+    for syms in texts:
+        T = SymbolString(syms)
+        sigma = sorted(set(syms) | {max(syms) + 1})
+        oracles = {flavor: StopOracle(flavor, syms) for flavor in GREEDY}
+        for kind in EDIT_KINDS:
+            # one automaton per edited text serves the four full parses
+            want = {flavor: [] for flavor in GREEDY}
+            for fields in _edit_fields(syms, sigma, (kind,)):
+                U = SymbolString._trusted(_edited(syms, *fields))
+                for flavor in GREEDY:
+                    want[flavor].append((fields, greedy_size(flavor, U)))
+            for flavor in GREEDY:
+                calls = []
+                with monkeypatch.context() as patch:
+                    spy_stops(patch, flavor, calls)
+                    assert resumed_sizes(T, kind, sigma, flavor) == want[flavor], (syms, kind)
+                check_stops(oracles[flavor], calls, paths)
+    wanted = {"early stop", "never re-joins", "fragile", "window", "spanning window"}
+    assert wanted <= set(paths), paths
+
+
 def test_lz78_danger_set_keeps_the_placeholder_boundaries():
     # every symbol outside the danger set parses with the phrase starts of
     # the placeholder text, which is more than the sweep relies on
@@ -884,6 +1029,43 @@ def test_lz_witness_sub_sweep_is_pinned(p):
     base = lz_witness(p).base
     rec = sensitivity_of_string("lzss_overlap", base, "sub", base.alphabet())
     assert (rec.c_T, rec.AS) == (2 * p * p + 2 * p + 1, p * p + 1)
+
+
+@pytest.mark.parametrize("p", [7, 8])
+def test_lz_witness_sub_sweep_is_pinned_past_p6(p):
+    # n = 505 and 721, affordable since a resumed parse stops at its re-join
+    base = lz_witness(p).base
+    rec = sensitivity_of_string("lzss_overlap", base, "sub", base.alphabet())
+    assert (rec.c_T, rec.AS) == (2 * p * p + 2 * p + 1, p * p + 1)
+
+
+# symbols appended to the private automaton (core._sa_extend) in the sub
+# sweeps of lz_witness(p); extending it over the whole rest of the text for
+# every parse appended 4,651 and 21,881 (lzss_overlap), 10,830 and 46,878
+# (lz77_overlap) for p = 3 and 4
+SA_APPENDS = {
+    ("lzss_overlap", 3): 2_000,
+    ("lzss_overlap", 4): 7_000,
+    ("lz77_overlap", 3): 6_600,
+    ("lz77_overlap", 4): 24_000,
+}
+
+
+@pytest.mark.parametrize("measure,p", sorted(SA_APPENDS))
+def test_greedy_sweeps_extend_the_automaton_only_to_the_rejoin(monkeypatch, measure, p):
+    T = lz_witness(p).base
+    want = sensitivity_of_string(measure, T, "sub", T.alphabet())
+    appended = []
+
+    def counted(sa, symbols, log=None):
+        appended.append(len(symbols))
+        _sa_extend(sa, symbols, log)
+
+    # the family extends to d, the walk past it
+    monkeypatch.setattr(sv, "_sa_extend", counted)
+    monkeypatch.setattr(fz, "_sa_extend", counted)
+    assert sensitivity_of_string(measure, T, "sub", T.alphabet()) == want
+    assert sum(appended) <= SA_APPENDS[measure, p], sum(appended)
 
 
 # exhaustive records of the two exact searches over every edit kind, frozen
