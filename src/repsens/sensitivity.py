@@ -30,7 +30,8 @@ Every other measure, and every measure given as a callable, goes through one
 loop, ``_first_max``, which parses edited texts in full; a callable is
 measured on every edited text and stays the referee.  By name, the exact
 searches named in ``UPPER_BOUNDS`` run there only where a cheap upper bound
-can still beat the largest size so far.
+can still beat the largest size so far, and a measure named in ``MAX_GAIN``
+stops at the first edit that gains that much.
 
 ``exhaustive_sensitivity`` enumerates strings up to symbol renaming, and the
 sweeps of delta, gamma and bms (``REVERSAL_INVARIANT``) up to reversal too.
@@ -111,6 +112,19 @@ REVERSAL_INVARIANT = frozenset({"delta", "gamma", "bms"})
 
 ``exhaustive_sensitivity`` sweeps these up to reversal.  The LZ measures
 depend on the direction of the parse and are not in the set."""
+
+MAX_GAIN = {"delta": 1}
+"""Measure -> the most one edit of any kind can add to it on any text:
+
+* delta: the length-k substrings of the edited text that the text lacks
+  hold the edited position, or (a deletion) both symbols next to the gap,
+  so there are at most k of them, or k - 1; every d_k/k grows by at most 1,
+  and so does their maximum.  A deletion gains strictly less than 1.
+
+A sweep by name stops once an edit reaches the base plus this gain
+(``_first_max``'s ceiling), and an exhaustive chunk once a string does: no
+later edit or string can replace the first maximum.  A measure given as a
+callable gets no ceiling and is measured on every edited text."""
 
 CSV_HEADER = "measure,edit_kind,n,c_T,c_Tprime,AS,MS_num,MS_den,edit_pos,edit_sym,source"
 
@@ -563,7 +577,7 @@ def _record(name, edit_kind, n, base, best, argmax_T, source) -> SensitivityReco
     )
 
 
-def _first_max(size, upper, syms: tuple, kind: str, symbols: list, floor=None):
+def _first_max(size, upper, syms: tuple, kind: str, symbols: list, floor=None, ceiling=None):
     """The first largest ``(size, fields)`` over the ``kind`` edits of
     ``syms`` by the sorted ``symbols`` (``_edit_fields``), or None when its
     size is not above ``floor`` (or no edit of the kind is legal).
@@ -573,7 +587,12 @@ def _first_max(size, upper, syms: tuple, kind: str, symbols: list, floor=None):
     ``floor`` and the first maximum so far, since only a strictly larger
     value can replace either.  With no floor, the first edit is always
     measured, so a cap of the exact search is never skipped.
+
+    ``ceiling``, None or a size no edit exceeds (the base plus ``MAX_GAIN``),
+    ends the loop once the bar reaches it, and at once when the floor does.
     """
+    if floor is not None and ceiling is not None and floor >= ceiling:
+        return None
     best, bar = None, floor
     for fields in _edit_fields(syms, symbols, (kind,)):
         U = _edited(syms, *fields)
@@ -582,6 +601,8 @@ def _first_max(size, upper, syms: tuple, kind: str, symbols: list, floor=None):
         value = size(U)
         if bar is None or value > bar:
             best, bar = (value, fields), value
+            if ceiling is not None and bar >= ceiling:
+                break
     return best
 
 
@@ -613,7 +634,8 @@ def sensitivity_of_string(
     callable, takes the ``MEASURES`` path (``_first_max``): a full parse of
     every edited text, except that a measure named in ``UPPER_BOUNDS`` is
     solved only where its bound is above the first maximum so far, the bar
-    a later edit must pass to replace it.
+    a later edit must pass to replace it, and that a measure named in
+    ``MAX_GAIN`` (delta) stops at the first edit that gains that much.
     """
     fn, name = _measure_fn(measure)
     syms = T.symbols
@@ -628,7 +650,9 @@ def sensitivity_of_string(
         bound = UPPER_BOUNDS.get(measure) if by_name else None
         upper = _sized(MEASURES[bound]) if bound else None
         base = size(syms)
-        best = _first_max(size, upper, syms, edit_kind, sigma)
+        cap = MAX_GAIN.get(measure) if by_name else None
+        ceiling = None if cap is None else base + cap
+        best = _first_max(size, upper, syms, edit_kind, sigma, ceiling=ceiling)
     return _record(name, edit_kind, len(T), base, best, None, source)
 
 
@@ -689,18 +713,25 @@ def _best_of_strings(args) -> tuple:
     so far only with a strictly larger gain: its edits must beat ``base +
     gain``, the floor given to ``_first_max``.  A measure named in
     ``UPPER_BOUNDS`` is solved only where its bound is above that bar; the
-    bound has its own renaming memo of the same capacity."""
+    bound has its own renaming memo of the same capacity.  A measure named
+    in ``MAX_GAIN`` gives ``_first_max`` the ceiling ``base + cap``, and the
+    loop ends once the worst gain so far is ``cap``: no later string can
+    beat it."""
     measure_name, strings, edit_kind, symbols, capacity = args
     size = _renaming_memo(MEASURES[measure_name], capacity)
     bound = UPPER_BOUNDS.get(measure_name)
     upper = _renaming_memo(MEASURES[bound], capacity) if bound else None
+    cap = MAX_GAIN.get(measure_name)
     worst = None
     for syms in strings:
         base = size(syms)
         floor = None if worst is None else base - worst[0][0]
-        top = _first_max(size, upper, syms, edit_kind, symbols, floor)
+        ceiling = None if cap is None else base + cap
+        top = _first_max(size, upper, syms, edit_kind, symbols, floor, ceiling)
         if top is not None:
             worst = (base - top[0], syms), base, top
+            if top[0] - base == cap:
+                break
     return worst
 
 
@@ -745,8 +776,10 @@ def exhaustive_sensitivity(
     (``lzend_opt``, bms) runs its exact search on an edited string only when
     the string's bound, memoised by renaming class in a second memo of the
     same capacity, is above the bar; every other measure is evaluated once
-    per renaming class of the edited strings.  Either way the record is the
-    one that measuring every edited string would give.
+    per renaming class of the edited strings.  A measure in ``MAX_GAIN``
+    (delta) ends a string's edits once one reaches its base plus that gain,
+    and a chunk's strings once one does.  Either way the record is the one
+    that measuring every edited string would give.
     """
     if measure not in MEASURES:
         raise InputError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")

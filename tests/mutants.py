@@ -112,6 +112,43 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "delta-max-gain-halved",
+        "sensitivity.py",
+        'MAX_GAIN = {"delta": 1}',
+        'MAX_GAIN = {"delta": Fraction(1, 2)}',
+        (
+            "tests/test_sensitivity.py::test_sweep_matches_public_reference[delta]",
+            "tests/test_sensitivity.py::test_one_edit_raises_delta_by_at_most_its_max_gain",
+        ),
+    ),
+    Mutant(
+        "delta-string-loop-runs-on",
+        "sensitivity.py",
+        "            if top[0] - base == cap:\n                break\n",
+        "",
+        ("tests/test_sensitivity.py::test_exhaustive_delta_stops_at_the_first_string_of_max_gain",),
+    ),
+    Mutant(
+        "exhaustive-ceiling-at-base",
+        "sensitivity.py",
+        "ceiling = None if cap is None else base + cap\n        top = ",
+        "ceiling = None if cap is None else base\n        top = ",
+        (
+            "tests/test_sensitivity.py::test_exhaustive_matches_public_reference[delta]",
+            "tests/test_sensitivity.py::test_exhaustive_delta_stops_at_the_first_string_of_max_gain",
+        ),
+    ),
+    Mutant(
+        "sweep-ceiling-at-base",
+        "sensitivity.py",
+        "ceiling = None if cap is None else base + cap\n        best = ",
+        "ceiling = None if cap is None else base\n        best = ",
+        (
+            "tests/test_sensitivity.py::test_sweep_matches_public_reference[delta]",
+            "tests/test_sensitivity.py::test_delta_sweep_stops_at_the_first_edit_of_max_gain",
+        ),
+    ),
+    Mutant(
         "lz78-danger-empty",
         "sensitivity.py",
         "    return {\n        text[start - 1 + depth]\n",

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive_oracles as nv
 from repsens import (
     CapabilityError,
     Edit,
@@ -263,7 +264,9 @@ def spy_memos(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("measure,kind", [("delta", "sub"), ("lz78", "ins"), ("lzend", "sub")])
+@pytest.mark.parametrize(
+    "measure,kind", [("lzss_overlap", "sub"), ("lz78", "ins"), ("lzend", "sub")]
+)
 def test_exhaustive_memo_cap_binds_without_changing_answer(monkeypatch, measure, kind):
     n = 8
     free = exhaustive_sensitivity(measure, n, 2, kind)
@@ -1105,17 +1108,72 @@ def test_upper_bounds_are_never_below_their_exact_measure(measure):
                 assert exact(T) <= upper(T), syms
 
 
-def counted_exact_calls(monkeypatch, measure):
-    """A list that grows by one per call of the exact ``MEASURES`` entry."""
+def single_edits(T, sigma):
+    """``(kind, edited text)`` for every edit of the tuple ``T`` by the
+    symbols 0..sigma, the last of which is fresh."""
+    n = len(T)
+    for i in range(n):
+        for c in range(sigma + 1):
+            if c != T[i]:
+                yield "sub", T[:i] + (c,) + T[i + 1 :]
+    for i in range(n + 1):
+        for c in range(sigma + 1):
+            yield "ins", T[:i] + (c,) + T[i:]
+    for i in range(n):
+        yield "del", T[:i] + T[i + 1 :]
+
+
+def test_one_edit_raises_delta_by_at_most_its_max_gain():
+    # MAX_GAIN's premise, against the naive oracle on every binary text up to
+    # n = 8 and every ternary one up to n = 5; the empty text measures 0
+    gains = dict.fromkeys(EDIT_KINDS, -1)
+    for sigma, top in ((2, 8), (3, 5)):
+        for n in range(1, top + 1):
+            for T in itertools.product(range(sigma), repeat=n):
+                base = nv.naive_delta(T)
+                for kind, U in single_edits(T, sigma):
+                    gains[kind] = max(gains[kind], (nv.naive_delta(U) if U else 0) - base)
+    assert gains["sub"] == gains["ins"] == sv.MAX_GAIN["delta"] == 1
+    assert gains["del"] < 1
+
+
+@pytest.mark.parametrize("kind", ["sub", "ins"])
+def test_exhaustive_delta_stops_at_the_first_string_of_max_gain(monkeypatch, kind):
+    # 0^n gains 1, so the sweep measures only it and its first edits
+    seen = spy_memos(monkeypatch)
+    rec = exhaustive_sensitivity("delta", 16, 2, kind)
+    assert rec.argmax_T.symbols == (0,) * 16 and rec.AS == 1
+    (memo,) = seen
+    assert len(memo.memo) <= 3
+
+
+def counted_calls(monkeypatch, measure):
+    """A list that grows by one per call of the ``MEASURES`` entry."""
     calls = []
-    exact = MEASURES[measure]
+    fn = MEASURES[measure]
 
     def counting(T):
         calls.append(None)
-        return exact(T)
+        return fn(T)
 
     monkeypatch.setitem(MEASURES, measure, counting)
     return calls
+
+
+@pytest.mark.parametrize("kind", ["sub", "ins", "del"])
+def test_delta_sweep_stops_at_the_first_edit_of_max_gain(monkeypatch, kind):
+    T = SymbolString((0, 1, 1, 1, 1, 1, 1, 1))
+    want = sensitivity_of_string(MEASURES["delta"], T, kind, range(2))
+    edits = list(enumerate_edits(T, range(3), (kind,)))
+    gains = [MEASURES["delta"](apply_edit(T, e)) - want.c_T for e in edits]
+    calls = counted_calls(monkeypatch, "delta")
+    got = sensitivity_of_string("delta", T, kind, range(2))
+    assert got.csv_row().split(",", 1)[1] == want.csv_row().split(",", 1)[1]
+    if 1 in gains:  # the base, then the edits up to the first that gains 1
+        assert gains.count(1) > 1
+        assert len(calls) == 1 + gains.index(1) + 1
+    else:  # a deletion never gains 1, so every edit is measured
+        assert len(calls) == 1 + len(edits)
 
 
 # (measure, n) -> most exact calls of the binary sub sweep; without the
@@ -1125,7 +1183,7 @@ EXACT_CALLS = {("lzend_opt", 10): 520, ("bms", 8): 100}
 
 @pytest.mark.parametrize("measure,n", sorted(EXACT_CALLS))
 def test_exhaustive_sweeps_solve_only_where_the_bound_can_win(monkeypatch, measure, n):
-    calls = counted_exact_calls(monkeypatch, measure)
+    calls = counted_calls(monkeypatch, measure)
     rec = exhaustive_sensitivity(measure, n, 2, "sub")
     assert rec.csv_row() == EXACT_PINS[measure, n, "sub"][0]
     assert 0 < len(calls) <= EXACT_CALLS[measure, n]
@@ -1134,7 +1192,7 @@ def test_exhaustive_sweeps_solve_only_where_the_bound_can_win(monkeypatch, measu
 def test_single_text_sweep_solves_only_where_the_bound_can_win(monkeypatch):
     T = SymbolString((0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
     want = sensitivity_of_string(MEASURES["lzend_opt"], T, "sub", range(2))
-    calls = counted_exact_calls(monkeypatch, "lzend_opt")
+    calls = counted_calls(monkeypatch, "lzend_opt")
     got = sensitivity_of_string("lzend_opt", T, "sub", range(2))
     assert got.csv_row().split(",", 1)[1] == want.csv_row().split(",", 1)[1]
     # the base, the first edit and the first maximum, of 20 edits
