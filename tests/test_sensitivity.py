@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import hashlib
 import io
 import itertools
 import os
@@ -1096,6 +1097,33 @@ EXACT_PINS = {
 def test_exhaustive_exact_searches_are_pinned(measure, n, kind):
     rec = exhaustive_sensitivity(measure, n, 2, kind)
     assert (rec.csv_row(), rec.argmax_T.symbols) == EXACT_PINS[measure, n, kind]
+
+
+# (measure, sigma, largest n) -> sha256 of the exhaustive records of every
+# edit kind for n = 1 up to it, one line per record: its CSV row, ";" and its
+# argmax's digits.  Frozen from the sweep that keyed every edited string by
+# its own renaming and measured every class; lz78 reaches past n = 10 and to
+# sigma = 3, on both sides of the sizes where its ceiling binds.
+EXHAUSTIVE_PINS = {
+    ("lz77_nonoverlap", 2, 10): "01c1dc822903d6b34811c456a39d2be184adb8060f0607d5fb0f1d259491adcc",
+    ("lz77_overlap", 2, 10): "81612b2fe416d1c0f4ed6b346237cb2eb36c57ba00aa3845fa3db8c6b18d41ed",
+    ("lz78", 2, 12): "0179e869c3d5454483f76f94c9b443b64d93601f153f4a9c7300fc6e966abd35",
+    ("lz78", 3, 8): "69c8623e2598f9e5d6bcb8072091a68d0a6f1ffd4390a172384e9ed48f3241ba",
+    ("lzend", 2, 10): "8684f93bd02fc4fec1de206aa8b4ddcca8fac24a05e11f92f4ec5783575268b4",
+    ("lzss_nonoverlap", 2, 10): "6ba5b2f3b225dd71e7e62d81732bb9a9af3dd3be7e1c6478abad6c4db2b83f34",
+    ("lzss_overlap", 2, 10): "789b9b8d13d1ea323c3a34a140e5013d4fcf253b084fe2efe16c7908e0497c9d",
+}
+
+
+@pytest.mark.parametrize("measure,sigma,top", sorted(EXHAUSTIVE_PINS))
+def test_exhaustive_lz_records_are_pinned(measure, sigma, top):
+    rows = []
+    for n in range(1, top + 1):
+        for kind in EDIT_KINDS:
+            rec = exhaustive_sensitivity(measure, n, sigma, kind)
+            rows.append(rec.csv_row() + ";" + "".join(map(str, rec.argmax_T.symbols)))
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == EXHAUSTIVE_PINS[measure, sigma, top], rows
 
 
 @pytest.mark.parametrize("measure", sorted(sv.UPPER_BOUNDS))
