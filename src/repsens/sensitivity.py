@@ -35,6 +35,11 @@ stops at the first edit that gains that much.
 
 ``exhaustive_sensitivity`` enumerates strings up to symbol renaming, and the
 sweeps of delta, gamma and bms (``REVERSAL_INVARIANT``) up to reversal too.
+It keys each edit by the renaming class of its edited string, cut from the
+base's bytes where the edit keeps the string canonical (``_edit_keys``), and
+measures one canonical text per class (``_renaming_memo``); an lz78 sweep
+stops at the most phrases a text of the edited length can have
+(``MAX_SIZE``).
 Under ``jobs`` it splits them into at most as many chunks as there are
 cores, and keeps one tie-break: the largest gain, then the smallest string.
 """
@@ -125,6 +130,39 @@ A sweep by name stops once an edit reaches the base plus this gain
 (``_first_max``'s ceiling), and an exhaustive chunk once a string does: no
 later edit or string can replace the first maximum.  A measure given as a
 callable gets no ceiling and is measured on every edited text."""
+
+
+def _lz78_max_size(m: int, a: int) -> int:
+    """The most phrases of an lz78 parse of m symbols over a symbols."""
+    if m == 0:
+        return 0
+    budget, words, k = m - 1, 0, 1  # W(m - 1, a): every word of length k while they fit
+    while budget >= k * a**k:
+        budget -= k * a**k
+        words += a**k
+        k += 1
+    return words + budget // k + 1
+
+
+MAX_SIZE = {"lz78": _lz78_max_size}
+"""Measure -> a function of (m, a), the largest size the measure takes on
+any text of m symbols over an alphabet of a symbols:
+
+* lz78: each phrase but the last is a new dictionary word, and the last
+  one is new too or repeats an earlier phrase (a final copy), so the
+  distinct phrases are non-empty words whose lengths sum to at most m - 1
+  with a final copy and to m without.  Let W(L, a) be the most distinct
+  non-empty words over a symbols whose lengths sum to at most L.  A set
+  that omits a shorter word than one it holds trades the longer for it
+  and stays within L, so W takes the shortest words first: the a words of
+  length 1, the a^2 of length 2, and so on, then as many of the next
+  length as the rest of L pays for.  Dropping the longest word of a set
+  for L leaves one for L - 1, so W(m, a) <= W(m - 1, a) + 1, and either
+  way the parse has at most W(m - 1, a) + 1 phrases.
+
+The exhaustive sweeps (``_best_of_strings``) cap each string's edits at this
+size of the edited strings, as they cap them at the base plus ``MAX_GAIN``.
+Single-text sweeps do not use it."""
 
 CSV_HEADER = "measure,edit_kind,n,c_T,c_Tprime,AS,MS_num,MS_den,edit_pos,edit_sym,source"
 
@@ -577,10 +615,12 @@ def _record(name, edit_kind, n, base, best, argmax_T, source) -> SensitivityReco
     )
 
 
-def _first_max(size, upper, syms: tuple, kind: str, symbols: list, floor=None, ceiling=None):
-    """The first largest ``(size, fields)`` over the ``kind`` edits of
-    ``syms`` by the sorted ``symbols`` (``_edit_fields``), or None when its
-    size is not above ``floor`` (or no edit of the kind is legal).
+def _first_max(size, upper, edits: Iterable[tuple], floor=None, ceiling=None):
+    """The first largest ``(size, fields)`` over ``edits``, ``(text,
+    fields)`` pairs in the order of ``_edit_fields``, or None when its size
+    is not above ``floor`` (or there is no edit).  ``text`` is what ``size``
+    and ``upper`` take: the edited symbols in a single-text sweep, the edited
+    string's renaming key in an exhaustive one (``_edit_keys``).
 
     ``upper``, None or a function never below ``size``, prunes: an edited
     text is measured only when its bound is above the bar, the larger of
@@ -588,14 +628,14 @@ def _first_max(size, upper, syms: tuple, kind: str, symbols: list, floor=None, c
     value can replace either.  With no floor, the first edit is always
     measured, so a cap of the exact search is never skipped.
 
-    ``ceiling``, None or a size no edit exceeds (the base plus ``MAX_GAIN``),
-    ends the loop once the bar reaches it, and at once when the floor does.
+    ``ceiling``, None or a size no edit exceeds (the base plus ``MAX_GAIN``,
+    or ``MAX_SIZE``), ends the loop once the bar reaches it, and at once
+    when the floor does.
     """
     if floor is not None and ceiling is not None and floor >= ceiling:
         return None
     best, bar = None, floor
-    for fields in _edit_fields(syms, symbols, (kind,)):
-        U = _edited(syms, *fields)
+    for U, fields in edits:
         if bar is not None and upper is not None and upper(U) <= bar:
             continue
         value = size(U)
@@ -650,9 +690,11 @@ def sensitivity_of_string(
         bound = UPPER_BOUNDS.get(measure) if by_name else None
         upper = _sized(MEASURES[bound]) if bound else None
         base = size(syms)
+        fields_of = _edit_fields(syms, sigma, (edit_kind,))
+        edits = ((_edited(syms, *fields), fields) for fields in fields_of)
         cap = MAX_GAIN.get(measure) if by_name else None
         ceiling = None if cap is None else base + cap
-        best = _first_max(size, upper, syms, edit_kind, sigma, ceiling=ceiling)
+        best = _first_max(size, upper, edits, ceiling=ceiling)
     return _record(name, edit_kind, len(T), base, best, None, source)
 
 
@@ -679,21 +721,67 @@ def _renaming_key(symbols: tuple) -> bytes | tuple:
     return bytes(key) if len(names) <= 256 else tuple(key)
 
 
+def _edit_keys(syms: tuple, symbols: list, kind: str) -> Iterator[tuple]:
+    """``(key, fields)`` for the ``kind`` edits of the canonical string
+    ``syms`` by the sorted ``symbols`` (``_edit_fields``): the key is the
+    edited string's ``_renaming_key``.
+
+    The first j symbols of a canonical string name exactly 0..named[j]-1.
+    An edit that moves no first occurrence and writes no name past the next
+    leaves the edited string canonical, its own key, so the key is the
+    base's bytes with the edit made.  With i 1-based, that is
+
+    * a substitution with base[i-1] < named[i-1] (not a first occurrence)
+      and symbol <= named[i-1];
+    * an insertion after i symbols with symbol <= named[i];
+    * a deletion with base[i-1] < named[i-1].
+
+    Every other edit, and every edit when a symbol is above 255 (no byte),
+    is keyed from its edited string.  A cut key spells the edited string in
+    the base's names, so even a key that is not canonical is measured right:
+    it would only miss the memo entry of its class."""
+    edits = _edit_fields(syms, symbols, (kind,))
+    if symbols[-1] > 255:
+        for fields in edits:
+            yield _renaming_key(_edited(syms, *fields)), fields
+        return
+    base = bytes(syms)
+    byte = {s: bytes((s,)) for s in symbols}
+    byte[None] = b""  # a deletion writes nothing
+    named = [0]
+    for s in syms:
+        named.append(max(named[-1], s + 1))
+    left = 0 if kind == "ins" else 1  # the symbols before i kept: i, or i - 1
+    for fields in edits:
+        _, i, s = fields
+        if kind == "sub":
+            cut = syms[i - 1] < named[i - 1] and s <= named[i - 1]
+        elif kind == "ins":
+            cut = s <= named[i]
+        else:
+            cut = syms[i - 1] < named[i - 1]
+        if cut:
+            yield base[: i - left] + byte[s] + base[i:], fields
+        else:
+            yield _renaming_key(_edited(syms, *fields)), fields
+
+
 def _renaming_memo(fn, capacity: int):
-    """``fn`` of the text with these symbols, evaluated once per renaming
-    class; the empty text measures 0.  At most ``capacity`` classes are
-    stored (``memo`` holds them); once full the memo stops inserting.  Equal
-    values share one object."""
+    """``fn`` of the text a renaming key (``_renaming_key``) stands for,
+    evaluated once per renaming class on the key's own canonical text,
+    ``SymbolString._trusted(tuple(key))``: every measure depends only on the
+    text's equality structure.  The empty key measures 0.  At most
+    ``capacity`` classes are stored (``memo`` holds them); once full the
+    memo stops inserting.  Equal values share one object."""
     memo: dict = {}
     values: dict = {}
 
-    def measure(syms: tuple):
-        if not syms:
+    def measure(key):
+        if not key:
             return 0
-        key = _renaming_key(syms)
         value = memo.get(key)
         if value is None:
-            value = fn(SymbolString._trusted(syms))
+            value = fn(SymbolString._trusted(tuple(key)))
             if len(memo) < capacity:
                 memo[key] = values.setdefault(value, value)
         return value
@@ -711,23 +799,32 @@ def _best_of_strings(args) -> tuple:
 
     The strings come in increasing order, so a later one replaces the worst
     so far only with a strictly larger gain: its edits must beat ``base +
-    gain``, the floor given to ``_first_max``.  A measure named in
-    ``UPPER_BOUNDS`` is solved only where its bound is above that bar; the
-    bound has its own renaming memo of the same capacity.  A measure named
-    in ``MAX_GAIN`` gives ``_first_max`` the ceiling ``base + cap``, and the
-    loop ends once the worst gain so far is ``cap``: no later string can
-    beat it."""
+    gain``, the floor given to ``_first_max``.  Each edit comes keyed by its
+    renaming class (``_edit_keys``), and both memos take the key.  A measure
+    named in ``UPPER_BOUNDS`` is solved only where its bound is above that
+    bar; the bound has its own renaming memo of the same capacity.
+
+    The ceiling given to ``_first_max`` is the smaller of ``base + cap``
+    for a measure named in ``MAX_GAIN`` and the ``MAX_SIZE`` of the edited
+    strings' length and alphabet (sigma, and the fresh symbol unless the
+    edit deletes).  A string whose floor has reached it is skipped without
+    an edit measured, and the loop ends once the worst gain so far is
+    ``cap``: no later string can beat it."""
     measure_name, strings, edit_kind, symbols, capacity = args
     size = _renaming_memo(MEASURES[measure_name], capacity)
     bound = UPPER_BOUNDS.get(measure_name)
     upper = _renaming_memo(MEASURES[bound], capacity) if bound else None
-    cap = MAX_GAIN.get(measure_name)
+    cap = MAX_GAIN.get(measure_name, math.inf)
+    # the edited strings' length and alphabet: sigma, and the fresh symbol unless deleting
+    length = len(strings[0]) + (edit_kind == "ins") - (edit_kind == "del")
+    letters = len(symbols) - (edit_kind == "del")
+    most = MAX_SIZE[measure_name](length, letters) if measure_name in MAX_SIZE else math.inf
     worst = None
     for syms in strings:
-        base = size(syms)
+        base = size(_renaming_key(syms))
         floor = None if worst is None else base - worst[0][0]
-        ceiling = None if cap is None else base + cap
-        top = _first_max(size, upper, syms, edit_kind, symbols, floor, ceiling)
+        ceiling = min(base + cap, most)
+        top = _first_max(size, upper, _edit_keys(syms, symbols, edit_kind), floor, ceiling)
         if top is not None:
             worst = (base - top[0], syms), base, top
             if top[0] - base == cap:
@@ -778,8 +875,17 @@ def exhaustive_sensitivity(
     same capacity, is above the bar; every other measure is evaluated once
     per renaming class of the edited strings.  A measure in ``MAX_GAIN``
     (delta) ends a string's edits once one reaches its base plus that gain,
-    and a chunk's strings once one does.  Either way the record is the one
-    that measuring every edited string would give.
+    and a chunk's strings once one does.  A measure in ``MAX_SIZE`` (lz78)
+    ends a string's edits once one reaches the most any edited string can
+    measure, and skips a string whose base plus the worst gain so far is
+    there.  Either way the record is the one that measuring every edited
+    string would give.
+
+    Each edit is keyed by its edited string's renaming class
+    (``_edit_keys``): an edit that keeps the canonical base canonical is
+    keyed by the base's bytes with the edit made, without building the
+    edited string, and the memo measures the canonical text a key stands
+    for, so both memos share one key per edit.
     """
     if measure not in MEASURES:
         raise InputError(f"unknown measure {measure!r}; choose from {sorted(MEASURES)}")

@@ -131,8 +131,8 @@ MUTANTS = (
     Mutant(
         "exhaustive-ceiling-at-base",
         "sensitivity.py",
-        "ceiling = None if cap is None else base + cap\n        top = ",
-        "ceiling = None if cap is None else base\n        top = ",
+        "ceiling = min(base + cap, most)",
+        "ceiling = min(base, most)",
         (
             "tests/test_sensitivity.py::test_exhaustive_matches_public_reference[delta]",
             "tests/test_sensitivity.py::test_exhaustive_delta_stops_at_the_first_string_of_max_gain",
@@ -396,6 +396,44 @@ MUTANTS = (
         '    k = _integer(k, "substring length")\n',
         "",
         ("tests/test_core.py::test_integer_arguments_are_checked",),
+    ),
+    # a cut key spells its edited string, so a wrong cut splits a renaming
+    # class but measures the right text: only the key test sees these two
+    Mutant(
+        "edit-key-sub-first-occurrence-cut",
+        "sensitivity.py",
+        "cut = syms[i - 1] < named[i - 1] and s <= named[i - 1]",
+        "cut = syms[i - 1] <= named[i - 1] and s <= named[i - 1]",
+        ("tests/test_sensitivity.py::test_edit_keys_are_the_renaming_keys_of_the_edited_strings",),
+    ),
+    Mutant(
+        "edit-key-ins-one-more-name",
+        "sensitivity.py",
+        "cut = s <= named[i]",
+        "cut = s <= named[i] + 1",
+        ("tests/test_sensitivity.py::test_edit_keys_are_the_renaming_keys_of_the_edited_strings",),
+    ),
+    Mutant(
+        "lz78-ceiling-one-too-tight",
+        "sensitivity.py",
+        "return words + budget // k + 1",
+        "return words + budget // k",
+        (
+            "tests/test_sensitivity.py::test_exhaustive_lz_records_are_pinned[lz78-2-12]",
+            "tests/test_sensitivity.py::test_exhaustive_matches_public_reference[lz78]",
+            "tests/test_sensitivity.py::test_lz78_max_size_is_reached_and_never_exceeded",
+        ),
+    ),
+    # the records stay right, so only the count and the ceiling's own test see it
+    Mutant(
+        "lz78-ceiling-one-too-loose",
+        "sensitivity.py",
+        "return words + budget // k + 1",
+        "return words + budget // k + 2",
+        (
+            "tests/test_sensitivity.py::test_exhaustive_lz78_stops_at_its_ceiling",
+            "tests/test_sensitivity.py::test_lz78_max_size_is_reached_and_never_exceeded",
+        ),
     ),
     Mutant(
         "growth-fit-admits-size-zero",

@@ -266,7 +266,7 @@ def spy_memos(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "measure,kind", [("lzss_overlap", "sub"), ("lz78", "ins"), ("lzend", "sub")]
+    "measure,kind", [("lzss_overlap", "sub"), ("lz77_overlap", "ins"), ("lzend", "sub")]
 )
 def test_exhaustive_memo_cap_binds_without_changing_answer(monkeypatch, measure, kind):
     n = 8
@@ -1202,6 +1202,62 @@ def test_delta_sweep_stops_at_the_first_edit_of_max_gain(monkeypatch, kind):
         assert len(calls) == 1 + gains.index(1) + 1
     else:  # a deletion never gains 1, so every edit is measured
         assert len(calls) == 1 + len(edits)
+
+
+def test_edit_keys_are_the_renaming_keys_of_the_edited_strings(monkeypatch):
+    # every edit of every canonical string, sigma <= 2 up to n = 8 and
+    # sigma = 3 up to n = 6; a fallback key is the one _renaming_key call
+    renaming_key = sv._renaming_key
+    fallbacks = []
+
+    def counted(syms):
+        fallbacks.append(None)
+        return renaming_key(syms)
+
+    monkeypatch.setattr(sv, "_renaming_key", counted)
+    edits = 0
+    for sigma, top in ((1, 8), (2, 8), (3, 6)):
+        for n in range(1, top + 1):
+            for syms in canonical_strings(n, sigma):
+                for kind in EDIT_KINDS:
+                    symbols = sv._sweep_alphabet(range(sigma), (), kind)
+                    got = list(sv._edit_keys(syms, symbols, kind))
+                    fields = list(_edit_fields(syms, symbols, (kind,)))
+                    assert [f for _, f in got] == fields
+                    for key, f in got:
+                        assert key == renaming_key(_edited(syms, *f)), (syms, f)
+                    edits += len(got)
+    # both the keys cut from the base and the fallback are reached
+    assert 0 < len(fallbacks) < edits / 2
+
+
+def test_exhaustive_past_byte_symbols_matches_public_reference():
+    # the fresh symbol 300 is no byte, so every edit takes the fallback key
+    for kind in EDIT_KINDS:
+        want = reference_exhaustive("lz78", 2, 300, kind)
+        got = exhaustive_sensitivity("lz78", 2, 300, kind)
+        assert got.csv_row() == want.csv_row() and got.argmax_T == want.argmax_T, kind
+
+
+def test_lz78_max_size_is_reached_and_never_exceeded():
+    # MAX_SIZE's premise, against the naive parser on every text of m
+    # symbols over a: the largest size over them is the ceiling
+    most = sv.MAX_SIZE["lz78"]
+    assert most(0, 2) == 0
+    for a, top in ((1, 12), (2, 10), (3, 7)):
+        for m in range(1, top + 1):
+            sizes = {len(nv.naive_lz78_lengths(U)) for U in itertools.product(range(a), repeat=m)}
+            assert max(sizes) == most(m, a), (m, a)
+
+
+def test_exhaustive_lz78_stops_at_its_ceiling(monkeypatch):
+    # the n = 11 records reach the ceiling early; without it the sweep
+    # measures 6,590 renaming classes, with it 1,086 (the 1,024 strings too)
+    seen = spy_memos(monkeypatch)
+    rec = exhaustive_sensitivity("lz78", 11, 2, "sub")
+    assert rec.c_Tprime == sv.MAX_SIZE["lz78"](11, 3)
+    (memo,) = seen
+    assert len(memo.memo) <= 1100
 
 
 # (measure, n) -> most exact calls of the binary sub sweep; without the
