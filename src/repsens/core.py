@@ -2,15 +2,18 @@
 
 Texts are sequences of non-negative integer symbols rather than bytes so that
 constructions needing large parametric alphabets stay exact; symbols have no
-upper bound.  Every substring question is answered by one suffix automaton
-of the text, and this module owns it: ``_suffix_automaton(T)`` keeps the
-automaton of the last text it was asked for, so the parsers, searches and
-measures called in turn on one text build it once.  Its callers only read
-it.  Code that mutates an automaton builds a private one with ``_sa_new``.
-Both go through one construction loop (``_sa_extend``), which can also
-extend an automaton with an undo log, so that ``_sa_rollback`` takes the
-appended symbols out again.  All public position arguments are 1-based and
-slices are inclusive.
+upper bound.  Every substring question but one is answered by one suffix
+automaton of the text, and this module owns it: ``_suffix_automaton(T)``
+keeps the automaton of the last text it was asked for, so the parsers,
+searches and measures called in turn on one text build it once.  Its
+callers only read it.  Code that mutates an automaton builds a private one
+with ``_sa_new``.  Both go through one construction loop (``_sa_extend``),
+which can also extend an automaton with an undo log, so that
+``_sa_rollback`` takes the appended symbols out again.  The exception is
+``repair.attractor_repair``'s seam walk, which reads each edited text once,
+for O(sqrt(m)) searches: it uses ``str.find``, as building that text's
+automaton would cost more than the answers.  All public position arguments
+are 1-based and slices are inclusive.
 
 An edit is applied in one place, ``_edited``, on a tuple of symbols, also
 the sweeps' placeholder edit by -1.  The sweeps stream ``(kind, position,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 from operator import attrgetter
 
-from .core import Edit, InputError, SymbolString, _suffix_automaton, apply_edit, check_edit
+from .core import Edit, InputError, SymbolString, _edited, check_edit
 from .factorizers import Factorization, Phrase, check_factorization
 from .measures import _attractor_positions, bms_check, is_attractor
 
@@ -82,6 +82,22 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     per maximal short substring whose occurrence ran through the edited spot,
     and the edited position itself.  Growth is at most
     floor(sqrt(m)) + ceil(sqrt(m)) + 2 positions, m the edited length.
+
+    The short substrings are intervals [a, b] of T, at most cap =
+    ceil(sqrt(m)) long, whose content still occurs in the edited text T'.
+    For each a let b(a) be the largest such b; an interval through the
+    edited spot needs a position only when its b(a) exceeds every earlier
+    a's, placed on the edited spot inside the leftmost occurrence of
+    T[a..b(a)] in T'.  b(a) never decreases in a, because T[a+1..b(a)] is a
+    suffix of a word that occurs and is shorter than cap.  So the walk
+    carries b over from the previous a, re-finds T[a..b] and extends it a
+    symbol at a time, searching on from the last hit: the leftmost
+    occurrence of a word never lies left of the leftmost occurrence of its
+    prefix.  That is about 3 * cap string searches.
+
+    This is the one substring question not answered by ``core``'s suffix
+    automaton: T' is read once, for O(sqrt(m)) searches, so building its
+    automaton would cost more than the questions it answers.
     """
     global _last_attractor
     _check_repair_edit(T, e)
@@ -92,8 +108,9 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
         _last_attractor = (T.symbols, gamma)
     n = len(T)
     i = e.position
-    Tp = apply_edit(T, e)
-    m = len(Tp)
+    syms = T.symbols
+    symsp = _edited(syms, e.kind, i, e.symbol)
+    m = len(symsp)
     g = isqrt(m)
     cap = _ceil_sqrt(m)
     bound = len(gamma) + g + cap + 2
@@ -104,28 +121,25 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     points = {g * k for k in range(1, g + 1)}  # the grid
     points.add((g * g + m) // 2)
 
-    syms = T.symbols
-    trans, firstpos = _suffix_automaton(Tp)[3:]
-
-    # intervals [a, b] through the edited spot (original coordinates, at most
-    # cap long) whose content still occurs in the edited text; only maximal
-    # ones need a position.  Walking T[a..] on the edited text's automaton
-    # gives the longest such b for each a, and its leftmost occurrence.
+    # T' and the window of T the intervals can reach, one character per symbol
+    text, word = _as_strs(symsp, syms[: min(n, i + cap - 1)])
     best_b = 0
     b_min = i + 1 if e.kind == "ins" else i
+    b = j = 0  # T[a..b] occurs in T', leftmost at the 0-based j
     for a in range(max(1, b_min - cap + 1), i + 1):
-        v = 0
-        b = a - 1
-        for c in syms[a - 1 : min(n, a + cap - 1)]:
-            w = trans[v].get(c)
-            if w is None:
+        if b < a:
+            b, j = a - 1, 0
+        else:
+            j = text.find(word[a - 1 : b])
+        stop = min(n, a + cap - 1)
+        while b < stop:
+            k = text.find(word[a - 1 : b + 1], j)
+            if k < 0:
                 break
-            v = w
-            b += 1
+            b, j = b + 1, k
         if b >= b_min and b > best_b:
             best_b = b
-            j0 = firstpos[v] - (b - a + 1)
-            points.add(j0 + (i - a + 1))
+            points.add(j + (i - a + 1))
 
     # the old marks, mapped; a mark on the edited spot is dropped, because the
     # seam holds that position
@@ -134,6 +148,19 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     points.add(i + 1 if e.kind == "ins" else min(i, m))  # the seam
     out = frozenset(points)
     return out, RepairReport("attractor", e, len(gamma), len(out), bound, n_in=n, n_out=m)
+
+
+def _as_strs(text: tuple, word: tuple) -> tuple[str, str]:
+    """``text`` and ``word`` as strings, one character per symbol: the symbol's
+    own code point, or, when some symbol is beyond Unicode, its rank of first
+    occurrence over both, text first, so a symbol missing from ``text`` is a
+    character missing from it."""
+    if max(text) < 0x110000 and max(word, default=0) < 0x110000:
+        return "".join(map(chr, text)), "".join(map(chr, word))
+    names: dict = {}
+    for c in text + word:
+        names.setdefault(c, len(names))
+    return "".join(chr(names[c]) for c in text), "".join(chr(names[c]) for c in word)
 
 
 def _shift_fn(kind: str, i: int):
@@ -212,7 +239,7 @@ def bms_repair(T: SymbolString, S: Factorization, e: Edit):
         raise InputError(f"input scheme is not a valid macro scheme: {reason}")
     _check_repair_edit(T, e)
     i, kind = e.position, e.kind
-    Tp = apply_edit(T, e)
+    Tp = SymbolString._trusted(_edited(T.symbols, kind, i, e.symbol))
     shift = _shift_fn(kind, i)
     phrases = S.phrases
 
@@ -342,8 +369,8 @@ def lzend_repair(T: SymbolString, F: Factorization, e: Edit):
     _check_repair_edit(T, e)
     n = len(T)
     i, kind = e.position, e.kind
-    Tp = apply_edit(T, e)
-    symsp = Tp.symbols
+    symsp = _edited(T.symbols, kind, i, e.symbol)
+    Tp = SymbolString._trusted(symsp)
     shift = _shift_fn(kind, i)
     seam = i + 1 if kind == "ins" else i  # where the new symbol lands
     phrases = F.phrases

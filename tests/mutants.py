@@ -357,6 +357,36 @@ MUTANTS = (
             "tests/test_repair.py::test_bms_repair_exhaustive_small",
         ),
     ),
+    # the attractor repair's seam walk
+    Mutant(
+        "attractor-repair-carried-hit-not-refound",
+        "repair.py",
+        "j = text.find(word[a - 1 : b])",
+        "j = j + 1",
+        (
+            "tests/test_repair.py::test_repair_outputs_pinned",
+            "tests/test_repair.py::test_attractor_repair_exhaustive_small",
+            "tests/test_repair.py::test_attractor_repair_matches_naive_walk_exhaustive",
+        ),
+    ),
+    # no other test has a symbol past the last code point
+    Mutant(
+        "attractor-repair-renaming-collapses",
+        "repair.py",
+        "names.setdefault(c, len(names))",
+        "names.setdefault(c, c % 0x110000)",
+        ("tests/test_repair.py::test_attractor_repair_matches_naive_walk_beyond_unicode",),
+    ),
+    Mutant(
+        "attractor-repair-extension-one-long",
+        "repair.py",
+        "stop = min(n, a + cap - 1)",
+        "stop = min(n, a + cap)",
+        (
+            "tests/test_repair.py::test_repair_outputs_pinned",
+            "tests/test_repair.py::test_attractor_repair_matches_naive_walk_exhaustive",
+        ),
+    ),
     # the one-pass phrase repairs
     Mutant(
         "bms-repair-lone-row-in-phrase-order",

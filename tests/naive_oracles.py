@@ -8,6 +8,7 @@ Deliberately independent of the package internals.
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 
 def _to_bytes(symbols):
@@ -204,6 +205,55 @@ def occurrence_position_sets(T):
 def naive_is_attractor(T, positions):
     positions = set(positions)
     return all(postset & positions for postset in occurrence_position_sets(T).values())
+
+
+def naive_leftmost(text, word):
+    """0-based start of the leftmost occurrence of the tuple ``word`` in the
+    tuple ``text``, or None."""
+    k = len(word)
+    return next((s for s in range(len(text) - k + 1) if text[s : s + k] == word), None)
+
+
+def naive_attractor_repair(T, gamma, kind, i, symbol):
+    """The attractor repair's output for the edit ``(kind, i, symbol)``,
+    restated with a search from scratch for every interval: the sqrt(m)
+    grid and its middle point; for each a, the longest T[a..b] at most
+    ceil(sqrt(m)) long that occurs in the edited text, a point on the edited
+    spot inside its leftmost occurrence when b reaches the edit and exceeds
+    every earlier a's b; the old positions mapped, one on a substituted or
+    deleted spot dropped; and the seam."""
+    T = tuple(T)
+    if kind == "del":
+        Tp = T[: i - 1] + T[i:]
+    elif kind == "sub":
+        Tp = T[: i - 1] + (symbol,) + T[i:]
+    else:
+        Tp = T[:i] + (symbol,) + T[i:]
+    n, m = len(T), len(Tp)
+    if m == 0:
+        return set()
+    g = isqrt(m)
+    cap = g if g * g == m else g + 1
+    points = {g * k for k in range(1, g + 1)} | {(g * g + m) // 2}
+    b_min = i + 1 if kind == "ins" else i
+    best_b = 0
+    for a in range(max(1, b_min - cap + 1), i + 1):
+        b, j = a - 1, 0
+        for end in range(a, min(n, a + cap - 1) + 1):
+            hit = naive_leftmost(Tp, T[a - 1 : end])
+            if hit is None:
+                break
+            b, j = end, hit
+        if b >= b_min and b > best_b:
+            best_b = b
+            points.add(j + (i - a + 1))
+    for x in gamma:
+        if kind == "ins":
+            points.add(x if x <= i else x + 1)
+        elif x != i:
+            points.add(x - 1 if kind == "del" and x > i else x)
+    points.add(i + 1 if kind == "ins" else min(i, m))
+    return points
 
 
 def naive_smallest_attractor_size(T):

@@ -5,6 +5,7 @@ from hashlib import sha256
 
 import pytest
 
+import naive_oracles as nv
 from repsens import (
     Edit,
     InputError,
@@ -19,6 +20,7 @@ from repsens import (
     lz_witness,
     lzend_repair,
     lzss_nonoverlapping,
+    lzss_overlapping,
     smallest_attractor,
     verify_factorization,
 )
@@ -114,6 +116,82 @@ def test_attractor_repair_exhaustive_small():
 def test_attractor_repair_delete_to_empty():
     out, report = attractor_repair(SymbolString([7]), {1}, Edit("del", 1))
     assert out == frozenset()
+
+
+def edge_edits(T, c):
+    """Insertions at both ends, deletions of both end symbols, and a
+    substitution at each end, ``c`` being a symbol the text lacks."""
+    n = len(T)
+    return [
+        Edit("ins", 0, c), Edit("ins", n, c), Edit("del", 1), Edit("del", n),
+        Edit("sub", 1, c), Edit("sub", n, c),
+    ]
+
+
+def phrase_ends(T):
+    return frozenset(ph.end for ph in lzss_overlapping(T).phrases)
+
+
+def assert_matches_naive_repair(T, gamma, e):
+    out, _ = attractor_repair(T, gamma, e)
+    want = nv.naive_attractor_repair(T.symbols, gamma, e.kind, e.position, e.symbol)
+    assert out == want, (T.symbols, sorted(gamma), e)
+
+
+def test_attractor_repair_matches_naive_walk_exhaustive():
+    for n in range(1, 10):
+        for bits in itertools.product((0, 1), repeat=n):
+            T = SymbolString(bits)
+            gamma = smallest_attractor(T)
+            for e in real_edits(T, {0, 1, 2}):
+                assert_matches_naive_repair(T, gamma, e)
+
+
+def test_attractor_repair_matches_naive_walk_random():
+    rng = random.Random(29)
+    for trial in range(45):
+        n = rng.randint(1, 300)
+        sigma = (2, 3, 300)[trial % 3]
+        T = SymbolString(rng.randrange(sigma) for _ in range(n))
+        gamma = phrase_ends(T)
+        edits = edge_edits(T, sigma)
+        edits += rng.sample(list(real_edits(T, range(sigma + 1))), 3)
+        for e in edits:
+            assert_matches_naive_repair(T, gamma, e)
+
+
+def test_attractor_repair_matches_naive_walk_beyond_unicode():
+    # symbols past the last code point take the renaming path; 0x110000 and
+    # 0 would share a character if the renaming reduced modulo 0x110000
+    alphabet = (0, 1, 0x10FFFF, 0x110000, 2**40)
+    rng = random.Random(31)
+    for trial in range(60):
+        n = rng.randint(1, 40)
+        pool = alphabet[: 2 + trial % 4]
+        T = SymbolString(rng.choice(pool) for _ in range(n))
+        gamma = phrase_ends(T)
+        edits = edge_edits(T, 2**40 + 1)
+        edits += rng.sample(list(real_edits(T, alphabet)), 4)
+        for e in edits:
+            assert_matches_naive_repair(T, gamma, e)
+
+
+def test_attractor_repair_long_periodic_texts():
+    # a^(n-1)b, (ab)^(n/2) and a Fibonacci prefix: the walk's searches hit
+    # many overlapping occurrences
+    n = 2000
+    fib, longer = [0], [0, 1]
+    while len(longer) < n:
+        fib, longer = longer, longer + fib
+    for syms in ([0] * (n - 1) + [1], [0, 1] * (n // 2), longer[:n]):
+        T = SymbolString(syms)
+        gamma = phrase_ends(T)
+        middle = [Edit("sub", n // 2, 2), Edit("ins", n // 3, 0), Edit("del", n // 2)]
+        for e in edge_edits(T, 2) + middle:
+            out, report = attractor_repair(T, gamma, e)
+            m = report.n_out
+            assert is_attractor(apply_edit(T, e), out)
+            assert len(out) - len(gamma) <= math.isqrt(m) + _ceil_sqrt(m) + 2
 
 
 def test_attractor_repair_random_larger():
