@@ -2,18 +2,22 @@
 
 Texts are sequences of non-negative integer symbols rather than bytes so that
 constructions needing large parametric alphabets stay exact; symbols have no
-upper bound.  Every substring question but one is answered by one suffix
-automaton of the text, and this module owns it: ``_suffix_automaton(T)``
-keeps the automaton of the last text it was asked for, so the parsers,
-searches and measures called in turn on one text build it once.  Its
-callers only read it.  Code that mutates an automaton builds a private one
-with ``_sa_new``.  Both go through one construction loop (``_sa_extend``),
-which can also extend an automaton with an undo log, so that
-``_sa_rollback`` takes the appended symbols out again.  The exception is
-``repair.attractor_repair``'s seam walk, which reads each edited text once,
-for O(sqrt(m)) searches: it uses ``str.find``, as building that text's
-automaton would cost more than the answers.  All public position arguments
-are 1-based and slices are inclusive.
+upper bound.  Substring questions are answered by one suffix automaton of
+the text, and this module owns it: ``_suffix_automaton(T)`` keeps the
+automaton of the last text it was asked for, so the parsers, searches and
+measures called in turn on one text build it once.  Its callers only read
+it.  Code that mutates an automaton builds a private one with ``_sa_new``.
+Both go through one construction loop (``_sa_extend``), which can also
+extend an automaton with an undo log, so that ``_sa_rollback`` takes the
+appended symbols out again.  Three questions are asked of strings instead
+(``_as_strs``), by ``str.find``, ``str.rfind`` and ``in``: the seam walk
+of ``repair.attractor_repair`` reads each edited text once, for O(sqrt(m))
+searches, fewer than its automaton would cost; ``sensitivity._greedy_family``
+asks for the last occurrence of a phrase before a bound, which the automaton
+answers only with the n²-bit end sets of ``_state_ends``, and whether a
+deletion's junction lies in an occurrence of a window, a question about the
+edited text, which has no automaton.  All public position arguments are
+1-based and slices are inclusive.
 
 An edit is applied in one place, ``_edited``, on a tuple of symbols, also
 the sweeps' placeholder edit by -1.  The sweeps stream ``(kind, position,
@@ -400,6 +404,17 @@ def _state_ends(link: list[int], length: list[int], prefix_state: list[int]) -> 
     for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
         ends[link[v]] |= ends[v]
     return ends
+
+
+def _as_strs(*seqs) -> list[str]:
+    """The symbol sequences ``seqs`` as strings, one character per symbol:
+    its code point, or, when some symbol is beyond Unicode, its rank of
+    first occurrence over all of them in order, the same in every string."""
+    try:
+        return ["".join(map(chr, s)) for s in seqs]
+    except (ValueError, OverflowError):  # chr of a symbol past 0x10FFFF
+        names = {c: chr(r) for r, c in enumerate(dict.fromkeys(x for s in seqs for x in s))}
+        return ["".join(map(names.__getitem__, s)) for s in seqs]
 
 
 def distinct_substrings(T: SymbolString, k: int) -> int:

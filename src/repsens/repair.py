@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 from operator import attrgetter
 
-from .core import Edit, InputError, SymbolString, _edited, check_edit
+from .core import Edit, InputError, SymbolString, _as_strs, _edited, check_edit
 from .factorizers import Factorization, Phrase, check_factorization
 from .measures import _attractor_positions, bms_check, is_attractor
 
@@ -95,9 +95,9 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     occurrence of a word never lies left of the leftmost occurrence of its
     prefix.  That is about 3 * cap string searches.
 
-    This is the one substring question not answered by ``core``'s suffix
-    automaton: T' is read once, for O(sqrt(m)) searches, so building its
-    automaton would cost more than the questions it answers.
+    The searches run on strings (``core._as_strs``), not on an automaton:
+    T' is read once, for O(sqrt(m)) searches, so building its automaton
+    would cost more than the questions it answers.
     """
     global _last_attractor
     _check_repair_edit(T, e)
@@ -148,19 +148,6 @@ def attractor_repair(T: SymbolString, gamma, e: Edit):
     points.add(i + 1 if e.kind == "ins" else min(i, m))  # the seam
     out = frozenset(points)
     return out, RepairReport("attractor", e, len(gamma), len(out), bound, n_in=n, n_out=m)
-
-
-def _as_strs(text: tuple, word: tuple) -> tuple[str, str]:
-    """``text`` and ``word`` as strings, one character per symbol: the symbol's
-    own code point, or, when some symbol is beyond Unicode, its rank of first
-    occurrence over both, text first, so a symbol missing from ``text`` is a
-    character missing from it."""
-    if max(text) < 0x110000 and max(word, default=0) < 0x110000:
-        return "".join(map(chr, text)), "".join(map(chr, word))
-    names: dict = {}
-    for c in text + word:
-        names.setdefault(c, len(names))
-    return "".join(chr(names[c]) for c in text), "".join(chr(names[c]) for c in word)
 
 
 def _shift_fn(kind: str, i: int):

@@ -62,14 +62,13 @@ from .core import (
     Edit,
     InputError,
     SymbolString,
+    _as_strs,
     _edit_alphabet,
     _edit_fields,
     _edited,
     _sa_extend,
     _sa_new,
     _sa_rollback,
-    _state_ends,
-    _suffix_automaton,
 )
 from .factorizers import (
     FACTORIZERS,
@@ -396,15 +395,17 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
 
     * it is fragile: every admissible occurrence of W in T covers the edit,
       so the walk in U may stop inside W.  Those occurrences all hold the
-      interval [lo, hi] of ``fragile`` (lo the start of the last one, hi
-      the end of the first, read off ``core._state_ends``), so the phrase is
-      fragile at d iff lo <= d <= hi, or lo + 1 <= d <= hi for an
-      insertion.  A literal copies nothing and is never fragile.
+      interval [lo, hi] of ``fragile`` (lo the start of the last one,
+      found by ``rfind`` on T as a string, ``core._as_strs``; hi the end of
+      the first, the phrase's source), so the phrase is fragile at d iff
+      lo <= d <= hi, or lo + 1 <= d <= hi for an insertion.  A literal
+      copies nothing and is never fragile.
     * or its window occurs in U covering d, so the walk in U may read past
       x.  For a substitution or insertion this is clause (c) of
       ``_greedy_danger`` (``_crossing``), and the window's symbol at U[d] is
-      the edit's; for a deletion the window spans U[d - 1] and U[d]
-      (``_spans``).  A walk that ran out at the text's end has no window.
+      the edit's; for a deletion it spans U[d - 1] = T[d - 1] and
+      U[d] = T[d + 1], so it occurs in T[d - k + 1 : d] + T[d + 1 : d + k],
+      k its length.  A walk that ran out at the text's end has no window.
 
     Otherwise W occurs admissibly in U and W·x does not, so the walk at
     a + s in U reads W and stops at x, or runs out at the end if T's did.
@@ -430,20 +431,17 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     T = SymbolString._trusted(syms)
     phrases = _greedy(T, overlap, take_next)
     n = len(syms)
-    link, length, prefix_state, trans, firstpos = _suffix_automaton(T)
-    ends = _state_ends(link, length, prefix_state)
+    (S,) = _as_strs(syms)
     starts, fragile, windows = [], [], []
     for phrase in phrases:
         a = phrase[0] - 1
         copied = _walk_end(phrase) - a
         lo, hi = n, -1  # a literal copies nothing
         if copied:
-            v = 0
-            for x in syms[a : a + copied]:
-                v = trans[v][x]
-            # the occurrences that start (overlap) or end (no overlap) before a
-            admissible = ends[v] & ((1 << (a + copied - 1 if overlap else a)) - 1)
-            lo, hi = admissible.bit_length() - copied, firstpos[v] - 1
+            # the last occurrence that starts (overlap) or ends (no overlap)
+            # before a, and the first, the phrase's source
+            lo = S.rfind(S[a : a + copied], 0, a + copied - 1 if overlap else a)
+            hi = phrase[3] + copied - 2
         fragile.append((lo, hi))
         starts.append(a)
         j = _window_end(phrase, take_next)
@@ -471,8 +469,10 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
             barrier = bisect_left(starts, d + (shift <= 0)) - 1  # the phrases before r
             for m in range(len(phrases) - 1, barrier, -1):
                 lo, hi = fragile[m]
-                w = windows[m]
-                if lo + (shift > 0) <= d <= hi or (shift < 0 and w and _spans(text, d, w)):
+                a, k = starts[m], len(windows[m] or ())
+                if lo + (shift > 0) <= d <= hi or (
+                    shift < 0 and k and S[a : a + k] in S[max(0, d - k + 1) : d] + S[d + 1 : d + k]
+                ):
                     barrier = m
                     break
         log: list = []
@@ -517,18 +517,6 @@ def _crossing(text: tuple, d: int, w: tuple) -> Iterator[int]:
             and text[d + 1 : d + m - x] == w[x + 1 :]
         ):
             yield w[x]
-
-
-def _spans(text: tuple, d: int, w: tuple) -> bool:
-    """Whether ``w`` occurs in ``text`` holding both d - 1 and d."""
-    m = len(w)
-    return any(
-        text[d - 1] == w[x - 1]
-        and text[d] == w[x]
-        and text[d - x : d] == w[:x]
-        and text[d : d + m - x] == w[x:]
-        for x in range(1, min(m, d + 1))
-    )
 
 
 def _greedy_danger(

@@ -212,8 +212,40 @@ MUTANTS = (
     Mutant(
         "greedy-fragile-interval-one-short",
         "sensitivity.py",
-        "lo, hi = admissible.bit_length() - copied, firstpos[v] - 1",
-        "lo, hi = admissible.bit_length() - copied, firstpos[v] - 2",
+        "hi = phrase[3] + copied - 2",
+        "hi = phrase[3] + copied - 3",
+        (
+            "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
+        ),
+    ),
+    # admits the phrase's own occurrence, which starts at a
+    Mutant(
+        "greedy-fragile-overlap-bound-one-long",
+        "sensitivity.py",
+        "a + copied - 1 if overlap else a)",
+        "a + copied if overlap else a)",
+        (
+            "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lzss_overlap]",
+            "tests/test_sensitivity.py::test_lz_witness_sub_sweep_is_pinned",
+        ),
+    ),
+    Mutant(
+        "greedy-fragile-nonoverlap-bound-one-long",
+        "sensitivity.py",
+        "a + copied - 1 if overlap else a)",
+        "a + copied - 1 if overlap else a + 1)",
+        (
+            "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lzss_nonoverlap]",
+        ),
+    ),
+    Mutant(
+        "greedy-deletion-junction-one-short",
+        "sensitivity.py",
+        "S[d + 1 : d + k]",
+        "S[d + 1 : d + k - 1]",
         (
             "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
             "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
@@ -369,13 +401,16 @@ MUTANTS = (
             "tests/test_repair.py::test_attractor_repair_matches_naive_walk_exhaustive",
         ),
     ),
-    # no other test has a symbol past the last code point
+    # no other tests have a symbol past the last code point
     Mutant(
         "attractor-repair-renaming-collapses",
-        "repair.py",
-        "names.setdefault(c, len(names))",
-        "names.setdefault(c, c % 0x110000)",
-        ("tests/test_repair.py::test_attractor_repair_matches_naive_walk_beyond_unicode",),
+        "core.py",
+        "names = {c: chr(r) for r, c in",
+        "names = {c: chr(c % 0x110000) for r, c in",
+        (
+            "tests/test_repair.py::test_attractor_repair_matches_naive_walk_beyond_unicode",
+            "tests/test_sensitivity.py::test_greedy_resume_renames_symbols_beyond_unicode",
+        ),
     ),
     Mutant(
         "attractor-repair-extension-one-long",

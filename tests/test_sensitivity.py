@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -776,6 +777,52 @@ def test_greedy_resume_property(flavor, syms, kind):
     assert resumed_sizes(T, kind, range(5), flavor) == want
 
 
+# symbols past the last code point, which T's string (core._as_strs) renames
+# in order of first occurrence; 2**40 + 0x100000 is 0x110000 modulo 0x110000,
+# so a renaming that reduced modulo 0x110000 would make them one character
+HUGE = (0x10FFFF, 0x110000, 2**40, 2**40 + 0x100000)
+
+
+@pytest.mark.parametrize("flavor", GREEDY)
+def test_greedy_resume_renames_symbols_beyond_unicode(flavor):
+    # every edit's size equals that of the same edit of the text renamed to
+    # 0, 1, 2, ..., which keeps the symbols' order and so the edits' order
+    rename = {c: r for r, c in enumerate(HUGE)}
+    rng = random.Random(127)
+    for _ in range(12):
+        syms = [rng.choice(HUGE) for _ in range(rng.randint(1, 40))]
+        T, renamed = SymbolString(syms), SymbolString(rename[c] for c in syms)
+        for kind in EDIT_KINDS:
+            got = resumed_sizes(T, kind, HUGE, flavor)
+            got = [((k, i, rename.get(c)), size) for (k, i, c), size in got]
+            assert got == resumed_sizes(renamed, kind, range(len(HUGE)), flavor), (syms, kind)
+
+
+@pytest.mark.parametrize("flavor", GREEDY)
+def test_greedy_sweeps_of_the_empty_text(flavor):
+    # the family reads T as the empty string; only an insertion applies
+    for kind in ("sub", "del"):
+        rec = sensitivity_of_string(flavor, SymbolString([]), kind, {0})
+        assert (rec.c_T, rec.AS, rec.edit) == (0, None, None)
+    rec = sensitivity_of_string(flavor, SymbolString([]), "ins", {0})
+    assert (rec.c_T, rec.c_Tprime, rec.edit) == (0, 1, Edit("ins", 0, 0))
+
+
+def test_greedy_family_setup_holds_no_quadratic_memory():
+    # the fragile intervals come from T as a string; end-position bitmasks
+    # on T's automaton (core._state_ends) held n^2 bits, 44 MB at this length
+    rng = random.Random(137)
+    syms = tuple(rng.randrange(2) for _ in range(16_000))
+    _suffix_automaton(SymbolString._trusted(syms))  # the shared one, which the parse reads
+    tracemalloc.start()
+    try:
+        sv._greedy_family(syms, overlap=True, take_next=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+
+
 @pytest.mark.parametrize("flavor", GREEDY)
 def test_greedy_danger_set_keeps_the_placeholder_boundaries(flavor):
     # every symbol outside the danger set parses with the phrase starts of
@@ -922,6 +969,17 @@ def check_stops(oracle, calls, paths):
                 paths["spanning window" if shift < 0 else "window"] += 1
 
 
+def greedy_full_sizes(syms, kind, sigma):
+    """``full_sizes`` of the four greedy flavors, flavor -> pairs: one
+    automaton per edited text serves the four full parses."""
+    want = {flavor: [] for flavor in GREEDY}
+    for fields in _edit_fields(syms, sigma, (kind,)):
+        U = SymbolString._trusted(_edited(syms, *fields))
+        for flavor in GREEDY:
+            want[flavor].append((fields, greedy_size(flavor, U)))
+    return want
+
+
 def test_greedy_stop_rule_matches_full_parses(monkeypatch):
     rng = random.Random(113)
     texts = [lz_witness(p).base.symbols for p in (2, 3, 4)]
@@ -935,12 +993,7 @@ def test_greedy_stop_rule_matches_full_parses(monkeypatch):
         sigma = sorted(set(syms) | {max(syms) + 1})
         oracles = {flavor: StopOracle(flavor, syms) for flavor in GREEDY}
         for kind in EDIT_KINDS:
-            # one automaton per edited text serves the four full parses
-            want = {flavor: [] for flavor in GREEDY}
-            for fields in _edit_fields(syms, sigma, (kind,)):
-                U = SymbolString._trusted(_edited(syms, *fields))
-                for flavor in GREEDY:
-                    want[flavor].append((fields, greedy_size(flavor, U)))
+            want = greedy_full_sizes(syms, kind, sigma)
             for flavor in GREEDY:
                 calls = []
                 with monkeypatch.context() as patch:
@@ -949,6 +1002,21 @@ def test_greedy_stop_rule_matches_full_parses(monkeypatch):
                 check_stops(oracles[flavor], calls, paths)
     wanted = {"early stop", "never re-joins", "fragile", "window", "spanning window"}
     assert wanted <= set(paths), paths
+
+
+def test_greedy_resume_matches_full_parses_on_longer_texts():
+    # every edit of texts of 150 to 250 symbols, where phrases are longer
+    # and blocked phrases farther from the edit than in the short texts
+    rng = random.Random(131)
+    texts = [tuple(rng.randrange(sigma) for _ in range(rng.randint(150, 250))) for sigma in (2, 3)]
+    texts += [near_periodic(rng, rng.randint(150, 250), sigma) for sigma in (2, 3)]
+    for syms in texts:
+        T = SymbolString(syms)
+        sigma = sorted(set(syms) | {max(syms) + 1})
+        for kind in EDIT_KINDS:
+            want = greedy_full_sizes(syms, kind, sigma)
+            for flavor in GREEDY:
+                assert resumed_sizes(T, kind, sigma, flavor) == want[flavor], (syms, kind, flavor)
 
 
 def test_lz78_danger_set_keeps_the_placeholder_boundaries():
