@@ -2,21 +2,18 @@
 
 Texts are sequences of non-negative integer symbols rather than bytes so that
 constructions needing large parametric alphabets stay exact; symbols have no
-upper bound.  Substring questions are answered by one suffix automaton of
-the text, and this module owns it: ``_suffix_automaton(T)`` keeps the
-automaton of the last text it was asked for, so the parsers, searches and
-measures called in turn on one text build it once.  Its callers only read
-it.  Code that mutates an automaton builds a private one with ``_sa_new``.
-Both go through one construction loop (``_sa_extend``), which can also
-extend an automaton with an undo log, so that ``_sa_rollback`` takes the
-appended symbols out again.  Three questions are asked of strings instead
-(``_as_strs``), by ``str.find``, ``str.rfind`` and ``in``: the seam walk
-of ``repair.attractor_repair`` reads each edited text once, for O(sqrt(m))
-searches, fewer than its automaton would cost; ``sensitivity._greedy_family``
-asks for the last occurrence of a phrase before a bound, which the automaton
-answers only with the n²-bit end sets of ``_state_ends``, and whether a
-deletion's junction lies in an occurrence of a window, a question about the
-edited text, which has no automaton.  All public position arguments are
+upper bound.  Substring questions follow one rule: questions about a text
+go to its suffix automaton, which is built once and never mutated, and
+questions about an edited text go to its string.  ``_suffix_automaton(T)``
+keeps the automaton of the last text it was asked for, so the parsers,
+searches and measures called in turn on one text build it once; ``_sa_new``
+is the one construction loop.  The strings come from ``_as_strs`` and are
+searched by ``str.find``, ``str.rfind`` and ``in``: the seam walk of
+``repair.attractor_repair`` and the resumed greedy parses
+(``sensitivity._greedy_walk``) search the edited text, and
+``sensitivity._greedy_family`` also asks T's string for the last occurrence
+of a phrase before a bound, which the automaton answers only with the
+n²-bit end sets of ``_state_ends``.  All public position arguments are
 1-based and slices are inclusive.
 
 An edit is applied in one place, ``_edited``, on a tuple of symbols, also
@@ -300,8 +297,7 @@ def _suffix_automaton(
     ``T.symbols``, is kept until another text's is asked for.  The entry
     holds that tuple, so its id is not reused while it is kept, and it is
     dropped before the next build, so two long texts' automata are never
-    alive here at once.  Callers must not mutate it; ``_sa_new`` builds one
-    that they may."""
+    alive here at once.  Callers must not mutate it."""
     global _cache
     syms = T.symbols
     entry = _cache  # a local, so a concurrent miss can cost a build but not the answer
@@ -312,22 +308,11 @@ def _suffix_automaton(
 
 
 def _sa_new(symbols) -> tuple:
-    """A private suffix automaton of ``symbols``, in the form of
-    ``_suffix_automaton``, for code that extends and rolls it back."""
-    sa = ([-1], [0], [], [{}], [0])
-    _sa_extend(sa, symbols)
-    return sa
-
-
-def _sa_extend(sa: tuple, symbols, log: list | None = None) -> None:
-    """Append ``symbols`` to the text of the automaton ``sa`` in place: the
-    one construction loop.  With a ``log``, each clone records ``(p, q)``:
-    the first state whose transition it takes over from q, and q, the state
-    it splits.  That is all ``_sa_rollback`` needs besides the symbols; the
-    log is touched only when a clone is made, so it costs nothing per
-    symbol."""
-    link, length, prefix_state, trans, firstpos = sa
-    last = prefix_state[-1] if prefix_state else 0
+    """The suffix automaton of ``symbols``, in the form of
+    ``_suffix_automaton``: the one construction loop, appending one symbol
+    at a time.  Nothing writes to the automaton after it returns."""
+    link, length, prefix_state, trans, firstpos = sa = ([-1], [0], [], [{}], [0])
+    last = 0
     for c in symbols:
         cur = len(length)
         end = length[last] + 1
@@ -345,8 +330,6 @@ def _sa_extend(sa: tuple, symbols, log: list | None = None) -> None:
                 link[cur] = q
             else:
                 clone = len(length)
-                if log is not None:
-                    log.append((p, q))
                 length.append(length[p] + 1)
                 link.append(link[q])
                 trans.append(dict(trans[q]))
@@ -358,39 +341,7 @@ def _sa_extend(sa: tuple, symbols, log: list | None = None) -> None:
                 link[cur] = clone
         last = cur
         prefix_state.append(cur)
-
-
-def _sa_rollback(sa: tuple, symbols, log: list) -> None:
-    """Undo ``_sa_extend(sa, symbols, log)``, newest symbol first, so the
-    five arrays equal those of the automaton before the extension.
-
-    A step that appended c as state ``cur`` made a clone exactly when
-    ``link[cur] == cur + 1`` (otherwise the link is an older state); then the
-    log's last entry ``(p, q)`` gives back ``link[q]`` (the clone's own link)
-    and the walk from p whose c-transitions moved from q to the clone.  The
-    step's other writes are the c-transitions to ``cur`` on the suffix links
-    of the previous prefix state, which are deleted.  The appended states
-    are then truncated.
-    """
-    link, length, prefix_state, trans, firstpos = sa
-    m = len(prefix_state) - len(symbols)
-    for k in range(len(prefix_state) - 1, m - 1, -1):
-        cur = prefix_state[k]
-        c = symbols[k - m]
-        if link[cur] == cur + 1:
-            p, q = log.pop()
-            clone = cur + 1
-            link[q] = link[clone]
-            while p != -1 and trans[p].get(c) == clone:
-                trans[p][c] = q
-                p = link[p]
-        p = prefix_state[k - 1] if k else 0
-        while p != -1 and trans[p].get(c) == cur:
-            del trans[p][c]
-            p = link[p]
-    if m < len(prefix_state):
-        s0 = prefix_state[m]
-        del link[s0:], length[s0:], trans[s0:], firstpos[s0:], prefix_state[m:]
+    return sa
 
 
 def _state_ends(link: list[int], length: list[int], prefix_state: list[int]) -> list[int]:
@@ -408,11 +359,12 @@ def _state_ends(link: list[int], length: list[int], prefix_state: list[int]) -> 
 
 def _as_strs(*seqs) -> list[str]:
     """The symbol sequences ``seqs`` as strings, one character per symbol:
-    its code point, or, when some symbol is beyond Unicode, its rank of
-    first occurrence over all of them in order, the same in every string."""
+    its code point, or, when some symbol has none (it is negative, as the
+    sweeps' placeholder -1, or beyond Unicode), its rank of first occurrence
+    over all of them in order, the same in every string."""
     try:
         return ["".join(map(chr, s)) for s in seqs]
-    except (ValueError, OverflowError):  # chr of a symbol past 0x10FFFF
+    except (ValueError, OverflowError):  # chr of a symbol below 0 or past 0x10FFFF
         names = {c: chr(r) for r, c in enumerate(dict.fromkeys(x for s in seqs for x in s))}
         return ["".join(map(names.__getitem__, s)) for s in seqs]
 

@@ -18,17 +18,16 @@ place that names each factorizer and its loop call: the public factorizers
 build a ``Factorization`` of ``Phrase`` objects from the loop's tuples, the
 sweeps' sizes (``sensitivity.MEASURES``) count them, and the CLI spellings
 (``cli.FLAVOR_FLAGS``) are its names with ``-`` for ``_``; each greedy
-flavor's ``_greedy`` flags are written there once, as a ``partial``.  Both
-resumable loops take a start position, so the one resumed sweep loop
-(``sensitivity._resumed``, one family per loop) re-parses each edited text
-only from the phrase of the unedited text whose walk reaches the edit:
-``_greedy`` extends a private automaton of the unchanged prefix only as far
-as its walk reads, and stops where a given rule says the rest of the parse
-is the unedited one's; ``_lz78`` continues with a given trie and logs its
-insertions for taking out again.
+flavor's ``_greedy`` flags are written there once, as a ``partial``.  The
+one resumed sweep loop (``sensitivity._resumed``, one family per loop)
+re-parses each edited text only from the phrase of the unedited text whose
+walk reaches the edit: ``_lz78`` takes a start position, continues with a
+given trie and logs its insertions for taking out again, and the greedy
+flavors' walk on the edited text's string (``sensitivity._greedy_walk``)
+makes its phrases with ``_greedy``'s rule and shape (``_phrase``).
 
-Otherwise the greedy parsers, and the match tables of the exact searches,
-walk the one suffix automaton of the text that ``core._suffix_automaton``
+The greedy parsers, and the match tables of the exact searches, walk the
+one suffix automaton of the text that ``core._suffix_automaton``
 owns: it is built once for every loop that reads the same text, and no
 loop mutates it.  Following the rest of the text from the root, each
 state's first end index tells whether the prefix read so far has an
@@ -45,7 +44,7 @@ from functools import partial
 from itertools import starmap
 
 from . import config
-from .core import InputError, SymbolString, _sa_extend, _state_ends, _suffix_automaton
+from .core import InputError, SymbolString, _state_ends, _suffix_automaton
 
 @dataclass(frozen=True)
 class Phrase:
@@ -74,20 +73,11 @@ def _require_nonempty(T: SymbolString) -> None:
         raise InputError("cannot factorize the empty string")
 
 
-def _greedy(
-    T: SymbolString,
-    overlap: bool,
-    take_next: bool,
-    sa: tuple | None = None,
-    start: int = 0,
-    log: list | None = None,
-    joins: list | None = None,
-    barrier: int = 0,
-) -> list[tuple]:
-    """The one LZSS/LZ77 loop: greedy longest-match parsing of ``T`` from
-    0-based position ``start`` into ``(start, length, kind, source)`` tuples
-    (1-based starts in T).  With ``take_next`` a match also takes the
-    following symbol, unless the text ends inside the match.
+def _greedy(T: SymbolString, overlap: bool, take_next: bool) -> list[tuple]:
+    """The one LZSS/LZ77 loop: greedy longest-match parsing of ``T`` into
+    ``(start, length, kind, source)`` tuples (1-based starts in T).  With
+    ``take_next`` a match also takes the following symbol, unless the text
+    ends inside the match (``_phrase``).
 
     From 0-based position i the walk reads T[i..j] from the root while the
     prefix's leftmost occurrence starts before i (``overlap``) or ends before
@@ -97,68 +87,41 @@ def _greedy(
     T[:j+1], where j is the index its walk stops at (``_walk_end``; n when
     the text runs out), and a parse from the start of any phrase yields the
     rest of the phrases.  The loop reads T's shared automaton
-    (``core._suffix_automaton``) and does not mutate it.
-
-    The occurrences a walk at j tests end before j, so the automaton of
-    T[:j] serves it.  ``sensitivity._greedy_family`` gives the other four
-    arguments: its private automaton ``sa`` of a prefix of T, which the walk
-    extends (``log`` takes the clones, for ``core._sa_rollback``) only when
-    it reads past it, and a stop rule: the parse stops at the first phrase
-    start i with ``joins[i] > barrier`` and returns the phrases before i.
-    A walk at j past the automaton's text extends it to the next index
-    s >= j with ``joins[s] > barrier``, and by T[j] at least; a parse that
-    stops at s reads T[s - 1] first, so no symbol is appended in vain.  An
-    extension splits a state only by moving its shorter words into a clone,
-    of the same ``firstpos``, on its suffix links, so the walk's word, of
-    length j - i, is found down v's links.
+    (``core._suffix_automaton``) and does not mutate it; the resumed sweeps
+    parse edited texts with the same rule on their strings
+    (``sensitivity._greedy_walk``).
     """
     syms = T.symbols
     n = len(syms)
-    if sa is None:
-        sa = _suffix_automaton(T)
-    link, depth, prefix_state, trans, firstpos = sa
-    built = len(prefix_state)  # the automaton is of syms[:built]
+    trans, firstpos = _suffix_automaton(T)[3:]
     phrases = []
-    i = start
-    watch = n if joins is None else start  # the phrase starts the stop rule reads
+    i = 0
     while i < n:
-        if i >= watch and joins[i] > barrier:
-            return phrases
         v = 0
         j = i
-        while True:
-            while j < built:
-                w = trans[v][syms[j]]
-                if firstpos[w] > (j if overlap else i):
-                    break
-                v = w
-                j += 1
-            else:
-                if j < n:  # the walk reads past the automaton's text
-                    # up to the next phrase start the parse may stop at
-                    stop = j
-                    while stop < n and joins[stop] <= barrier:
-                        stop += 1
-                    built = max(stop, j + 1)
-                    _sa_extend(sa, syms[j:built], log)
-                    # a split moves the walk's word down v's suffix links
-                    while j > i and depth[link[v]] >= j - i:
-                        v = link[v]
-                    continue
-            break
-        length = j - i
-        if length == 0:
-            phrases.append((i + 1, 1, "literal", None))
-            i += 1
-            continue
-        source = firstpos[v] - length + 1
-        if take_next and j < n:
-            phrases.append((i + 1, length + 1, "copylit", source))
-            i = j + 1
-        else:
-            phrases.append((i + 1, length, "copy", source))
-            i = j
+        while j < n:
+            w = trans[v][syms[j]]
+            if firstpos[w] > (j if overlap else i):
+                break
+            v = w
+            j += 1
+        phrase = _phrase(i, j - i, firstpos[v] - (j - i) + 1, take_next, n)
+        phrases.append(phrase)
+        i += phrase[1]
     return phrases
+
+
+def _phrase(i: int, length: int, source: int, take_next: bool, n: int) -> tuple:
+    """The phrase tuple of a greedy walk from 0-based i in a text of n
+    symbols that found a copy of ``length`` symbols at 1-based ``source``:
+    a literal when it found none, a copylit with ``take_next`` unless the
+    copy reaches the text's end, else a copy.  Its length is the step to the
+    next phrase."""
+    if length == 0:
+        return (i + 1, 1, "literal", None)
+    if take_next and i + length < n:
+        return (i + 1, length + 1, "copylit", source)
+    return (i + 1, length, "copy", source)
 
 
 def _walk_end(phrase: tuple) -> int:

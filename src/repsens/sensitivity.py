@@ -66,14 +66,13 @@ from .core import (
     _edit_alphabet,
     _edit_fields,
     _edited,
-    _sa_extend,
-    _sa_new,
-    _sa_rollback,
+    _suffix_automaton,
 )
 from .factorizers import (
     FACTORIZERS,
     _greedy,
     _lz78,
+    _phrase,
     _walk_end,
     lz78,  # noqa: F401  (a module attribute the bench self-test looks up)
     lz_end_optimal,
@@ -430,8 +429,10 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     phrases it made plus the symbols of ``blocks`` from that phrase on."""
     T = SymbolString._trusted(syms)
     phrases = _greedy(T, overlap, take_next)
+    sa = _suffix_automaton(T)  # read only, by the danger sets
     n = len(syms)
-    (S,) = _as_strs(syms)
+    S, fresh = _as_strs(syms, (-1,))
+    chars = dict(zip(syms, S))
     starts, fragile, windows = [], [], []
     for phrase in phrases:
         a = phrase[0] - 1
@@ -446,14 +447,10 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
         starts.append(a)
         j = _window_end(phrase, take_next)
         windows.append(syms[a:j] if j <= n else None)
-    sa = _sa_new(())  # of syms[:d]
     joins: list = []  # index of U -> the phrase of T moved there, else -1
     at = None  # the (d, s) of barrier and blocks
     barrier = joined = 0  # joined: the phrase of T the last parse re-joined at
     blocks: dict = {}  # symbol -> the last phrase after barrier its window blocks
-
-    def keep(d: int, k: int) -> None:
-        _sa_extend(sa, syms[len(sa[2]) : d])
 
     def parse(text: tuple, d: int, resume: int) -> list[tuple]:
         nonlocal joins, at, barrier, joined, blocks
@@ -475,14 +472,12 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
                 ):
                     barrier = m
                     break
-        log: list = []
         c = text[d] if shift >= 0 else None
-        U = SymbolString._trusted(text)
-        tail = _greedy(U, overlap, take_next, sa, resume, log, joins, max(barrier, blocks.get(c, -1)))
-        _sa_rollback(sa, text[d : len(sa[2])], log)
-        stop = tail[-1][0] - 1 + tail[-1][1] if tail else resume
+        U = S[:d] + ("" if c is None else chars.get(c, fresh)) + S[d + (shift <= 0) :]
+        made = _greedy_walk(U, resume, overlap, take_next, joins, max(barrier, blocks.get(c, -1)))
+        stop = made[-1][0] - 1 + made[-1][1] if made else resume
         joined = joins[stop] if stop < len(text) else len(phrases)
-        return tail + phrases[joined:]
+        return made + phrases[joined:]
 
     def danger(text: tuple, d: int, resume: int, tail: list[tuple]) -> set:
         # tail is the placeholder parse's, the last one made
@@ -494,7 +489,45 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
         danger.update(c for c, m in blocks.items() if m >= joined)
         return danger
 
-    return phrases, keep, parse, danger
+    return phrases, lambda d, k: None, parse, danger
+
+
+def _greedy_walk(
+    U: str, i: int, overlap: bool, take_next: bool, joins: list, barrier: int
+) -> list[tuple]:
+    """The phrases of ``_greedy``'s parse of the text whose string is ``U``,
+    from the phrase start i up to the first phrase start s with ``joins[s] >
+    barrier`` (``_greedy_family``'s stop rule): the walk of the resumed
+    sweeps, which asks the string, not an automaton.
+
+    A phrase at i copies the longest word ``U[i:i+L]`` with an occurrence in
+    U that starts before i (``overlap``), so lies in ``U[:i-1+L]``, or that
+    ends by i, so lies in ``U[:i]``; its leftmost occurrence is the source,
+    as in ``_greedy``.  A word's leftmost occurrence never starts before its
+    prefix's, so each ``find`` goes on from the last hit.  L grows by one
+    symbol up to 32, then by doubling steps, and after the first miss the
+    step is halved down to one symbol: each test keeps L admissible and the
+    first inadmissible length at most a step above it."""
+    n = len(U)
+    phrases = []
+    while i < n and joins[i] <= barrier:
+        hit = length = 0
+        step, halving = 1, False
+        while step:
+            m = length + step
+            h = U.find(U[i : i + m], hit, i - 1 + m if overlap else i) if m <= n - i else -1
+            if h >= 0:
+                hit, length = h, m
+            else:
+                halving = True
+            if halving:
+                step //= 2
+            elif length >= 32:
+                step *= 2
+        phrase = _phrase(i, length, hit + 1, take_next, n)
+        phrases.append(phrase)
+        i += phrase[1]
+    return phrases
 
 
 def _window_end(phrase: tuple, take_next: bool) -> int:
@@ -550,17 +583,23 @@ def _greedy_danger(
     symbol of L); (b) does not arise, and a literal's window is not widened,
     since c there makes a phrase of two symbols.
     """
-    trans = sa[3]
+    trans, firstpos = sa[3:]
+
+    def follow(v: int) -> set:
+        """The symbols c for which the words of state v followed by c occur
+        in L: their leftmost occurrence ends by d."""
+        return {c for c, w in trans[v].items() if firstpos[w] <= d}
+
     danger: set = set()
     if resume < d or take_next:  # (a)
         v = 0
         for x in text[resume:d]:
             v = trans[v][x]
-        danger.update(trans[v])
+        danger.update(follow(v))
     n = len(text)
     if not take_next and d + 1 < n:  # (b)
         r0 = text[d + 1]
-        danger.update(c for c, v in trans[0].items() if r0 in trans[v])
+        danger.update(c for c, v in trans[0].items() if r0 in follow(v))
         if d and text[d - 1] == r0:
             danger.add(r0)
     for phrase in tail:  # (c)

@@ -28,7 +28,7 @@ from repsens import (
     smallest_bms,
 )
 import repsens.core
-from repsens.core import EDIT_KINDS, _sa_extend, _sa_new, _sa_rollback, _suffix_automaton
+from repsens.core import EDIT_KINDS, _sa_new, _suffix_automaton
 from repsens.factorizers import FACTORIZERS
 from repsens.measures import as_bms
 
@@ -310,34 +310,6 @@ def test_byte_and_text_constructors():
     assert SymbolString.from_bytes(b"\x00\xff").symbols == (0, 255)
     with pytest.raises(InputError):
         SymbolString([-1])
-
-
-@settings(derandomize=True, deadline=None, database=None)
-@given(
-    st.lists(st.integers(0, 3), max_size=30),
-    st.lists(st.one_of(st.none(), st.lists(st.integers(0, 4), max_size=12)), max_size=10),
-)
-def test_automaton_extension_rolls_back_exactly(base, steps):
-    # a step extends by a list of symbols, or (None) rolls the newest
-    # extension back; all five arrays are compared with a fresh build.  The
-    # automaton is a private one: the shared one must not be mutated
-    sa = _sa_new(tuple(base))
-    text = tuple(base)
-    stack = []
-    for step in steps + [None] * len(steps):
-        if step is None:
-            if not stack:
-                continue
-            symbols, log = stack.pop()
-            _sa_rollback(sa, symbols, log)
-            assert not log
-            text = text[: len(text) - len(symbols)]
-        else:
-            log = []
-            _sa_extend(sa, tuple(step), log)
-            stack.append((tuple(step), log))
-            text += tuple(step)
-        assert sa == _suffix_automaton(SymbolString(text)), (base, steps)
 
 
 def test_automaton_cache_drops_the_old_entry_before_a_build(monkeypatch):

@@ -36,7 +36,7 @@ from repsens import (
 )
 import repsens.factorizers as fz
 import repsens.sensitivity as sv
-from repsens.core import EDIT_KINDS, _edit_fields, _edited, _sa_extend, _sa_new, _suffix_automaton
+from repsens.core import EDIT_KINDS, _edit_fields, _edited, _sa_new, _suffix_automaton
 from repsens.factorizers import FACTORIZERS, _greedy, _lz78, _walk_end
 from repsens.sensitivity import (
     CSV_HEADER,
@@ -723,9 +723,9 @@ def test_greedy_resume_matches_full_parses(flavor):
 
 @pytest.mark.parametrize("flavor", ["lzss_overlap", "lz77_nonoverlap"])
 def test_resumed_sweeps_leave_the_shared_automaton_unmutated(flavor):
-    # a sweep extends and rolls back a private automaton; had it taken the
-    # shared one, the mutated automaton would stay cached under its text,
-    # and the empty text's tuple is one object for every empty text
+    # a sweep reads T's shared automaton; had it mutated it, the mutated
+    # automaton would stay cached under its text, and the empty text's
+    # tuple is one object for every empty text
     T = lz_witness(2).base
     for kind in EDIT_KINDS:
         sensitivity_of_string(flavor, T, kind, T.alphabet())
@@ -916,7 +916,7 @@ def spy_stops(monkeypatch, flavor, calls):
     """Record in ``calls`` every parse of the flavor's resumed sweeps as
     ``[text, d, resume, barrier, phrases made]``."""
     family = RESUMED_SWEEPS[flavor].args[0]
-    real = sv._greedy
+    real = sv._greedy_walk
 
     def spied_family(syms):
         phrases, keep, parse, danger = family(syms)
@@ -927,14 +927,13 @@ def spy_stops(monkeypatch, flavor, calls):
 
         return phrases, keep, spied_parse, danger
 
-    def spied_greedy(U, overlap, take_next, sa=None, start=0, log=None, joins=None, barrier=0):
-        made = real(U, overlap, take_next, sa, start, log, joins, barrier)
-        if joins is not None:  # not the family's parse of T
-            calls[-1] += [barrier, made]
+    def spied_walk(U, start, overlap, take_next, joins, barrier):
+        made = real(U, start, overlap, take_next, joins, barrier)
+        calls[-1] += [barrier, made]
         return made
 
     monkeypatch.setitem(RESUMED_SWEEPS, flavor, partial(sv._resumed, spied_family))
-    monkeypatch.setattr(sv, "_greedy", spied_greedy)
+    monkeypatch.setattr(sv, "_greedy_walk", spied_walk)
 
 
 def check_stops(oracle, calls, paths):
@@ -1017,6 +1016,44 @@ def test_greedy_resume_matches_full_parses_on_longer_texts():
             want = greedy_full_sizes(syms, kind, sigma)
             for flavor in GREEDY:
                 assert resumed_sizes(T, kind, sigma, flavor) == want[flavor], (syms, kind, flavor)
+
+
+def long_phrase_texts():
+    """Texts of 100 to 300 symbols whose phrases run past the walk's 32
+    symbols of one-symbol steps: a^(n-1)b, (ab)^k, (abc)^k and Fibonacci and
+    Thue-Morse prefixes."""
+    fib_a, fib_b = (0,), (0, 1)
+    while len(fib_b) < 233:
+        fib_a, fib_b = fib_b, fib_b + fib_a
+    return [
+        (0,) * 149 + (1,),
+        (0, 1) * 100,
+        (0, 1, 2) * 40,
+        fib_b[:233],
+        tuple(bin(i).count("1") & 1 for i in range(256)),
+    ]
+
+
+def test_greedy_walk_matches_full_parses_on_long_phrases(monkeypatch):
+    # every edit, a fresh symbol's too, against full parses, where a walk's
+    # copies grow by doubling steps and are halved back to their length
+    real = sv._greedy_walk
+    longest = []
+
+    def spied(*args):
+        made = real(*args)
+        longest.append(max((length for _, length, _, _ in made), default=0))
+        return made
+
+    monkeypatch.setattr(sv, "_greedy_walk", spied)
+    for syms in long_phrase_texts():
+        T = SymbolString(syms)
+        sigma = sorted(set(syms) | {max(syms) + 1})
+        for kind in EDIT_KINDS:
+            want = greedy_full_sizes(syms, kind, sigma)
+            for flavor in GREEDY:
+                assert resumed_sizes(T, kind, sigma, flavor) == want[flavor], (syms, kind, flavor)
+    assert max(longest) > 64, max(longest)
 
 
 def test_lz78_danger_set_keeps_the_placeholder_boundaries():
@@ -1111,33 +1148,35 @@ def test_lz_witness_sub_sweep_is_pinned_past_p6(p):
     assert (rec.c_T, rec.AS) == (2 * p * p + 2 * p + 1, p * p + 1)
 
 
-# symbols appended to the private automaton (core._sa_extend) in the sub
-# sweeps of lz_witness(p); extending it over the whole rest of the text for
-# every parse appended 4,651 and 21,881 (lzss_overlap), 10,830 and 46,878
-# (lz77_overlap) for p = 3 and 4
-SA_APPENDS = {
-    ("lzss_overlap", 3): 2_000,
-    ("lzss_overlap", 4): 7_000,
+# symbols the walks cover (stop - resume per parse, sensitivity._greedy_walk)
+# in the sub sweeps of lz_witness(p); running every walk to the text's end
+# covers 4,915, 22,748 and 1,348,472 (lzss_overlap), 11,018, 47,434 and
+# 2,235,422 (lz77_overlap) for p = 3, 4 and 8
+WALK_COVER = {
+    ("lzss_overlap", 3): 2_100,
+    ("lzss_overlap", 4): 7_400,
+    ("lzss_overlap", 8): 220_000,
     ("lz77_overlap", 3): 6_600,
-    ("lz77_overlap", 4): 24_000,
+    ("lz77_overlap", 4): 24_200,
+    ("lz77_overlap", 8): 730_000,
 }
 
 
-@pytest.mark.parametrize("measure,p", sorted(SA_APPENDS))
-def test_greedy_sweeps_extend_the_automaton_only_to_the_rejoin(monkeypatch, measure, p):
+@pytest.mark.parametrize("measure,p", sorted(WALK_COVER))
+def test_greedy_walks_stop_at_the_rejoin(monkeypatch, measure, p):
     T = lz_witness(p).base
     want = sensitivity_of_string(measure, T, "sub", T.alphabet())
-    appended = []
+    real = sv._greedy_walk
+    covered = []
 
-    def counted(sa, symbols, log=None):
-        appended.append(len(symbols))
-        _sa_extend(sa, symbols, log)
+    def counted(U, start, overlap, take_next, joins, barrier):
+        made = real(U, start, overlap, take_next, joins, barrier)
+        covered.append(made[-1][0] - 1 + made[-1][1] - start if made else 0)
+        return made
 
-    # the family extends to d, the walk past it
-    monkeypatch.setattr(sv, "_sa_extend", counted)
-    monkeypatch.setattr(fz, "_sa_extend", counted)
+    monkeypatch.setattr(sv, "_greedy_walk", counted)
     assert sensitivity_of_string(measure, T, "sub", T.alphabet()) == want
-    assert sum(appended) <= SA_APPENDS[measure, p], sum(appended)
+    assert sum(covered) <= WALK_COVER[measure, p], sum(covered)
 
 
 # exhaustive records of the two exact searches over every edit kind, frozen
