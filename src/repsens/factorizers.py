@@ -27,9 +27,9 @@ flavors' walk on the edited text's string (``sensitivity._greedy_walk``)
 makes its phrases with ``_greedy``'s rule and shape (``_phrase``).
 
 The greedy parsers, and the match tables of the exact searches, walk the
-one suffix automaton of the text that ``core._suffix_automaton``
-owns: it is built once for every loop that reads the same text, and no
-loop mutates it.  Following the rest of the text from the root, each
+one suffix automaton of the text that ``core._suffix_automaton`` owns: it
+is built once for every loop that reads the same text, and no loop mutates
+it.  Following the rest of the text from the root, each
 state's first end index tells whether the prefix read so far has an
 admissible earlier occurrence and where the leftmost one starts, and its
 end-position bitmask (``core._state_ends``) lists every occurrence.  The
@@ -45,6 +45,7 @@ from itertools import starmap
 
 from . import config
 from .core import InputError, SymbolString, _state_ends, _suffix_automaton
+
 
 @dataclass(frozen=True)
 class Phrase:
@@ -112,11 +113,9 @@ def _greedy(T: SymbolString, overlap: bool, take_next: bool) -> list[tuple]:
 
 
 def _phrase(i: int, length: int, source: int, take_next: bool, n: int) -> tuple:
-    """The phrase tuple of a greedy walk from 0-based i in a text of n
-    symbols that found a copy of ``length`` symbols at 1-based ``source``:
-    a literal when it found none, a copylit with ``take_next`` unless the
-    copy reaches the text's end, else a copy.  Its length is the step to the
-    next phrase."""
+    """The phrase of a greedy walk from 0-based i, in a text of n symbols,
+    that found ``length`` symbols to copy from 1-based ``source``: the one
+    place the literal, copy and copylit shapes are made."""
     if length == 0:
         return (i + 1, 1, "literal", None)
     if take_next and i + length < n:

@@ -19,8 +19,8 @@ each walks only the phrase holding the edit, and the parse of the text after
 that phrase on the trie of the kept phrases, the same for every symbol at
 the position, is made once per phrase end and taken as it is unless it
 creates the symbol's new word (``_lz78_family``).  In the greedy flavors
-each parse, the placeholder's too, extends its automaton only as far as its
-walk reads, and stops at the first phrase start of the unedited parse,
+each parse, the placeholder's too, walks the edited text's string
+(``_greedy_walk``) and stops at the first phrase start of the unedited parse,
 moved by the edit, after which no phrase can change: none is fragile (every
 earlier occurrence of its copy covers the edit) and none has its window
 occur over the edit with the edit's symbol.  The unedited parse's phrases
@@ -53,6 +53,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -212,19 +213,18 @@ def _resumed(family, T: SymbolString, kind: str, symbols: list) -> tuple[int, It
 
     The edits come in position order, so the first changed index d only
     grows, and the phrases whose walk stops before d (``_walk_end``) are
-    kept.  ``family(symbols)`` gives ``(phrases, keep, parse, danger)``: the
-    parse of ``T``; ``keep(d, k)``, which grows the parser state to
-    ``T[:d]`` and the first k phrases; ``parse(text, d, resume)``, the
-    phrases of ``text`` from ``resume`` (or as many tuples: a greedy parse
-    ends with T's own once it re-joins T's parse), with the state restored
-    after; and ``danger(text, d, resume, tail)``, the symbols that may parse
-    otherwise than the placeholder text ``text`` (``_edited`` with the
-    symbol -1, which no text has), whose parse from ``resume`` is ``tail``.
+    kept.  ``family(symbols)`` gives ``(phrases, parse, danger)``: the
+    parse of ``T``; ``parse(text, d, resume)``, the phrases of ``text`` from
+    ``resume`` (or as many tuples: a greedy parse ends with T's own once it
+    re-joins T's parse); and ``danger(text, d, resume, tail)``, the symbols
+    that may parse otherwise than the placeholder text ``text`` (``_edited``
+    with the symbol -1, which no text has), whose parse from ``resume`` is
+    ``tail``.
     One parse of it serves every substitution or insertion at that position
     by a symbol outside the danger set.  Deletions are resumed only.
     """
     syms = T.symbols
-    phrases, keep, parse, danger = family(syms)
+    phrases, parse, danger = family(syms)
     stops = [_walk_end(phrase) for phrase in phrases]
 
     def sizes():
@@ -235,7 +235,6 @@ def _resumed(family, T: SymbolString, kind: str, symbols: list) -> tuple[int, It
                 at = position
                 d = position if kind == "ins" else position - 1
                 k = bisect_left(stops, d)
-                keep(d, k)
                 resume = phrases[k][0] - 1 if k < len(phrases) else len(syms)
                 if kind != "del":
                     text = _edited(syms, kind, position, -1)
@@ -254,7 +253,7 @@ def _lz78_family(syms: tuple) -> tuple:
     phrase of the edited text too, made from the same symbols against the
     same dictionary; a final ``copy`` phrase is never kept, since its walk
     stops where the text runs out.  The base trie D holds the kept phrases,
-    and grows with d.
+    and grows with d, at the first parse at each d.
 
     A substitution or insertion is parsed by walking only the phrase at
     ``resume`` on D.  That phrase runs out as a final ``copy``, or its walk
@@ -283,17 +282,8 @@ def _lz78_family(syms: tuple) -> tuple:
     phrases = _lz78(syms)
     root: dict = {}
     kept = 0  # phrases of T in root
-    at = None  # the d of the tails
+    at = None  # the d of kept and the tails
     tails: dict = {}  # x -> tail_from(text, x)
-
-    def keep(d: int, k: int) -> None:
-        nonlocal kept, at
-        if kept < k:  # phrases kept..k-1 of T, parsed again into root
-            _lz78(syms, phrases[kept][0] - 1, root, None, phrases[k - 1][0])
-            kept = k
-        if at != d:
-            at = d
-            tails.clear()
 
     def parsed(text: tuple, pos0: int, undo: list) -> list[tuple]:
         """``text`` parsed from ``pos0`` on root, which then loses the
@@ -321,6 +311,12 @@ def _lz78_family(syms: tuple) -> tuple:
         return tail, made, entries, creates
 
     def parse(text: tuple, d: int, resume: int) -> list[tuple]:
+        nonlocal kept, at
+        if at != d:
+            at = d
+            tails.clear()
+            if kept < len(phrases):  # T's phrases from kept up to resume, into root
+                kept += len(_lz78(syms, phrases[kept][0] - 1, root, None, resume))
         if len(text) < len(syms):  # a deletion, the one edit at its position
             return parsed(text, resume, [])
         log: list = []
@@ -347,7 +343,7 @@ def _lz78_family(syms: tuple) -> tuple:
     def danger(text: tuple, d: int, resume: int, tail: list[tuple]) -> set:
         return _lz78_danger(text, d, resume, phrases[:kept] + tail)  # kept == k
 
-    return phrases, keep, parse, danger
+    return phrases, parse, danger
 
 
 def _lz78_danger(text: tuple, d: int, resume: int, phrases: list[tuple]) -> set:
@@ -373,11 +369,12 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     """A ``_greedy`` flavor for ``_resumed``.  A phrase is decided by the
     text up to the index its walk stops at (``factorizers._walk_end``), so
     every phrase of ``T`` that stops before d is a phrase of the edited text
-    too.  The state is a private automaton of ``T[:d]`` (``core._sa_new``,
-    never the shared one, which this would mutate), extended as d grows.
-    An edited text U is parsed by ``_greedy`` from ``resume`` on it: the
-    walk extends it only as far as it reads, and the extension is rolled
-    back after (``core._sa_rollback``).
+    too, and the family keeps no state that grows with d.  An edited text U
+    is parsed from ``resume`` by ``_greedy_walk`` on its string, sliced from
+    T's string S (``core._as_strs``) around d; one character absent from S
+    stands for the placeholder -1 and for any symbol new to T, which occur
+    in U only at d.  The danger sets read T's shared automaton, which no
+    code mutates (``_greedy_danger``).
 
     The parse stops where it re-joins the parse of T.  The edit keeps T[:d]
     in place and moves T[r:] by s: a substitution has r = d + 1 and s = 0,
@@ -422,17 +419,20 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     position; the windows with a symbol once per position and symbol
     (``blocks``), among T's phrases after that barrier.  The placeholder
     symbol -1 is in no window, so its parse stops past the fragile phrases,
-    and the parse with symbol c also past the windows with c.  ``parse``
-    returns the phrases it made, then T's phrases from the one it re-joined
-    at: the right count.  The placeholder parse's phrases from there on
-    have T's windows, so its danger set is ``_greedy_danger``'s over the
-    phrases it made plus the symbols of ``blocks`` from that phrase on."""
+    and the parse with symbol c also past the windows with c: the walk
+    stops at the first phrase start of U that T's phrase after the barrier
+    is moved to (``joins``).  ``parse`` returns the phrases it made, then
+    T's phrases from the one it re-joined at: the right count.  The
+    placeholder parse's phrases from there on have T's windows, so its
+    danger set is ``_greedy_danger``'s over the phrases it made plus the
+    symbols of ``blocks`` from that phrase on."""
     T = SymbolString._trusted(syms)
     phrases = _greedy(T, overlap, take_next)
     sa = _suffix_automaton(T)  # read only, by the danger sets
     n = len(syms)
     S, fresh = _as_strs(syms, (-1,))
     chars = dict(zip(syms, S))
+    chars[None] = ""  # a deletion writes nothing
     starts, fragile, windows = [], [], []
     for phrase in phrases:
         a = phrase[0] - 1
@@ -473,9 +473,10 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
                     barrier = m
                     break
         c = text[d] if shift >= 0 else None
-        U = S[:d] + ("" if c is None else chars.get(c, fresh)) + S[d + (shift <= 0) :]
-        made = _greedy_walk(U, resume, overlap, take_next, joins, max(barrier, blocks.get(c, -1)))
-        stop = made[-1][0] - 1 + made[-1][1] if made else resume
+        U = S[:d] + chars.get(c, fresh) + S[d + (shift <= 0) :]
+        made, stop = _greedy_walk(
+            U, resume, overlap, take_next, joins, max(barrier, blocks.get(c, -1))
+        )
         joined = joins[stop] if stop < len(text) else len(phrases)
         return made + phrases[joined:]
 
@@ -489,25 +490,21 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
         danger.update(c for c, m in blocks.items() if m >= joined)
         return danger
 
-    return phrases, lambda d, k: None, parse, danger
+    return phrases, parse, danger
 
 
 def _greedy_walk(
     U: str, i: int, overlap: bool, take_next: bool, joins: list, barrier: int
-) -> list[tuple]:
-    """The phrases of ``_greedy``'s parse of the text whose string is ``U``,
-    from the phrase start i up to the first phrase start s with ``joins[s] >
-    barrier`` (``_greedy_family``'s stop rule): the walk of the resumed
-    sweeps, which asks the string, not an automaton.
-
-    A phrase at i copies the longest word ``U[i:i+L]`` with an occurrence in
-    U that starts before i (``overlap``), so lies in ``U[:i-1+L]``, or that
-    ends by i, so lies in ``U[:i]``; its leftmost occurrence is the source,
-    as in ``_greedy``.  A word's leftmost occurrence never starts before its
-    prefix's, so each ``find`` goes on from the last hit.  L grows by one
-    symbol up to 32, then by doubling steps, and after the first miss the
-    step is halved down to one symbol: each test keeps L admissible and the
-    first inadmissible length at most a step above it."""
+) -> tuple[list[tuple], int]:
+    """``_greedy``'s phrases of the text whose string is ``U``, from the
+    phrase start i up to the first phrase start s with ``joins[s] >
+    barrier`` (``_greedy_family``'s stop rule), and s (``len(U)`` when the
+    walk runs to the end).  A phrase at i copies the
+    longest ``U[i:i+L]`` that occurs in ``U[:i-1+L]`` (``overlap``: it
+    starts before i) or in ``U[:i]``, from its leftmost occurrence.  A
+    word's leftmost occurrence never lies left of its prefix's, so each
+    ``find`` goes on from the last hit.  L grows by one symbol up to 32,
+    then by doubling steps, halved from the first miss on."""
     n = len(U)
     phrases = []
     while i < n and joins[i] <= barrier:
@@ -527,7 +524,7 @@ def _greedy_walk(
         phrase = _phrase(i, length, hit + 1, take_next, n)
         phrases.append(phrase)
         i += phrase[1]
-    return phrases
+    return phrases, i
 
 
 def _window_end(phrase: tuple, take_next: bool) -> int:
@@ -556,8 +553,11 @@ def _greedy_danger(
     sa: tuple, text: tuple, d: int, resume: int, tail: list[tuple], take_next: bool
 ) -> set:
     """The symbols c for which L c R may parse differently from the
-    placeholder text ``text`` = L -1 R (L = ``text[:d]``; ``sa`` is L's
-    automaton and ``tail`` the placeholder parse from ``resume``).
+    placeholder text ``text`` = L -1 R (L = ``text[:d]``; ``tail`` is the
+    placeholder parse from ``resume``).  ``sa`` is the automaton of a text
+    that starts with L: T's, in the sweeps, read only.  A word occurs in L
+    exactly when its state's ``firstpos`` is at most d, so (a) and (b) keep
+    only such transitions (``follows``).
 
     Outside this set the two parses have the same phrase boundaries, hence
     the same size.  For LZSS with overlap the argument runs phrase by phrase:
@@ -567,7 +567,7 @@ def _greedy_danger(
 
     (a) The phrase at ``resume`` < d: its walk reads ``text[resume:d]`` and
         stops at the placeholder; it reads on with c when that word followed
-        by c occurs in L, i.e. c labels a transition of the word's state.
+        by c occurs in L (``follows``).
     (b) The phrase at d: the placeholder is a literal; c makes a copy of one
         symbol, the same boundary, unless c R[0] occurs in L c, i.e. c
         precedes R[0] in L, or c = R[0] is L's last symbol.
@@ -585,21 +585,20 @@ def _greedy_danger(
     """
     trans, firstpos = sa[3:]
 
-    def follow(v: int) -> set:
-        """The symbols c for which the words of state v followed by c occur
-        in L: their leftmost occurrence ends by d."""
-        return {c for c, w in trans[v].items() if firstpos[w] <= d}
+    def follows(v: int, c) -> bool:  # the words of state v, then c, occur in L
+        w = trans[v].get(c)
+        return w is not None and firstpos[w] <= d
 
     danger: set = set()
     if resume < d or take_next:  # (a)
         v = 0
         for x in text[resume:d]:
             v = trans[v][x]
-        danger.update(follow(v))
+        danger.update(c for c in trans[v] if follows(v, c))
     n = len(text)
     if not take_next and d + 1 < n:  # (b)
         r0 = text[d + 1]
-        danger.update(c for c, v in trans[0].items() if r0 in follow(v))
+        danger.update(c for c, v in trans[0].items() if follows(v, r0))
         if d and text[d - 1] == r0:
             danger.add(r0)
     for phrase in tail:  # (c)
@@ -817,12 +816,24 @@ def _renaming_memo(fn, capacity: int):
     return measure
 
 
-def _best_of_strings(args) -> tuple:
-    """The worst string among the non-empty ``strings`` as ``((-gain,
-    symbols), base, (value, fields))``.  The least key is the one tie-break
-    of the exhaustive sweeps: the largest gain, then the smallest string.
-    Every string of length n >= 1 has a legal edit of each kind, since the
-    fresh symbol is in the edit alphabet.
+def _swept_strings(measure: str, n: int, sigma: int) -> Iterator[tuple]:
+    """The strings an exhaustive sweep of ``measure`` measures, in increasing
+    order: the canonical strings, and for a measure in ``REVERSAL_INVARIANT``
+    only those not above the canonical form of their reversal."""
+    strings = canonical_strings(n, sigma)
+    if measure in REVERSAL_INVARIANT:
+        return (s for s in strings if s <= tuple(_renaming_key(s[::-1])))
+    return strings
+
+
+def _best_of_strings(args) -> tuple | None:
+    """The worst string of chunk k of ``jobs``, every jobs-th string from
+    the k-th of ``_swept_strings``, as ``((-gain, symbols), base, (value,
+    fields))``, or None when the chunk is empty.  The chunk is drawn as it
+    is swept, so no list of the strings is held.  The least key is the one
+    tie-break of the exhaustive sweeps: the largest gain, then the smallest
+    string.  Every string of length n >= 1 has a legal edit of each kind,
+    since the fresh symbol is in the edit alphabet.
 
     The strings come in increasing order, so a later one replaces the worst
     so far only with a strictly larger gain: its edits must beat ``base +
@@ -837,13 +848,14 @@ def _best_of_strings(args) -> tuple:
     edit deletes).  A string whose floor has reached it is skipped without
     an edit measured, and the loop ends once the worst gain so far is
     ``cap``: no later string can beat it."""
-    measure_name, strings, edit_kind, symbols, capacity = args
+    measure_name, n, sigma, k, jobs, edit_kind, symbols, capacity = args
+    strings = islice(_swept_strings(measure_name, n, sigma), k, None, jobs)
     size = _renaming_memo(MEASURES[measure_name], capacity)
     bound = UPPER_BOUNDS.get(measure_name)
     upper = _renaming_memo(MEASURES[bound], capacity) if bound else None
     cap = MAX_GAIN.get(measure_name, math.inf)
     # the edited strings' length and alphabet: sigma, and the fresh symbol unless deleting
-    length = len(strings[0]) + (edit_kind == "ins") - (edit_kind == "del")
+    length = n + (edit_kind == "ins") - (edit_kind == "del")
     letters = len(symbols) - (edit_kind == "del")
     most = MAX_SIZE[measure_name](length, letters) if measure_name in MAX_SIZE else math.inf
     worst = None
@@ -880,14 +892,17 @@ def exhaustive_sensitivity(
     smallest string of largest gain is never the larger of its pair, and its
     own first maximal edit is found as before, so the record is the same.
 
-    ``jobs`` asks for worker processes; the strings are split into
-    ``min(jobs, os.cpu_count(), len(strings))`` chunks, one per worker, and
-    a single chunk runs in this process, so no pool starts more processes
-    than there are cores.  The memo lives for one chunk and holds at most
-    as many entries as the ``REPSENS_LIMIT_EXHAUSTIVE`` cap on sigma**n
-    (``config.LIMITS``), past which the sweep raises ``CapabilityError``; once
-    full it stops inserting and evaluates the rest afresh.  The sweep runs
-    on symbol tuples and edit fields; only the winner gets an ``Edit``.
+    ``jobs`` asks for worker processes; the strings are split into at most
+    ``min(jobs, os.cpu_count())`` chunks, no more than there are canonical
+    strings, one per worker, and a single chunk runs in this process, so no
+    pool starts more processes than there are cores.  Each chunk draws its
+    own strings from the generator (``_swept_strings``), so no list of them
+    is built, and a chunk that the reversal filter leaves empty is skipped.
+    The memo lives for one chunk and holds at most as many entries as the
+    ``REPSENS_LIMIT_EXHAUSTIVE`` cap on sigma**n (``config.LIMITS``), past
+    which the sweep raises ``CapabilityError``; once full it stops inserting
+    and evaluates the rest afresh.  The sweep runs on symbol tuples and edit
+    fields; only the winner gets an ``Edit``.
     Each chunk and the reduction across chunks take the least key of
     ``_best_of_strings`` (the largest gain, ties to the lexicographically
     smallest string), so neither the worker count nor the memo changes the
@@ -921,11 +936,10 @@ def exhaustive_sensitivity(
     budget = config.check("REPSENS_LIMIT_EXHAUSTIVE", n, sigma)
     # canonical strings use only symbols below sigma, so sigma is the fresh one
     symbols = _sweep_alphabet(range(sigma), (), edit_kind)
-    strings = list(canonical_strings(n, sigma))
-    if measure in REVERSAL_INVARIANT:
-        strings = [s for s in strings if s <= tuple(_renaming_key(s[::-1]))]
-    jobs = max(1, min(jobs, os.cpu_count() or 1, len(strings)))
-    chunks = [(measure, strings[k::jobs], edit_kind, symbols, budget) for k in range(jobs)]
+    # no more workers than cores, nor than canonical strings
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    jobs = len(list(islice(canonical_strings(n, sigma), jobs)))
+    chunks = [(measure, n, sigma, k, jobs, edit_kind, symbols, budget) for k in range(jobs)]
     if jobs == 1:
         results = map(_best_of_strings, chunks)
     else:
@@ -934,7 +948,7 @@ def exhaustive_sensitivity(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_best_of_strings, chunks))
     # strings differ, so the keys do: min never compares further
-    (_, syms), base, top = min(results)
+    (_, syms), base, top = min(r for r in results if r is not None)
     return _record(measure, edit_kind, n, base, top, SymbolString._trusted(syms), "exhaustive")
 
 

@@ -158,7 +158,7 @@ MUTANTS = (
             "tests/test_sensitivity.py::test_lz78_resume_matches_full_parses",
         ),
     ),
-    # the resumed sweeps: their danger sets, lz78 tails, stop rule and undoable automaton
+    # the resumed sweeps: their danger sets, lz78 tails and stop rule
     Mutant(
         "greedy-danger-a-dropped",
         "sensitivity.py",
@@ -253,13 +253,61 @@ MUTANTS = (
     ),
     Mutant(
         "greedy-rejoin-one-phrase-early",
-        "factorizers.py",
-        "if i >= watch and joins[i] > barrier:",
-        "if i >= watch and joins[i] >= barrier:",
+        "sensitivity.py",
+        "while i < n and joins[i] <= barrier:",
+        "while i < n and joins[i] < barrier:",
         (
             "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
             "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
             "tests/test_sensitivity.py::test_lz_witness_sub_sweep_is_pinned",
+        ),
+    ),
+    # the walk on the edited text's string
+    Mutant(
+        "greedy-walk-overlap-bound-one-long",
+        "sensitivity.py",
+        "i - 1 + m if overlap else i)",
+        "i + m if overlap else i)",
+        (
+            "tests/test_sensitivity.py::test_greedy_walk_matches_full_parses_on_long_phrases",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lzss_overlap]",
+        ),
+    ),
+    Mutant(
+        "greedy-walk-nonoverlap-bound-one-long",
+        "sensitivity.py",
+        "i - 1 + m if overlap else i)",
+        "i - 1 + m if overlap else i + 1)",
+        (
+            "tests/test_sensitivity.py::test_greedy_walk_matches_full_parses_on_long_phrases",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lzss_nonoverlap]",
+        ),
+    ),
+    Mutant(
+        "greedy-walk-search-past-the-hit",
+        "sensitivity.py",
+        "U.find(U[i : i + m], hit,",
+        "U.find(U[i : i + m], hit + 1,",
+        (
+            "tests/test_sensitivity.py::test_greedy_walk_matches_full_parses_on_long_phrases",
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
+        ),
+    ),
+    Mutant(
+        "greedy-walk-halving-one-short",
+        "sensitivity.py",
+        "                step //= 2\n",
+        "                step = (step - 1) // 2\n",
+        ("tests/test_sensitivity.py::test_greedy_walk_matches_full_parses_on_long_phrases",),
+    ),
+    Mutant(
+        "greedy-danger-filter-one-late",
+        "sensitivity.py",
+        "w is not None and firstpos[w] <= d\n",
+        "w is not None and firstpos[w] <= d + 1\n",
+        (
+            "tests/test_sensitivity.py::test_greedy_danger_set_from_the_text_automaton_is_the_prefix_ones",
+            "tests/test_sensitivity.py::test_danger_sets_stay_small",
         ),
     ),
     Mutant(
@@ -349,16 +397,6 @@ MUTANTS = (
         (
             "tests/test_sensitivity.py::test_exhaustive_matches_public_reference[gamma]",
             "tests/test_sensitivity.py::test_exhaustive_sweeps_one_string_per_reversal_class",
-        ),
-    ),
-    Mutant(
-        "rollback-leaves-split-link",
-        "core.py",
-        "            link[q] = link[clone]\n",
-        "",
-        (
-            "tests/test_core.py::test_automaton_extension_rolls_back_exactly",
-            "tests/test_sensitivity.py::test_resumed_sweeps_leave_the_shared_automaton_unmutated",
         ),
     ),
     # the repairs' size bounds

@@ -374,13 +374,13 @@ def first_occurrence_form(syms):
 @pytest.mark.parametrize("measure", ["delta", "gamma", "bms", "lz78", "lzend_opt"])
 def test_exhaustive_sweeps_one_string_per_reversal_class(monkeypatch, measure):
     swept = []
-    original = sv._best_of_strings
+    original = sv._swept_strings
 
-    def spy(args):
-        swept.append(args[1])
-        return original(args)
+    def spy(*args):
+        swept.append(list(original(*args)))
+        return iter(swept[-1])
 
-    monkeypatch.setattr(sv, "_best_of_strings", spy)
+    monkeypatch.setattr(sv, "_swept_strings", spy)
     exhaustive_sensitivity(measure, 5, 3, "sub")
     canonical = list(canonical_strings(5, 3))
     if measure in sv.REVERSAL_INVARIANT:
@@ -605,14 +605,13 @@ def check_lz78_tails(syms, kind, paths):
     final copy first phrase, the tail on the base trie shared as it is (and
     shared by two symbols at one position), or a rewind to the phrase of
     that tail which creates the first phrase's word."""
-    phrases, keep, parse, _ = sv._lz78_family(syms)
+    phrases, parse, _ = sv._lz78_family(syms)
     stops = [_walk_end(phrase) for phrase in phrases]
     symbols = sorted(set(syms) | {max(syms, default=-1) + 1})
     shared_at = None, set()  # position, the x of its shared tails
     for _, position, symbol in _edit_fields(syms, symbols, (kind,)):
         d = position if kind == "ins" else position - 1
         k = bisect.bisect_left(stops, d)
-        keep(d, k)
         resume = phrases[k][0] - 1 if k < len(phrases) else len(syms)
         if shared_at[0] != position:
             text = _edited(syms, kind, position, -1)
@@ -854,6 +853,29 @@ def test_greedy_danger_set_keeps_the_placeholder_boundaries(flavor):
                     )
 
 
+@pytest.mark.parametrize("flavor", GREEDY)
+def test_greedy_danger_set_from_the_text_automaton_is_the_prefix_ones(flavor):
+    # T's automaton, its transitions kept when their first end is by d,
+    # gives the danger set that L = T[:d]'s own automaton gives
+    overlap, take_next = FACTORIZERS[flavor][1].keywords.values()
+    rng = random.Random(139)
+    texts = [lz_witness(3).base.symbols]
+    texts += [tuple(rng.randrange(rng.randint(1, 4)) for _ in range(rng.randint(1, 30)))
+              for _ in range(40)]
+    for syms in texts:
+        sa = _sa_new(syms)
+        n = len(syms)
+        phrases = _greedy(SymbolString(syms), overlap, take_next)
+        for kind, d in [("sub", d) for d in range(n)] + [("ins", d) for d in range(n + 1)]:
+            text = syms[:d] + (-1,) + syms[d + (kind == "sub") :]
+            placeholder = _greedy(SymbolString._trusted(text), overlap, take_next)
+            k = next((k for k, phrase in enumerate(phrases) if _walk_end(phrase) >= d), len(phrases))
+            args = (text, d, placeholder[k][0] - 1, placeholder[k:], take_next)
+            assert _greedy_danger(sa, *args) == _greedy_danger(_sa_new(syms[:d]), *args), (
+                syms, kind, d
+            )
+
+
 def near_periodic(rng, n, sigma):
     """A random period of 1 to 6 symbols repeated to length n, with up to
     three symbols replaced."""
@@ -919,18 +941,18 @@ def spy_stops(monkeypatch, flavor, calls):
     real = sv._greedy_walk
 
     def spied_family(syms):
-        phrases, keep, parse, danger = family(syms)
+        phrases, parse, danger = family(syms)
 
         def spied_parse(text, d, resume):
             calls.append([text, d, resume])
             return parse(text, d, resume)
 
-        return phrases, keep, spied_parse, danger
+        return phrases, spied_parse, danger
 
     def spied_walk(U, start, overlap, take_next, joins, barrier):
-        made = real(U, start, overlap, take_next, joins, barrier)
+        made, stop = real(U, start, overlap, take_next, joins, barrier)
         calls[-1] += [barrier, made]
-        return made
+        return made, stop
 
     monkeypatch.setitem(RESUMED_SWEEPS, flavor, partial(sv._resumed, spied_family))
     monkeypatch.setattr(sv, "_greedy_walk", spied_walk)
@@ -1041,9 +1063,9 @@ def test_greedy_walk_matches_full_parses_on_long_phrases(monkeypatch):
     longest = []
 
     def spied(*args):
-        made = real(*args)
+        made, stop = real(*args)
         longest.append(max((length for _, length, _, _ in made), default=0))
-        return made
+        return made, stop
 
     monkeypatch.setattr(sv, "_greedy_walk", spied)
     for syms in long_phrase_texts():
@@ -1089,13 +1111,13 @@ def own_parses(name, T, kind, monkeypatch):
     calls = []
 
     def counted(syms):
-        phrases, keep, parse, danger = family(syms)
+        phrases, parse, danger = family(syms)
 
         def counting(*args):
             calls.append(None)
             return parse(*args)
 
-        return phrases, keep, counting, danger
+        return phrases, counting, danger
 
     monkeypatch.setitem(RESUMED_SWEEPS, name, partial(sv._resumed, counted))
     sensitivity_of_string(name, T, kind, T.alphabet())
@@ -1170,9 +1192,9 @@ def test_greedy_walks_stop_at_the_rejoin(monkeypatch, measure, p):
     covered = []
 
     def counted(U, start, overlap, take_next, joins, barrier):
-        made = real(U, start, overlap, take_next, joins, barrier)
-        covered.append(made[-1][0] - 1 + made[-1][1] - start if made else 0)
-        return made
+        made, stop = real(U, start, overlap, take_next, joins, barrier)
+        covered.append(stop - start)
+        return made, stop
 
     monkeypatch.setattr(sv, "_greedy_walk", counted)
     assert sensitivity_of_string(measure, T, "sub", T.alphabet()) == want
@@ -1280,6 +1302,19 @@ def test_exhaustive_delta_stops_at_the_first_string_of_max_gain(monkeypatch, kin
     assert rec.argmax_T.symbols == (0,) * 16 and rec.AS == 1
     (memo,) = seen
     assert len(memo.memo) <= 3
+
+
+def test_exhaustive_strings_are_drawn_as_they_are_swept():
+    # the sweep stops at 0^18 and its first edits; listing and filtering all
+    # 131,072 canonical strings first peaked at 26 MB
+    tracemalloc.start()
+    try:
+        rec = exhaustive_sensitivity("delta", 18, 2, "sub")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.argmax_T.symbols == (0,) * 18 and rec.AS == 1
+    assert peak < 5_000_000, peak
 
 
 def counted_calls(monkeypatch, measure):
