@@ -499,12 +499,12 @@ def _greedy_walk(
     """``_greedy``'s phrases of the text whose string is ``U``, from the
     phrase start i up to the first phrase start s with ``joins[s] >
     barrier`` (``_greedy_family``'s stop rule), and s (``len(U)`` when the
-    walk runs to the end).  A phrase at i copies the
-    longest ``U[i:i+L]`` that occurs in ``U[:i-1+L]`` (``overlap``: it
-    starts before i) or in ``U[:i]``, from its leftmost occurrence.  A
-    word's leftmost occurrence never lies left of its prefix's, so each
-    ``find`` goes on from the last hit.  L grows by one symbol up to 32,
-    then by doubling steps, halved from the first miss on."""
+    walk runs to the end).  A phrase at i copies the longest ``U[i:i+L]``
+    that occurs in ``U[:i-1+L]`` (``overlap``: it starts before i) or in
+    ``U[:i]``, from its leftmost occurrence.  A word's leftmost occurrence
+    never lies left of its prefix's, so each ``find`` goes on from the last
+    hit.  L grows by one symbol up to 32, then by doubling steps, halved
+    from the first miss on."""
     n = len(U)
     phrases = []
     while i < n and joins[i] <= barrier:
