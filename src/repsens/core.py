@@ -2,19 +2,22 @@
 
 Texts are sequences of non-negative integer symbols rather than bytes so that
 constructions needing large parametric alphabets stay exact; symbols have no
-upper bound.  Substring questions follow one rule: questions about a text
-go to its suffix automaton, which is built once and never mutated, and
-questions about an edited text go to its string.  ``_suffix_automaton(T)``
-keeps the automaton of the last text it was asked for, so the parsers,
-searches and measures called in turn on one text build it once; ``_sa_new``
-is the one construction loop.  The strings come from ``_as_strs`` and are
-searched by ``str.find``, ``str.rfind`` and ``in``: the seam walk of
-``repair.attractor_repair`` and the resumed greedy parses
-(``sensitivity._greedy_walk``) search the edited text, and
-``sensitivity._greedy_family`` also asks T's string for the last occurrence
-of a phrase before a bound, which the automaton answers only with the
-n²-bit end sets of ``_state_ends``.  All public position arguments are
-1-based and slices are inclusive.
+upper bound.  Substring questions follow one rule: greedy copies of any
+text, edited or not, go to its string, and the questions about every
+distinct substring, LZ-End copies, the exact searches' match tables and
+the greedy sweeps' follow sets go to its suffix automaton, which is built
+once and never mutated.  ``_suffix_automaton(T)`` keeps the automaton of
+the last text it was asked for, so the parsers, searches and measures
+called in turn on one text build it once; ``_sa_new`` is the one
+construction loop.  The strings come from ``_as_strs`` (at most 0x110000
+distinct symbols, one per code point) and are searched by ``str.find``,
+``str.rfind`` and ``in``: the greedy LZSS/LZ77 parses
+(``factorizers._greedy_walk``) and the seam walk of
+``repair.attractor_repair`` search them, and ``sensitivity._greedy_family``
+also asks T's string for the last occurrence of a phrase before a bound,
+which the automaton answers only with the n²-bit end sets of
+``_state_ends``.  All public position arguments are 1-based and slices are
+inclusive.
 
 An edit is applied in one place, ``_edited``, on a tuple of symbols, also
 the sweeps' placeholder edit by -1.  The sweeps stream ``(kind, position,
@@ -361,11 +364,17 @@ def _as_strs(*seqs) -> list[str]:
     """The symbol sequences ``seqs`` as strings, one character per symbol:
     its code point, or, when some symbol has none (it is negative, as the
     sweeps' placeholder -1, or beyond Unicode), its rank of first occurrence
-    over all of them in order, the same in every string."""
+    over all of them in order, the same in every string.  CapabilityError
+    when they hold more distinct symbols than there are code points."""
     try:
         return ["".join(map(chr, s)) for s in seqs]
     except (ValueError, OverflowError):  # chr of a symbol below 0 or past 0x10FFFF
-        names = {c: chr(r) for r, c in enumerate(dict.fromkeys(x for s in seqs for x in s))}
+        names = dict.fromkeys(x for s in seqs for x in s)
+        if len(names) > 0x110000:
+            raise CapabilityError(
+                f"{len(names)} distinct symbols; the string paths take at most 1,114,112"
+            ) from None
+        names = {c: chr(r) for r, c in enumerate(names)}
         return ["".join(map(names.__getitem__, s)) for s in seqs]
 
 

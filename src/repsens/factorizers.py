@@ -10,31 +10,34 @@ Phrase kinds:
   dictionary parsing).
 
 Each parser family has one loop, which emits plain ``(start, length, kind,
-source)`` tuples: ``_greedy`` for LZSS/LZ77, ``_lz_end`` for greedy LZ-End and
-``_lz78``.  The two exact searches, ``lz_end_optimal`` and
+source)`` tuples: ``_greedy_walk`` for LZSS/LZ77, ``_lz_end`` for greedy
+LZ-End and ``_lz78``.  The two exact searches, ``lz_end_optimal`` and
 ``measures.smallest_bms``, keep the parse they build in the same tuples and
 make ``Phrase`` objects once, for the result.  ``FACTORIZERS`` is the one
-place that names each factorizer and its loop call: the public factorizers
-build a ``Factorization`` of ``Phrase`` objects from the loop's tuples, the
-sweeps' sizes (``sensitivity.MEASURES``) count them, and the CLI spellings
+place that names each factorizer and its parse call: the public factorizers
+build a ``Factorization`` of ``Phrase`` objects from its tuples, the sweeps'
+sizes (``sensitivity.MEASURES``) count them, and the CLI spellings
 (``cli.FLAVOR_FLAGS``) are its names with ``-`` for ``_``; each greedy
 flavor's ``_greedy`` flags are written there once, as a ``partial``.  The
 one resumed sweep loop (``sensitivity._resumed``, one family per loop)
 re-parses each edited text only from the phrase of the unedited text whose
 walk reaches the edit: ``_lz78`` takes a start position, continues with a
-given trie and logs its insertions for taking out again, and the greedy
-flavors' walk on the edited text's string (``sensitivity._greedy_walk``)
-makes its phrases with ``_greedy``'s rule and shape (``_phrase``).
+given trie and logs its insertions for taking out again, and
+``_greedy_walk`` takes a start position and a stop rule.
 
-The greedy parsers, and the match tables of the exact searches, walk the
-one suffix automaton of the text that ``core._suffix_automaton`` owns: it
-is built once for every loop that reads the same text, and no loop mutates
-it.  Following the rest of the text from the root, each
-state's first end index tells whether the prefix read so far has an
-admissible earlier occurrence and where the leftmost one starts, and its
-end-position bitmask (``core._state_ends``) lists every occurrence.  The
-verifier compares symbol slices.  Correctness is pinned to naive reference
-parsers by the test suite.
+The greedy LZSS/LZ77 parses, of a text and of an edited text alike, walk
+the text's string, one character per symbol (``core._as_strs``), with
+``str.find``.  ``_lz_end`` and the match tables of the exact searches walk
+the one suffix automaton of the text that ``core._suffix_automaton`` owns
+(an LZ-End copy's admissibility is not monotone in its length, so its
+longest copy cannot be found by galloping ``find`` calls): it is built once
+for every loop that reads the same text, and no loop mutates it.
+Following the rest of the text from the root, each state's first end index
+tells whether the prefix read so far has an admissible earlier occurrence
+and where the leftmost one starts, and its end-position bitmask
+(``core._state_ends``) lists every occurrence.  The verifier compares
+symbol slices.  Correctness is pinned to naive reference parsers by the
+test suite.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from functools import partial
 from itertools import starmap
 
 from . import config
-from .core import InputError, SymbolString, _state_ends, _suffix_automaton
+from .core import InputError, SymbolString, _as_strs, _state_ends, _suffix_automaton
 
 
 @dataclass(frozen=True)
@@ -75,59 +78,70 @@ def _require_nonempty(T: SymbolString) -> None:
 
 
 def _greedy(T: SymbolString, overlap: bool, take_next: bool) -> list[tuple]:
-    """The one LZSS/LZ77 loop: greedy longest-match parsing of ``T`` into
-    ``(start, length, kind, source)`` tuples (1-based starts in T).  With
-    ``take_next`` a match also takes the following symbol, unless the text
-    ends inside the match (``_phrase``).
+    """The full parse of a greedy LZSS/LZ77 flavor: ``_greedy_walk`` on T's
+    string (``core._as_strs``) from 0, with no stop."""
+    return _greedy_walk(_as_strs(T.symbols)[0], 0, overlap, take_next, {}, -1)[0]
 
-    From 0-based position i the walk reads T[i..j] from the root while the
-    prefix's leftmost occurrence starts before i (``overlap``) or ends before
-    i.  With ``firstpos`` the 1-based end of that occurrence, the tests read
-    ``firstpos <= j`` and ``firstpos <= i``.  Both are monotone in j, and the
-    leftmost occurrence is the copy's source.  So a phrase is decided by
-    T[:j+1], where j is the index its walk stops at (``_walk_end``; n when
-    the text runs out), and a parse from the start of any phrase yields the
-    rest of the phrases.  The loop reads T's shared automaton
-    (``core._suffix_automaton``) and does not mutate it; the resumed sweeps
-    parse edited texts with the same rule on their strings
-    (``sensitivity._greedy_walk``).
+
+def _greedy_walk(
+    U: str, i: int, overlap: bool, take_next: bool, joins: dict, barrier: int
+) -> tuple[list[tuple], int]:
+    """The one LZSS/LZ77 loop: greedy longest-match parsing of the text whose
+    string is ``U`` into ``(start, length, kind, source)`` tuples (1-based
+    starts), from the phrase start i up to the first phrase start s with
+    ``joins.get(s, -1) > barrier``; it returns them and s (``len(U)`` when
+    the walk runs to the end).  ``_greedy`` passes no joins; the resumed
+    sweeps stop where an edited text re-joins T's parse
+    (``sensitivity._greedy_family``).
+
+    A phrase at i copies the longest ``U[i:i+L]`` that occurs in
+    ``U[:i-1+L]`` (``overlap``: it starts before i) or in ``U[:i]`` (it ends
+    before i), from its leftmost occurrence, and is a literal when L = 0.
+    With ``take_next`` a copy also takes the following symbol, unless the
+    text ends inside the match.  Both tests are monotone in L, and the
+    leftmost hit is the copy's source.  So a phrase is decided by
+    ``U[:j+1]``, where j is the index its walk stops at (``_walk_end``; n
+    when the text runs out), and a parse from the start of any phrase
+    yields the rest of the phrases: the resumed sweeps rely on this.
+
+    A word's leftmost occurrence never lies left of its prefix's, so each
+    ``find`` goes on from the last hit.  L grows by one symbol up to 32,
+    then by doubling steps, halved from the first miss on.  Each phrase's
+    last, failing ``find`` scans the text before it, so a parse of z
+    phrases takes O(n·z) character steps.
     """
-    syms = T.symbols
-    n = len(syms)
-    trans, firstpos = _suffix_automaton(T)[3:]
+    n = len(U)
     phrases = []
-    i = 0
-    while i < n:
-        v = 0
-        j = i
-        while j < n:
-            w = trans[v][syms[j]]
-            if firstpos[w] > (j if overlap else i):
-                break
-            v = w
-            j += 1
-        phrase = _phrase(i, j - i, firstpos[v] - (j - i) + 1, take_next, n)
+    while i < n and joins.get(i, -1) <= barrier:
+        hit = length = 0
+        step, halving = 1, False
+        while step:
+            m = length + step
+            h = U.find(U[i : i + m], hit, i - 1 + m if overlap else i) if m <= n - i else -1
+            if h >= 0:
+                hit, length = h, m
+            else:
+                halving = True
+            if halving:
+                step //= 2
+            elif length >= 32:
+                step *= 2
+        if length == 0:
+            phrase = (i + 1, 1, "literal", None)
+        elif take_next and i + length < n:
+            phrase = (i + 1, length + 1, "copylit", hit + 1)
+        else:
+            phrase = (i + 1, length, "copy", hit + 1)
         phrases.append(phrase)
         i += phrase[1]
-    return phrases
-
-
-def _phrase(i: int, length: int, source: int, take_next: bool, n: int) -> tuple:
-    """The phrase of a greedy walk from 0-based i, in a text of n symbols,
-    that found ``length`` symbols to copy from 1-based ``source``: the one
-    place the literal, copy and copylit shapes are made."""
-    if length == 0:
-        return (i + 1, 1, "literal", None)
-    if take_next and i + length < n:
-        return (i + 1, length + 1, "copylit", source)
-    return (i + 1, length, "copy", source)
+    return phrases, i
 
 
 def _walk_end(phrase: tuple) -> int:
     """The 0-based index at which the walk for this phrase tuple stopped, in
-    both loops ``sensitivity._resumed`` resumes, ``_greedy`` and ``_lz78``:
-    a literal's own index, a copylit's last symbol, and the index after a
-    copy (the text's length when it ran out)."""
+    both loops ``sensitivity._resumed`` resumes, ``_greedy_walk`` and
+    ``_lz78``: a literal's own index, a copylit's last symbol, and the index
+    after a copy (the text's length when it ran out)."""
     start, length, kind, _ = phrase
     if kind == "literal":
         return start - 1

@@ -19,13 +19,13 @@ each walks only the phrase holding the edit, and the parse of the text after
 that phrase on the trie of the kept phrases, the same for every symbol at
 the position, is made once per phrase end and taken as it is unless it
 creates the symbol's new word (``_lz78_family``).  In the greedy flavors
-each parse, the placeholder's too, walks the edited text's string
-(``_greedy_walk``) and stops at the first phrase start of the unedited parse,
-moved by the edit, after which no phrase can change: none is fragile (every
-earlier occurrence of its copy covers the edit) and none has its window
-occur over the edit with the edit's symbol.  The unedited parse's phrases
-left are then the rest of the size (``_greedy_family``).  Deletions are
-resumed only.
+each parse, the placeholder's too, runs the full parses' one loop
+(``factorizers._greedy_walk``) on the edited text's string and stops at
+the first phrase start of the unedited parse, moved by the edit, after
+which no phrase can change: none is fragile (every earlier occurrence of
+its copy covers the edit) and none has its window occur over the edit with
+the edit's symbol.  The unedited parse's phrases left are then the rest of
+the size (``_greedy_family``).  Deletions are resumed only.
 Every other measure, and every measure given as a callable, goes through one
 loop, ``_first_max``, which parses edited texts in full; a callable is
 measured on every edited text and stays the referee.  By name, the exact
@@ -72,8 +72,8 @@ from .core import (
 from .factorizers import (
     FACTORIZERS,
     _greedy,
+    _greedy_walk,
     _lz78,
-    _phrase,
     _walk_end,
     lz78,  # noqa: F401  (a module attribute the bench self-test looks up)
     lz_end_optimal,
@@ -369,12 +369,12 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     """A ``_greedy`` flavor for ``_resumed``.  A phrase is decided by the
     text up to the index its walk stops at (``factorizers._walk_end``), so
     every phrase of ``T`` that stops before d is a phrase of the edited text
-    too, and the family keeps no state that grows with d.  An edited text U
-    is parsed from ``resume`` by ``_greedy_walk`` on its string, sliced from
-    T's string S (``core._as_strs``) around d; one character absent from S
-    stands for the placeholder -1 and for any symbol new to T, which occur
-    in U only at d.  The danger sets read T's shared automaton, which no
-    code mutates (``_greedy_danger``).
+    too, and the family keeps no state that grows with d.  T is parsed by
+    ``_greedy_walk`` on its string S (``core._as_strs``), and an edited text
+    U from ``resume`` on its string, sliced from S around d; one character
+    absent from S stands for the placeholder -1 and for any symbol new to
+    T, which occur in U only at d.  The danger sets read T's shared
+    automaton, which no code mutates (``_greedy_danger``).
 
     The parse stops where it re-joins the parse of T.  The edit keeps T[:d]
     in place and moves T[r:] by s: a substitution has r = d + 1 and s = 0,
@@ -426,11 +426,10 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     placeholder parse's phrases from there on have T's windows, so its
     danger set is ``_greedy_danger``'s over the phrases it made plus the
     symbols of ``blocks`` from that phrase on."""
-    T = SymbolString._trusted(syms)
-    phrases = _greedy(T, overlap, take_next)
-    sa = _suffix_automaton(T)  # read only, by the danger sets
-    n = len(syms)
     S, fresh = _as_strs(syms, (-1,))
+    phrases = _greedy_walk(S, 0, overlap, take_next, {}, -1)[0]
+    sa = _suffix_automaton(SymbolString._trusted(syms))  # read only, by the danger sets
+    n = len(syms)
     chars = dict(zip(syms, S))
     chars[None] = ""  # a deletion writes nothing
     starts, fragile, windows = [], [], []
@@ -447,19 +446,17 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
         starts.append(a)
         j = _window_end(phrase, take_next)
         windows.append(syms[a:j] if j <= n else None)
-    joins: list = []  # index of U -> the phrase of T moved there, else -1
+    moved: dict = {}  # s -> {index of U: the phrase of T moved there}
     at = None  # the (d, s) of barrier and blocks
     barrier = joined = 0  # joined: the phrase of T the last parse re-joined at
     blocks: dict = {}  # symbol -> the last phrase after barrier its window blocks
 
     def parse(text: tuple, d: int, resume: int) -> list[tuple]:
-        nonlocal joins, at, barrier, joined, blocks
+        nonlocal at, barrier, joined, blocks
         shift = len(text) - n
-        if len(joins) != len(text):
-            joins = [-1] * len(text)
-            for m, a in enumerate(starts):
-                if 0 <= a + shift < len(text):
-                    joins[a + shift] = m
+        joins = moved.get(shift)
+        if joins is None:
+            joins = moved[shift] = {a + shift: m for m, a in enumerate(starts)}
         if at != (d, shift):
             at = d, shift
             blocks = {}
@@ -477,7 +474,7 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
         made, stop = _greedy_walk(
             U, resume, overlap, take_next, joins, max(barrier, blocks.get(c, -1))
         )
-        joined = joins[stop] if stop < len(text) else len(phrases)
+        joined = joins.get(stop, len(phrases))
         return made + phrases[joined:]
 
     def danger(text: tuple, d: int, resume: int, tail: list[tuple]) -> set:
@@ -491,40 +488,6 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
         return danger
 
     return phrases, parse, danger
-
-
-def _greedy_walk(
-    U: str, i: int, overlap: bool, take_next: bool, joins: list, barrier: int
-) -> tuple[list[tuple], int]:
-    """``_greedy``'s phrases of the text whose string is ``U``, from the
-    phrase start i up to the first phrase start s with ``joins[s] >
-    barrier`` (``_greedy_family``'s stop rule), and s (``len(U)`` when the
-    walk runs to the end).  A phrase at i copies the longest ``U[i:i+L]``
-    that occurs in ``U[:i-1+L]`` (``overlap``: it starts before i) or in
-    ``U[:i]``, from its leftmost occurrence.  A word's leftmost occurrence
-    never lies left of its prefix's, so each ``find`` goes on from the last
-    hit.  L grows by one symbol up to 32, then by doubling steps, halved
-    from the first miss on."""
-    n = len(U)
-    phrases = []
-    while i < n and joins[i] <= barrier:
-        hit = length = 0
-        step, halving = 1, False
-        while step:
-            m = length + step
-            h = U.find(U[i : i + m], hit, i - 1 + m if overlap else i) if m <= n - i else -1
-            if h >= 0:
-                hit, length = h, m
-            else:
-                halving = True
-            if halving:
-                step //= 2
-            elif length >= 32:
-                step *= 2
-        phrase = _phrase(i, length, hit + 1, take_next, n)
-        phrases.append(phrase)
-        i += phrase[1]
-    return phrases, i
 
 
 def _window_end(phrase: tuple, take_next: bool) -> int:

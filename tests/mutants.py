@@ -79,6 +79,50 @@ MUTANTS = (
             "tests/test_factorizers.py::test_lzend_optimal_matches_plain_backtracking",
         ),
     ),
+    # the one greedy LZSS/LZ77 loop, on a text's string
+    Mutant(
+        "greedy-walk-overlap-bound-one-long",
+        "factorizers.py",
+        "i - 1 + m if overlap else i)",
+        "i + m if overlap else i)",
+        (
+            "tests/test_factorizers.py::test_parsers_match_naive_references",
+            "tests/test_factorizers.py::test_long_parses_pinned",
+            "tests/test_factorizers.py::test_greedy_parses_match_naive_references_on_long_phrases",
+        ),
+    ),
+    Mutant(
+        "greedy-walk-nonoverlap-bound-one-long",
+        "factorizers.py",
+        "i - 1 + m if overlap else i)",
+        "i - 1 + m if overlap else i + 1)",
+        (
+            "tests/test_factorizers.py::test_parsers_match_naive_references",
+            "tests/test_factorizers.py::test_long_parses_pinned",
+            "tests/test_factorizers.py::test_greedy_parses_match_naive_references_on_long_phrases",
+        ),
+    ),
+    Mutant(
+        "greedy-walk-search-past-the-hit",
+        "factorizers.py",
+        "U.find(U[i : i + m], hit,",
+        "U.find(U[i : i + m], hit + 1,",
+        (
+            "tests/test_factorizers.py::test_parsers_match_naive_references",
+            "tests/test_factorizers.py::test_long_parses_pinned",
+            "tests/test_factorizers.py::test_greedy_parses_match_naive_references_on_long_phrases",
+        ),
+    ),
+    Mutant(
+        "greedy-walk-halving-one-short",
+        "factorizers.py",
+        "                step //= 2\n",
+        "                step = (step - 1) // 2\n",
+        (
+            "tests/test_factorizers.py::test_greedy_parses_match_naive_references_on_long_phrases",
+            "tests/test_factorizers.py::test_long_parses_pinned",
+        ),
+    ),
     # the exhaustive sweeps
     Mutant(
         "first-max-skips-one-above-bar",
@@ -254,51 +298,13 @@ MUTANTS = (
     Mutant(
         "greedy-rejoin-one-phrase-early",
         "sensitivity.py",
-        "while i < n and joins[i] <= barrier:",
-        "while i < n and joins[i] < barrier:",
+        "joins, max(barrier, blocks.get(c, -1))\n",
+        "joins, max(barrier, blocks.get(c, -1)) - 1\n",
         (
             "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
             "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
             "tests/test_sensitivity.py::test_lz_witness_sub_sweep_is_pinned",
         ),
-    ),
-    # the walk on the edited text's string
-    Mutant(
-        "greedy-walk-overlap-bound-one-long",
-        "sensitivity.py",
-        "i - 1 + m if overlap else i)",
-        "i + m if overlap else i)",
-        (
-            "tests/test_sensitivity.py::test_greedy_walk_matches_full_parses_on_long_phrases",
-            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lzss_overlap]",
-        ),
-    ),
-    Mutant(
-        "greedy-walk-nonoverlap-bound-one-long",
-        "sensitivity.py",
-        "i - 1 + m if overlap else i)",
-        "i - 1 + m if overlap else i + 1)",
-        (
-            "tests/test_sensitivity.py::test_greedy_walk_matches_full_parses_on_long_phrases",
-            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lzss_nonoverlap]",
-        ),
-    ),
-    Mutant(
-        "greedy-walk-search-past-the-hit",
-        "sensitivity.py",
-        "U.find(U[i : i + m], hit,",
-        "U.find(U[i : i + m], hit + 1,",
-        (
-            "tests/test_sensitivity.py::test_greedy_walk_matches_full_parses_on_long_phrases",
-            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses",
-        ),
-    ),
-    Mutant(
-        "greedy-walk-halving-one-short",
-        "sensitivity.py",
-        "                step //= 2\n",
-        "                step = (step - 1) // 2\n",
-        ("tests/test_sensitivity.py::test_greedy_walk_matches_full_parses_on_long_phrases",),
     ),
     Mutant(
         "greedy-danger-filter-one-late",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import naive_oracles as nv
 from repsens import (
+    CapabilityError,
     Edit,
     InputError,
     SymbolString,
@@ -28,7 +29,7 @@ from repsens import (
     smallest_bms,
 )
 import repsens.core
-from repsens.core import EDIT_KINDS, _sa_new, _suffix_automaton
+from repsens.core import EDIT_KINDS, _as_strs, _sa_new, _suffix_automaton
 from repsens.factorizers import FACTORIZERS
 from repsens.measures import as_bms
 
@@ -330,3 +331,12 @@ def test_automaton_cache_drops_the_old_entry_before_a_build(monkeypatch):
         tracemalloc.stop()
     assert peak < 1.5 * one, (peak, one)
     assert sa == _sa_new(B.symbols)
+
+
+def test_as_strs_takes_one_character_per_distinct_symbol():
+    # symbols without a code point are renamed by first occurrence, the same
+    # in every string; past 0x110000 distinct symbols no renaming exists
+    assert _as_strs((7, 2**40, 7), (-1, 2**40)) == ["\x00\x01\x00", "\x02\x01"]
+    assert _as_strs((97, 0x10FFFF)) == ["a\U0010ffff"]
+    with pytest.raises(CapabilityError, match="1,114,112"):
+        _as_strs(range(-1, 0x110000))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from repsens import (
     parse_factorization,
     verify_factorization,
 )
+import repsens.core
 from repsens.factorizers import FACTORIZERS, _match_states
 from repsens.measures import _other_starts
 
@@ -134,6 +136,69 @@ def test_parsers_match_naive_references():
         assert phrases0(lz77_nonoverlapping(T)) == nv.naive_lz77_phrases(syms, False)
         assert phrases0(lz_end_greedy(T)) == nv.naive_lzend_phrases(syms)
         assert lengths(lz78(T)) == nv.naive_lz78_lengths(syms)
+
+
+def long_phrase_texts():
+    """Texts of 100 to 300 symbols whose phrases run past the greedy walk's
+    32 symbols of one-symbol steps: a^(n-1)b, (ab)^k, (abc)^k and Fibonacci
+    and Thue-Morse prefixes."""
+    fib_a, fib_b = (0,), (0, 1)
+    while len(fib_b) < 233:
+        fib_a, fib_b = fib_b, fib_b + fib_a
+    return [
+        (0,) * 149 + (1,),
+        (0, 1) * 100,
+        (0, 1, 2) * 40,
+        fib_b[:233],
+        tuple(bin(i).count("1") & 1 for i in range(256)),
+    ]
+
+
+def test_greedy_parses_match_naive_references_on_long_phrases():
+    # copies long enough for the walk's doubling steps and its halving back
+    # to the copy's length, sources included
+    longest = 0
+    for syms in long_phrase_texts():
+        T = SymbolString(syms)
+        for overlap, lzss, lz77 in (
+            (True, lzss_overlapping, lz77_overlapping),
+            (False, lzss_nonoverlapping, lz77_nonoverlapping),
+        ):
+            assert phrases0(lzss(T)) == nv.naive_lzss_phrases(syms, overlap), (syms, overlap)
+            assert phrases0(lz77(T)) == nv.naive_lz77_phrases(syms, overlap), (syms, overlap)
+            longest = max(longest, *lengths(lzss(T)))
+    assert longest > 64, longest
+
+
+def test_greedy_factorizers_build_no_automaton(monkeypatch):
+    # the four greedy flavors parse T's string: no suffix automaton is built,
+    # and a long repetitive text costs little more than its string
+    builds = []
+
+    def counted(symbols):
+        builds.append(symbols)
+        return new(symbols)
+
+    new = repsens.core._sa_new
+    monkeypatch.setattr(repsens.core, "_sa_new", counted)
+    monkeypatch.setattr(repsens.core, "_cache", (None, None))
+    fib_a, fib_b = [0], [0, 1]
+    while len(fib_b) < 2**17:
+        fib_a, fib_b = fib_b, fib_b + fib_a
+    T = SymbolString(fib_b[: 2**17])
+    del fib_a, fib_b
+    greedy = [lzss_overlapping, lzss_nonoverlapping, lz77_overlapping, lz77_nonoverlapping]
+    for U in [T, t("abaababaab"), SymbolString([5, 2**40, 5, 2**40, 7])]:
+        for fn in greedy:
+            fn(U)
+    assert builds == []
+    tracemalloc.start()
+    try:
+        lzss_overlapping(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
 
 
 def test_match_tables_match_naive_exhaustive():

@@ -269,7 +269,8 @@ def test_smallest_bms_capability():
 @pytest.mark.parametrize("search", [lz_end_optimal, smallest_bms])
 def test_exact_search_builds_one_automaton(monkeypatch, search):
     # builds are counted where they happen, at the cache misses in core; the
-    # search builds T's automaton, and every other reader of T reuses it
+    # search builds T's automaton, and every other reader of T reuses it or,
+    # as the greedy LZSS/LZ77 parses do, reads T's string instead
     builds = []
 
     def counted(symbols):

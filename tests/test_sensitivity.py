@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_oracles as nv
+from test_factorizers import long_phrase_texts
 from repsens import (
     CapabilityError,
     Edit,
@@ -812,7 +813,7 @@ def test_greedy_family_setup_holds_no_quadratic_memory():
     # on T's automaton (core._state_ends) held n^2 bits, 44 MB at this length
     rng = random.Random(137)
     syms = tuple(rng.randrange(2) for _ in range(16_000))
-    _suffix_automaton(SymbolString._trusted(syms))  # the shared one, which the parse reads
+    _suffix_automaton(SymbolString._trusted(syms))  # the shared one, read by the danger sets
     tracemalloc.start()
     try:
         sv._greedy_family(syms, overlap=True, take_next=False)
@@ -936,7 +937,8 @@ class StopOracle:
 
 def spy_stops(monkeypatch, flavor, calls):
     """Record in ``calls`` every parse of the flavor's resumed sweeps as
-    ``[text, d, resume, barrier, phrases made]``."""
+    ``[text, d, resume, barrier, phrases made]``; the walk that parses T
+    itself, with no joins, is not one of them."""
     family = RESUMED_SWEEPS[flavor].args[0]
     real = sv._greedy_walk
 
@@ -951,7 +953,8 @@ def spy_stops(monkeypatch, flavor, calls):
 
     def spied_walk(U, start, overlap, take_next, joins, barrier):
         made, stop = real(U, start, overlap, take_next, joins, barrier)
-        calls[-1] += [barrier, made]
+        if joins:
+            calls[-1] += [barrier, made]
         return made, stop
 
     monkeypatch.setitem(RESUMED_SWEEPS, flavor, partial(sv._resumed, spied_family))
@@ -991,8 +994,8 @@ def check_stops(oracle, calls, paths):
 
 
 def greedy_full_sizes(syms, kind, sigma):
-    """``full_sizes`` of the four greedy flavors, flavor -> pairs: one
-    automaton per edited text serves the four full parses."""
+    """``full_sizes`` of the four greedy flavors, flavor -> pairs: each
+    edited text is made once for its four full parses."""
     want = {flavor: [] for flavor in GREEDY}
     for fields in _edit_fields(syms, sigma, (kind,)):
         U = SymbolString._trusted(_edited(syms, *fields))
@@ -1040,31 +1043,18 @@ def test_greedy_resume_matches_full_parses_on_longer_texts():
                 assert resumed_sizes(T, kind, sigma, flavor) == want[flavor], (syms, kind, flavor)
 
 
-def long_phrase_texts():
-    """Texts of 100 to 300 symbols whose phrases run past the walk's 32
-    symbols of one-symbol steps: a^(n-1)b, (ab)^k, (abc)^k and Fibonacci and
-    Thue-Morse prefixes."""
-    fib_a, fib_b = (0,), (0, 1)
-    while len(fib_b) < 233:
-        fib_a, fib_b = fib_b, fib_b + fib_a
-    return [
-        (0,) * 149 + (1,),
-        (0, 1) * 100,
-        (0, 1, 2) * 40,
-        fib_b[:233],
-        tuple(bin(i).count("1") & 1 for i in range(256)),
-    ]
-
-
 def test_greedy_walk_matches_full_parses_on_long_phrases(monkeypatch):
     # every edit, a fresh symbol's too, against full parses, where a walk's
-    # copies grow by doubling steps and are halved back to their length
+    # copies grow by doubling steps and are halved back to their length; the
+    # full parses run the same walk, which the naive parsers referee
+    # (test_factorizers.test_greedy_parses_match_naive_references_on_long_phrases)
     real = sv._greedy_walk
     longest = []
 
-    def spied(*args):
-        made, stop = real(*args)
-        longest.append(max((length for _, length, _, _ in made), default=0))
+    def spied(U, start, overlap, take_next, joins, barrier):
+        made, stop = real(U, start, overlap, take_next, joins, barrier)
+        if joins:  # an edited text's walk, not T's own parse
+            longest.append(max((length for _, length, _, _ in made), default=0))
         return made, stop
 
     monkeypatch.setattr(sv, "_greedy_walk", spied)
@@ -1170,7 +1160,8 @@ def test_lz_witness_sub_sweep_is_pinned_past_p6(p):
     assert (rec.c_T, rec.AS) == (2 * p * p + 2 * p + 1, p * p + 1)
 
 
-# symbols the walks cover (stop - resume per parse, sensitivity._greedy_walk)
+# symbols the walks of the edited texts cover (stop - resume per parse,
+# factorizers._greedy_walk)
 # in the sub sweeps of lz_witness(p); running every walk to the text's end
 # covers 4,915, 22,748 and 1,348,472 (lzss_overlap), 11,018, 47,434 and
 # 2,235,422 (lz77_overlap) for p = 3, 4 and 8
@@ -1193,7 +1184,8 @@ def test_greedy_walks_stop_at_the_rejoin(monkeypatch, measure, p):
 
     def counted(U, start, overlap, take_next, joins, barrier):
         made, stop = real(U, start, overlap, take_next, joins, barrier)
-        covered.append(stop - start)
+        if joins:  # an edited text's walk, not T's own parse
+            covered.append(stop - start)
         return made, stop
 
     monkeypatch.setattr(sv, "_greedy_walk", counted)
