@@ -41,6 +41,14 @@ def lengths(F):
     return [p.length for p in F.phrases]
 
 
+def fibonacci(n):
+    """The first n symbols of the Fibonacci word over {0, 1}, as a tuple."""
+    a, b = (0,), (0, 1)
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
 def phrases0(F):
     """(length, 0-based source) per phrase, None for a literal."""
     return [(p.length, None if p.source is None else p.source - 1) for p in F.phrases]
@@ -142,14 +150,11 @@ def long_phrase_texts():
     """Texts of 100 to 300 symbols whose phrases run past the greedy walk's
     32 symbols of one-symbol steps: a^(n-1)b, (ab)^k, (abc)^k and Fibonacci
     and Thue-Morse prefixes."""
-    fib_a, fib_b = (0,), (0, 1)
-    while len(fib_b) < 233:
-        fib_a, fib_b = fib_b, fib_b + fib_a
     return [
         (0,) * 149 + (1,),
         (0, 1) * 100,
         (0, 1, 2) * 40,
-        fib_b[:233],
+        fibonacci(233),
         tuple(bin(i).count("1") & 1 for i in range(256)),
     ]
 
@@ -182,11 +187,7 @@ def test_greedy_factorizers_build_no_automaton(monkeypatch):
     new = repsens.core._sa_new
     monkeypatch.setattr(repsens.core, "_sa_new", counted)
     monkeypatch.setattr(repsens.core, "_cache", (None, None))
-    fib_a, fib_b = [0], [0, 1]
-    while len(fib_b) < 2**17:
-        fib_a, fib_b = fib_b, fib_b + fib_a
-    T = SymbolString(fib_b[: 2**17])
-    del fib_a, fib_b
+    T = SymbolString(fibonacci(2**17))
     greedy = [lzss_overlapping, lzss_nonoverlapping, lz77_overlapping, lz77_nonoverlapping]
     for U in [T, t("abaababaab"), SymbolString([5, 2**40, 5, 2**40, 7])]:
         for fn in greedy:
@@ -323,10 +324,7 @@ def test_parse_factorization_rejects_garbage():
 def _long_texts():
     """Fibonacci and Thue-Morse prefixes (n=8192), the lz witness bases for
     p<=12 and two seeded random texts (sigma 2 and 4, n=4096)."""
-    fib_a, fib_b = [0], [0, 1]
-    while len(fib_b) < 8192:
-        fib_a, fib_b = fib_b, fib_b + fib_a
-    yield SymbolString(fib_b[:8192])
+    yield SymbolString(fibonacci(8192))
     yield SymbolString(bin(i).count("1") & 1 for i in range(8192))
     for p in range(2, 13):
         yield lz_witness(p).base
