@@ -16,8 +16,10 @@ distinct symbols, one per code point) and are searched by ``str.find``,
 ``repair.attractor_repair`` search them, and ``sensitivity._greedy_family``
 also asks T's string for the last occurrence of a phrase before a bound,
 which the automaton answers only with the n²-bit end sets of
-``_state_ends``.  All public position arguments are 1-based and slices are
-inclusive.
+``_state_ends``.  The greedy parses and ``_greedy_family`` look for words
+longer than a few symbols in a string's packed view
+(``factorizers._packed``) when its characters are all below 16.  All
+public position arguments are 1-based and slices are inclusive.
 
 An edit is applied in one place, ``_edited``, on a tuple of symbols, also
 the sweeps' placeholder edit by -1.  The sweeps stream ``(kind, position,

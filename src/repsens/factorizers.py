@@ -27,8 +27,11 @@ given trie and logs its insertions for taking out again, and
 
 The greedy LZSS/LZ77 parses, of a text and of an edited text alike, walk
 the text's string, one character per symbol (``core._as_strs``), with
-``str.find``.  ``_lz_end`` and the match tables of the exact searches walk
-the one suffix automaton of the text that ``core._suffix_automaton`` owns
+``str.find``; on an alphabet below 16 they search the words longer than a
+few symbols in a packed view of it, one character per q-gram
+(``_packed``), which gives the same leftmost starts in fewer steps.
+``_lz_end`` and the match tables of the exact searches walk the one
+suffix automaton of the text that ``core._suffix_automaton`` owns
 (an LZ-End copy's admissibility is not monotone in its length, so its
 longest copy cannot be found by galloping ``find`` calls): it is built once
 for every loop that reads the same text, and no loop mutates it.
@@ -83,6 +86,48 @@ def _greedy(T: SymbolString, overlap: bool, take_next: bool) -> list[tuple]:
     return _greedy_walk(_as_strs(T.symbols)[0], 0, overlap, take_next, {}, -1)[0]
 
 
+# the shortest string ``_packed`` packs: on random text of 2 to 16 letters
+# the walk breaks even near 128 symbols, and a repetitive text, whose
+# searches hit close to where they start, gains little at any length
+_PACK_FLOOR = 128
+
+# byte -> its bit width, 1 for byte 0 and 5 for every byte from 16 up: the
+# widest one present is found by ``in`` on the translated bytes, at C speed
+_WIDTHS = bytes(min(max(v.bit_length(), 1), 5) for v in range(256))
+
+
+def _packed(U: str) -> tuple[str, int]:
+    """``(V, k)``: the packed view V of the walk's string U, whose character
+    j holds the q-gram ``U[j:j+q]``, and k = q - 1; ``(U, len(U))`` when U
+    is shorter than ``_PACK_FLOOR`` or has a character of 16 or more.
+
+    Each character of U takes b bits, the width of the largest, and a
+    character of V holds q = 8 // b of them (8, 4, 2 or 2 for b = 1..4),
+    most significant first, so it lies below 2^(b·q) <= 256 and is a
+    latin-1 character.  Two q-grams are equal exactly when their characters
+    are.  V is built at C speed on one integer whose byte j is cell j: each
+    step shifts every cell up by b·s bits and adds the integer moved s
+    bytes down, which turns cells of s symbols into cells of 2s.  No cell
+    carries into the next, and the last k cells, which the text cuts short,
+    are dropped.  It takes O(n) time and bytes.
+    """
+    n = len(U)
+    if n < _PACK_FLOOR or not U.isascii():
+        return U, n
+    B = U.encode("ascii")
+    widths = B.translate(_WIDTHS)
+    b = next((w for w in (5, 4, 3, 2) if w in widths), 1)
+    if b == 5:
+        return U, n
+    q = 8 // b
+    x = int.from_bytes(B, "little")
+    s = 1
+    while s < q:
+        x = (x << b * s) + (x >> 8 * s)
+        s *= 2
+    return x.to_bytes(n, "little")[: n - q + 1].decode("latin-1"), q - 1
+
+
 def _greedy_walk(
     U: str, i: int, overlap: bool, take_next: bool, joins: dict, barrier: int
 ) -> tuple[list[tuple], int]:
@@ -106,18 +151,34 @@ def _greedy_walk(
 
     A word's leftmost occurrence never lies left of its prefix's, so each
     ``find`` goes on from the last hit.  L grows by one symbol up to 32,
-    then by doubling steps, halved from the first miss on.  Each phrase's
-    last, failing ``find`` scans the text before it, so a parse of z
-    phrases takes O(n·z) character steps.
+    then by doubling steps, halved from the first miss on.  A word of m > k
+    symbols is searched in U's packed view V (``_packed``; k = len(U) when
+    U is not packed): characters j..j+m-q of V equal characters i..i+m-q
+    exactly when ``U[j:j+m] == U[i:i+m]``, and ``j + m <= end`` exactly
+    when ``j + m - k <= end - k``, so ``V.find(V[i:i+m-k], hit, end - k)``
+    returns the leftmost start that ``U.find`` would.  Each phrase's last,
+    failing ``find`` still scans the text before it, so a parse of z
+    phrases takes O(n·z) character steps; but on V, whose characters take
+    up to 256 values, ``find`` skips ahead where on a binary U it moves
+    one character at a time.
     """
     n = len(U)
+    V, k = _packed(U) if n >= _PACK_FLOOR else (U, n)  # spares short texts the call
     phrases = []
-    while i < n and joins.get(i, -1) <= barrier:
+    while i < n and (i not in joins or joins[i] <= barrier):
         hit = length = 0
         step, halving = 1, False
+        room = n - i
+        short = room if room < k else k
         while step:
             m = length + step
-            h = U.find(U[i : i + m], hit, i - 1 + m if overlap else i) if m <= n - i else -1
+            end = i - 1 + m if overlap else i
+            if m <= short:
+                h = U.find(U[i : i + m], hit, end)
+            elif m <= room:
+                h = V.find(V[i : i + m - k], hit, end - k)
+            else:
+                h = -1
             if h >= 0:
                 hit, length = h, m
             else:
@@ -127,13 +188,14 @@ def _greedy_walk(
             elif length >= 32:
                 step *= 2
         if length == 0:
-            phrase = (i + 1, 1, "literal", None)
-        elif take_next and i + length < n:
-            phrase = (i + 1, length + 1, "copylit", hit + 1)
+            phrases.append((i + 1, 1, "literal", None))
+            i += 1
+        elif take_next and length < room:
+            phrases.append((i + 1, length + 1, "copylit", hit + 1))
+            i += length + 1
         else:
-            phrase = (i + 1, length, "copy", hit + 1)
-        phrases.append(phrase)
-        i += phrase[1]
+            phrases.append((i + 1, length, "copy", hit + 1))
+            i += length
     return phrases, i
 
 

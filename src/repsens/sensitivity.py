@@ -74,6 +74,7 @@ from .factorizers import (
     _greedy,
     _greedy_walk,
     _lz78,
+    _packed,
     _walk_end,
     lz78,  # noqa: F401  (a module attribute the bench self-test looks up)
     lz_end_optimal,
@@ -392,8 +393,9 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     * it is fragile: every admissible occurrence of W in T covers the edit,
       so the walk in U may stop inside W.  Those occurrences all hold the
       interval [lo, hi] of ``fragile`` (lo the start of the last one,
-      found by ``rfind`` on T as a string, ``core._as_strs``; hi the end of
-      the first, the phrase's source), so the phrase is fragile at d iff
+      found by ``rfind`` on T as a string, ``core._as_strs``, or on its
+      packed view, ``factorizers._packed``; hi the end of the first, the
+      phrase's source), so the phrase is fragile at d iff
       lo <= d <= hi, or lo + 1 <= d <= hi for an insertion.  A literal
       copies nothing and is never fragile.
     * or its window occurs in U covering d, so the walk in U may read past
@@ -432,6 +434,7 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
     n = len(syms)
     chars = dict(zip(syms, S))
     chars[None] = ""  # a deletion writes nothing
+    Sp, kp = _packed(S)  # S's packed view and its k
     starts, fragile, windows = [], [], []
     for phrase in phrases:
         a = phrase[0] - 1
@@ -439,8 +442,13 @@ def _greedy_family(syms: tuple, overlap: bool, take_next: bool) -> tuple:
         lo, hi = n, -1  # a literal copies nothing
         if copied:
             # the last occurrence that starts (overlap) or ends (no overlap)
-            # before a, and the first, the phrase's source
-            lo = S.rfind(S[a : a + copied], 0, a + copied - 1 if overlap else a)
+            # before a, and the first, the phrase's source; a copy longer
+            # than k is looked for in S's packed view, as the walk does
+            end = a + copied - 1 if overlap else a
+            if copied > kp:
+                lo = Sp.rfind(Sp[a : a + copied - kp], 0, end - kp)
+            else:
+                lo = S.rfind(S[a : a + copied], 0, end)
             hi = phrase[3] + copied - 2
         fragile.append((lo, hi))
         starts.append(a)

@@ -83,23 +83,25 @@ MUTANTS = (
     Mutant(
         "greedy-walk-overlap-bound-one-long",
         "factorizers.py",
-        "i - 1 + m if overlap else i)",
-        "i + m if overlap else i)",
+        "end = i - 1 + m if overlap else i\n",
+        "end = i + m if overlap else i\n",
         (
             "tests/test_factorizers.py::test_parsers_match_naive_references",
             "tests/test_factorizers.py::test_long_parses_pinned",
             "tests/test_factorizers.py::test_greedy_parses_match_naive_references_on_long_phrases",
+            "tests/test_factorizers.py::test_packed_walk_matches_naive_references",
         ),
     ),
     Mutant(
         "greedy-walk-nonoverlap-bound-one-long",
         "factorizers.py",
-        "i - 1 + m if overlap else i)",
-        "i - 1 + m if overlap else i + 1)",
+        "end = i - 1 + m if overlap else i\n",
+        "end = i - 1 + m if overlap else i + 1\n",
         (
             "tests/test_factorizers.py::test_parsers_match_naive_references",
             "tests/test_factorizers.py::test_long_parses_pinned",
             "tests/test_factorizers.py::test_greedy_parses_match_naive_references_on_long_phrases",
+            "tests/test_factorizers.py::test_packed_walk_matches_naive_references",
         ),
     ),
     Mutant(
@@ -111,6 +113,7 @@ MUTANTS = (
             "tests/test_factorizers.py::test_parsers_match_naive_references",
             "tests/test_factorizers.py::test_long_parses_pinned",
             "tests/test_factorizers.py::test_greedy_parses_match_naive_references_on_long_phrases",
+            "tests/test_factorizers.py::test_packed_walk_matches_naive_references",
         ),
     ),
     Mutant(
@@ -121,6 +124,41 @@ MUTANTS = (
         (
             "tests/test_factorizers.py::test_greedy_parses_match_naive_references_on_long_phrases",
             "tests/test_factorizers.py::test_long_parses_pinned",
+            "tests/test_factorizers.py::test_packed_walk_matches_naive_references",
+        ),
+    ),
+    # the walk's packed view
+    Mutant(
+        "greedy-walk-packed-bound-one-long",
+        "factorizers.py",
+        "V.find(V[i : i + m - k], hit, end - k)",
+        "V.find(V[i : i + m - k], hit, end - k + 1)",
+        (
+            "tests/test_factorizers.py::test_long_parses_pinned",
+            "tests/test_factorizers.py::test_packed_walk_matches_naive_references",
+            "tests/test_factorizers.py::test_packed_walk_resumes_mid_text_and_stops_at_a_join",
+        ),
+    ),
+    Mutant(
+        "packed-width-one-short",
+        "factorizers.py",
+        "x = (x << b * s) + (x >> 8 * s)",
+        "x = (x << (b - 1) * s) + (x >> 8 * s)",
+        (
+            "tests/test_factorizers.py::test_long_parses_pinned",
+            "tests/test_factorizers.py::test_packed_view_holds_the_q_grams",
+            "tests/test_factorizers.py::test_packed_walk_matches_naive_references",
+        ),
+    ),
+    Mutant(
+        "greedy-walk-packed-switch-at-k",
+        "factorizers.py",
+        "short = room if room < k else k\n",
+        "short = room if room < k else k - 1\n",
+        (
+            "tests/test_factorizers.py::test_long_parses_pinned",
+            "tests/test_factorizers.py::test_packed_walk_matches_naive_references",
+            "tests/test_factorizers.py::test_packed_walk_resumes_mid_text_and_stops_at_a_join",
         ),
     ),
     # the exhaustive sweeps
@@ -267,8 +305,8 @@ MUTANTS = (
     Mutant(
         "greedy-fragile-overlap-bound-one-long",
         "sensitivity.py",
-        "a + copied - 1 if overlap else a)",
-        "a + copied if overlap else a)",
+        "end = a + copied - 1 if overlap else a\n",
+        "end = a + copied if overlap else a\n",
         (
             "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
             "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lzss_overlap]",
@@ -278,11 +316,22 @@ MUTANTS = (
     Mutant(
         "greedy-fragile-nonoverlap-bound-one-long",
         "sensitivity.py",
-        "a + copied - 1 if overlap else a)",
-        "a + copied - 1 if overlap else a + 1)",
+        "end = a + copied - 1 if overlap else a\n",
+        "end = a + copied - 1 if overlap else a + 1\n",
         (
             "tests/test_sensitivity.py::test_greedy_stop_rule_matches_full_parses",
             "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses[lzss_nonoverlap]",
+        ),
+    ),
+    # either bound one long on S's packed view, for copies longer than its k
+    Mutant(
+        "greedy-fragile-packed-bound-one-long",
+        "sensitivity.py",
+        "Sp.rfind(Sp[a : a + copied - kp], 0, end - kp)",
+        "Sp.rfind(Sp[a : a + copied - kp], 0, end - kp + 1)",
+        (
+            "tests/test_sensitivity.py::test_greedy_resume_matches_full_parses_on_longer_texts",
+            "tests/test_sensitivity.py::test_greedy_walk_matches_full_parses_on_long_phrases",
         ),
     ),
     Mutant(

@@ -26,7 +26,7 @@ from repsens import (
     verify_factorization,
 )
 import repsens.core
-from repsens.factorizers import FACTORIZERS, _match_states
+from repsens.factorizers import FACTORIZERS, _PACK_FLOOR, _greedy_walk, _match_states, _packed
 from repsens.measures import _other_starts
 
 # every factorizer with a parse loop: all but the exact LZ-End search
@@ -200,6 +200,125 @@ def test_greedy_factorizers_build_no_automaton(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000, peak
+
+
+# the packed view: (largest symbol, its q) for every width the walk packs
+PACKED_WIDTHS = ((0, 8), (1, 8), (3, 4), (7, 2), (15, 2))
+GREEDY_FLAVORS = ("lzss_overlap", "lzss_nonoverlap", "lz77_overlap", "lz77_nonoverlap")
+
+
+def packed_texts(top, rng):
+    """Texts over 0..top that use top, of lengths around the packing floor
+    and well past it: random ones, whose copies run to about q symbols, and
+    one of random words of 1 to 17 symbols (2q + 1 for q = 8) over a short
+    random text."""
+    texts = []
+    for n in (_PACK_FLOOR - 1, _PACK_FLOOR, _PACK_FLOOR + 1, 3 * _PACK_FLOOR):
+        texts.append(tuple(rng.randint(0, top) for _ in range(n - 1)) + (top,))
+    base = [rng.randint(0, top) for _ in range(_PACK_FLOOR)] + [top]
+    words = []
+    while len(base) + len(words) < 2 * _PACK_FLOOR:
+        a = rng.randrange(len(base) - 17)
+        words += base[a : a + rng.randint(1, 17)]
+    texts.append(tuple(base + words))
+    return texts
+
+
+@pytest.mark.parametrize("top, q", PACKED_WIDTHS)
+def test_packed_view_holds_the_q_grams(top, q):
+    rng = random.Random(top)
+    b = max(top.bit_length(), 1)
+    for syms in packed_texts(top, rng):
+        U = "".join(map(chr, syms))
+        V, k = _packed(U)
+        if len(U) < _PACK_FLOOR:
+            assert (V, k) == (U, len(U))
+            continue
+        assert k == q - 1 and len(V) == len(U) - k
+        for j, code in enumerate(map(ord, V)):
+            assert code == sum(syms[j + t] << b * (q - 1 - t) for t in range(q)), (top, j)
+
+
+@pytest.mark.parametrize("symbols", [(16,), (16, 17), (0, 1, 16), (0, 200), (0, 300)])
+def test_packed_view_leaves_wide_symbols_unpacked(symbols):
+    # a character of 16 or more has no room in a byte beside another one
+    rng = random.Random(3)
+    U = "".join(chr(rng.choice(symbols)) for _ in range(2 * _PACK_FLOOR - 1)) + chr(symbols[-1])
+    assert _packed(U) == (U, len(U))
+
+
+def walk_pairs(U, start, overlap, take_next, joins=None, barrier=-1):
+    """``_greedy_walk``'s phrases from ``start`` as (length, 0-based source)
+    pairs, and the index it stopped at."""
+    made, stop = _greedy_walk(U, start, overlap, take_next, joins or {}, barrier)
+    return [(length, None if src is None else src - 1) for _, length, _, src in made], stop
+
+
+@pytest.mark.parametrize("top, q", PACKED_WIDTHS + ((16, None), (17, None)))
+def test_packed_walk_matches_naive_references(top, q):
+    # every flavor, sources included; top 16 and {16, 17} stay unpacked, and
+    # the same texts on symbols past 0x10FFFF are ranked onto 0..top
+    rng = random.Random(100 + top)
+    copies = set()
+    for syms in packed_texts(top, rng):
+        if top == 17:
+            syms = tuple(16 + (s & 1) for s in syms)
+        U = "".join(map(chr, syms))
+        packed = _packed(U)[1] < len(U)
+        assert packed == (q is not None and len(U) >= _PACK_FLOOR), (top, len(U))
+        # past 0x10FFFF the string holds ranks: {16, 17} becomes {0, 1}
+        huge = SymbolString(2**40 + s for s in syms)
+        packed_huge = _packed(repsens.core._as_strs(huge.symbols)[0])[1] < len(U)
+        assert packed_huge == (len(U) >= _PACK_FLOOR and len(set(syms)) <= 16), (top, len(U))
+        for flavor in GREEDY_FLAVORS:
+            factorizer, loop = FACTORIZERS[flavor]
+            overlap, take_next = loop.keywords.values()
+            naive = (nv.naive_lz77_phrases if take_next else nv.naive_lzss_phrases)(syms, overlap)
+            assert walk_pairs(U, 0, overlap, take_next) == (naive, len(U)), (top, flavor)
+            assert phrases0(factorizer(huge)) == naive, (top, flavor)
+            if packed and not take_next:
+                copies.update(length for length, src in naive if src is not None)
+    if top:  # a text of one letter copies 1, 2, 4, ... symbols
+        assert q is None or {q - 1, q, q + 1} <= copies, (top, sorted(copies))
+
+
+@pytest.mark.parametrize("top", [1, 3, 15, 16])
+@pytest.mark.parametrize("flavor", GREEDY_FLAVORS)
+def test_packed_walk_resumes_mid_text_and_stops_at_a_join(top, flavor):
+    # a walk from a phrase start past the first yields the full parse's
+    # phrases from there, and stops at the first start whose join is past
+    # the barrier; joins at or below it are walked over (top 16: unpacked)
+    overlap, take_next = FACTORIZERS[flavor][1].keywords.values()
+    rng = random.Random(top)
+    syms = tuple(rng.randint(0, top) for _ in range(3 * _PACK_FLOOR))
+    U = "".join(map(chr, syms))
+    full = (nv.naive_lz77_phrases if take_next else nv.naive_lzss_phrases)(syms, overlap)
+    starts = list(itertools.accumulate((length for length, _ in full), initial=0))
+    z = len(full)
+    for a in (1, z // 3, z // 2, z - 2):
+        assert walk_pairs(U, starts[a], overlap, take_next) == (full[a:], len(U))
+        c = rng.randrange(a + 1, z)
+        joins = {starts[m]: m for m in range(a + 1, z) if m != c}
+        barrier = z  # every join but c's is at or below it
+        joins[starts[c]] = z + 1
+        assert walk_pairs(U, starts[a], overlap, take_next, joins, barrier) == (full[a:c], starts[c])
+        # a join past the barrier at the walk's own start stops it at once
+        joins[starts[a]] = z + 1
+        assert walk_pairs(U, starts[a], overlap, take_next, joins, barrier) == ([], starts[a])
+
+
+def test_packing_a_long_text_holds_linear_memory():
+    # the packed view is built on one integer: a few bytes per symbol
+    rng = random.Random(17)
+    U = "".join(chr(rng.randrange(2)) for _ in range(2**17))
+    tracemalloc.start()
+    try:
+        V, k = _packed(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == 7 and len(V) == 2**17 - 7
+    assert peak < 8 * 2**17, peak
 
 
 def test_match_tables_match_naive_exhaustive():
