@@ -1224,13 +1224,18 @@ def test_exhaustive_exact_searches_are_pinned(measure, n, kind):
 # edit kind for n = 1 up to it, one line per record: its CSV row, ";" and its
 # argmax's digits.  Frozen from the sweep that keyed every edited string by
 # its own renaming and measured every class; lz78 reaches past n = 10 and to
-# sigma = 3, on both sides of the sizes where its ceiling binds.
+# sigma = 3, on both sides of the sizes where its ceiling binds, and the
+# LZ-End measures do so over the parses and searches of short texts.
 EXHAUSTIVE_PINS = {
     ("lz77_nonoverlap", 2, 10): "01c1dc822903d6b34811c456a39d2be184adb8060f0607d5fb0f1d259491adcc",
     ("lz77_overlap", 2, 10): "81612b2fe416d1c0f4ed6b346237cb2eb36c57ba00aa3845fa3db8c6b18d41ed",
     ("lz78", 2, 12): "0179e869c3d5454483f76f94c9b443b64d93601f153f4a9c7300fc6e966abd35",
     ("lz78", 3, 8): "69c8623e2598f9e5d6bcb8072091a68d0a6f1ffd4390a172384e9ed48f3241ba",
     ("lzend", 2, 10): "8684f93bd02fc4fec1de206aa8b4ddcca8fac24a05e11f92f4ec5783575268b4",
+    ("lzend", 2, 12): "b27491e261c548360654c3a22f9f147c4c1336ac38ca85580de49b6cd92d627c",
+    ("lzend", 3, 7): "31758043cd5d54a03fe7c83393eae981880953abdfec7f79602b5af0a349f65a",
+    ("lzend_opt", 2, 11): "814e572dd7b4f717afd72791e8604dfcede3e4cc57685734733227189dc22eac",
+    ("lzend_opt", 3, 6): "08f694e9dba35a0ce87dca4f6e54c39754413b3a2a802ce39004dabcd7518d90",
     ("lzss_nonoverlap", 2, 10): "6ba5b2f3b225dd71e7e62d81732bb9a9af3dd3be7e1c6478abad6c4db2b83f34",
     ("lzss_overlap", 2, 10): "789b9b8d13d1ea323c3a34a140e5013d4fcf253b084fe2efe16c7908e0497c9d",
 }
