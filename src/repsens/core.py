@@ -1,25 +1,28 @@
 """Symbol strings, single-character edits, and substring utilities.
 
-Texts are sequences of non-negative integer symbols rather than bytes so that
-constructions needing large parametric alphabets stay exact; symbols have no
-upper bound.  Substring questions follow one rule: greedy copies of any
-text, edited or not, go to its string, and the questions about every
-distinct substring, LZ-End copies, the exact searches' match tables and
-the greedy sweeps' follow sets go to its suffix automaton, which is built
-once and never mutated.  ``_suffix_automaton(T)`` keeps the automaton of
-the last text it was asked for, so the parsers, searches and measures
-called in turn on one text build it once; ``_sa_new`` is the one
-construction loop.  The strings come from ``_as_strs`` (at most 0x110000
-distinct symbols, one per code point) and are searched by ``str.find``,
-``str.rfind`` and ``in``: the greedy LZSS/LZ77 parses
-(``factorizers._greedy_walk``) and the seam walk of
+Texts are sequences of non-negative integer symbols rather than bytes so
+that constructions needing large parametric alphabets stay exact; symbols
+have no upper bound.  Substring questions follow one rule: greedy copies of
+any text, edited or not, go to its string; the exact searches' match
+tables, and LZ-End copies in a text shorter than ``factorizers._MASK_CUT``,
+go to bit-parallel occurrence masks (``factorizers._prefix_masks``); and
+the questions about every distinct substring, LZ-End copies in longer
+texts, attractor coverage and the greedy sweeps' follow sets go to its
+suffix automaton, which is built once and never mutated.
+``_suffix_automaton(T)`` keeps the automaton of the last text it was asked
+for, so the parsers and measures called in turn on one text build it once;
+``_sa_new`` is the one construction loop.  The strings come from
+``_as_strs`` (at most 0x110000 distinct symbols, one per code point) and
+are searched by ``str.find``, ``str.rfind`` and ``in``: the greedy
+LZSS/LZ77 parses (``factorizers._greedy_walk``) and the seam walk of
 ``repair.attractor_repair`` search them, and ``sensitivity._greedy_family``
 also asks T's string for the last occurrence of a phrase before a bound,
 which the automaton answers only with the n²-bit end sets of
-``_state_ends``.  The greedy parses and ``_greedy_family`` look for words
-longer than a few symbols in a string's packed view
-(``factorizers._packed``) when its characters are all below 16.  All
-public position arguments are 1-based and slices are inclusive.
+``measures._state_ends``.  The greedy parses and ``_greedy_family`` look
+for words longer than a few symbols in a string's packed view
+(``factorizers._packed``) when its characters are all below 16, as a full
+parse makes them in a text of at most 16 distinct symbols by ranking
+them.  All public position arguments are 1-based and slices are inclusive.
 
 An edit is applied in one place, ``_edited``, on a tuple of symbols, also
 the sweeps' placeholder edit by -1.  The sweeps stream ``(kind, position,
@@ -347,19 +350,6 @@ def _sa_new(symbols) -> tuple:
         last = cur
         prefix_state.append(cur)
     return sa
-
-
-def _state_ends(link: list[int], length: list[int], prefix_state: list[int]) -> list[int]:
-    """For every automaton state, the bitmask of the 0-based end indices of
-    its substrings' occurrences (bit i for an occurrence ending at T[i]):
-    bit i set on ``prefix_state[i]``, then OR-ed up the suffix links, longest
-    state first."""
-    ends = [0] * len(length)
-    for i, v in enumerate(prefix_state):
-        ends[v] |= 1 << i
-    for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
-        ends[link[v]] |= ends[v]
-    return ends
 
 
 def _as_strs(*seqs) -> list[str]:

@@ -10,13 +10,14 @@ Phrase kinds:
   dictionary parsing).
 
 Each parser family has one loop, which emits plain ``(start, length, kind,
-source)`` tuples: ``_greedy_walk`` for LZSS/LZ77, ``_lz_end`` for greedy
-LZ-End and ``_lz78``.  The two exact searches, ``lz_end_optimal`` and
-``measures.smallest_bms``, keep the parse they build in the same tuples and
-make ``Phrase`` objects once, for the result.  ``FACTORIZERS`` is the one
-place that names each factorizer and its parse call: the public factorizers
-build a ``Factorization`` of ``Phrase`` objects from its tuples, the sweeps'
-sizes (``sensitivity.MEASURES``) count them, and the CLI spellings
+source)`` tuples: ``_greedy_walk`` for LZSS/LZ77 and ``_lz78``; greedy
+LZ-End has two, one per side of a text length (``_lz_end``).  The two exact
+searches, ``lz_end_optimal`` and ``measures.smallest_bms``, keep the parse
+they build in the same tuples and make ``Phrase`` objects once, for the
+result.  ``FACTORIZERS`` is the one place that names each factorizer and
+its parse call: the public factorizers build a ``Factorization`` of
+``Phrase`` objects from its tuples, the sweeps' sizes
+(``sensitivity.MEASURES``) count them, and the CLI spellings
 (``cli.FLAVOR_FLAGS``) are its names with ``-`` for ``_``; each greedy
 flavor's ``_greedy`` flags are written there once, as a ``partial``.  The
 one resumed sweep loop (``sensitivity._resumed``, one family per loop)
@@ -27,20 +28,24 @@ given trie and logs its insertions for taking out again, and
 
 The greedy LZSS/LZ77 parses, of a text and of an edited text alike, walk
 the text's string, one character per symbol (``core._as_strs``), with
-``str.find``; on an alphabet below 16 they search the words longer than a
-few symbols in a packed view of it, one character per q-gram
-(``_packed``), which gives the same leftmost starts in fewer steps.
-``_lz_end`` and the match tables of the exact searches walk the one
-suffix automaton of the text that ``core._suffix_automaton`` owns
-(an LZ-End copy's admissibility is not monotone in its length, so its
-longest copy cannot be found by galloping ``find`` calls): it is built once
-for every loop that reads the same text, and no loop mutates it.
-Following the rest of the text from the root, each state's first end index
-tells whether the prefix read so far has an admissible earlier occurrence
-and where the leftmost one starts, and its end-position bitmask
-(``core._state_ends``) lists every occurrence.  The verifier compares
-symbol slices.  Correctness is pinned to naive reference parsers by the
-test suite.
+``str.find``; on an alphabet below 16 (onto which a full parse renames a
+text of at most 16 distinct symbols) they search the words longer than a
+few symbols in a packed view of it, one character per q-gram (``_packed``),
+which gives the same leftmost starts in fewer steps.  An LZ-End copy's
+admissibility is not monotone in its length, so its longest copy cannot be
+found by galloping ``find`` calls.  The match tables of the exact searches
+(``_match_masks``) and greedy LZ-End on a text shorter than ``_MASK_CUT``
+(``_lz_end_masks``) read bit-parallel occurrence masks instead:
+``_prefix_masks``, the one Shift-And step, gives every occurrence of each
+prefix of T[i:] as a bitmask of end indices, which a mask of phrase ends
+meets by one AND, at O(n/w) word steps per symbol read.  Greedy LZ-End on a
+longer text (``_lz_end_automaton``) walks the one suffix automaton of the
+text that ``core._suffix_automaton`` owns, built once for every loop that
+reads the same text and mutated by none: following the rest of the text
+from the root, each state's first end index tells whether the prefix read
+so far has an admissible earlier occurrence and where the leftmost one
+starts.  The verifier compares symbol slices.  Correctness is pinned to
+naive reference parsers by the test suite.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from functools import partial
 from itertools import starmap
 
 from . import config
-from .core import InputError, SymbolString, _as_strs, _state_ends, _suffix_automaton
+from .core import InputError, SymbolString, _as_strs, _suffix_automaton
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,22 @@ def _require_nonempty(T: SymbolString) -> None:
 
 def _greedy(T: SymbolString, overlap: bool, take_next: bool) -> list[tuple]:
     """The full parse of a greedy LZSS/LZ77 flavor: ``_greedy_walk`` on T's
-    string (``core._as_strs``) from 0, with no stop."""
-    return _greedy_walk(_as_strs(T.symbols)[0], 0, overlap, take_next, {}, -1)[0]
+    string (``core._as_strs``) from 0, with no stop.  A string long enough
+    to pack that has a character of 16 or more (the bytes of
+    ``SymbolString.from_text``, say) but at most 16 distinct ones is walked
+    with its characters ranked by first occurrence, as ``core._as_strs``
+    ranks symbols without a code point, so that ``_packed`` packs it; a
+    renaming changes no phrase."""
+    U = _as_strs(T.symbols)[0]
+    if (
+        len(U) >= _PACK_FLOOR
+        and (not U.isascii() or 5 in U.encode("ascii").translate(_WIDTHS))
+        and len(set(U[:_PACK_FLOOR])) <= 16  # a wide alphabet mostly shows at once
+    ):
+        names = dict.fromkeys(U)
+        if len(names) <= 16:
+            U = U.translate(dict(zip(map(ord, names), range(16))))
+    return _greedy_walk(U, 0, overlap, take_next, {}, -1)[0]
 
 
 # the shortest string ``_packed`` packs: on random text of 2 to 16 letters
@@ -247,37 +266,112 @@ def _jump_lower_bound(jumps: list[int]) -> list[int]:
     return lb
 
 
-def _match_states(T: SymbolString, rule: str) -> tuple[list[list[int]], list[int]]:
-    """``(paths, ends)``: ``ends`` is ``core._state_ends`` of T's automaton,
-    and ``paths[i]`` lists the states of T[i:i+1], T[i:i+2], ... for as long
-    as the prefix also occurs ending before i (``"nonoverlap"``) or starting
-    anywhere but i (``"elsewhere"``, i.e. its state has two end bits).  So
-    ``len(paths[i])`` is the longest such match, by one walk per start.
-    It reads T's shared automaton (``core._suffix_automaton``) and does not
-    mutate it.
-    """
-    syms = T.symbols
-    n = len(syms)
-    link, length, prefix_state, trans, firstpos = _suffix_automaton(T)
-    ends = _state_ends(link, length, prefix_state)
+def _occurrence_masks(syms: tuple) -> list[int]:
+    """``at[j]``: the bitmask of the indices where the symbol ``syms[j]``
+    occurs (bit e for an occurrence at ``syms[e]``), and ``at[n] = 0``, which
+    ends every walk at the text's end."""
+    occ: dict = {}
+    bit = 1
+    for c in syms:
+        occ[c] = occ.get(c, 0) | bit
+        bit <<= 1
+    return [*map(occ.__getitem__, syms), 0]
+
+
+def _prefix_masks(at: list[int], i: int, elsewhere: bool) -> list[int]:
+    """The Shift-And step (Baeza-Yates & Gonnet, CACM 1992) from start i:
+    the occurrence masks of T[i:i+1], T[i:i+2], ... (bit e for an
+    occurrence ending at T[e]; ``at`` from ``_occurrence_masks``), for as
+    long as the prefix also ends before i or, with ``elsewhere``, occurs at
+    least twice.  A prefix's mask is the shorter prefix's, shifted one place
+    up and AND-ed with ``at[j]`` of its last symbol, so it lists every
+    occurrence, as an automaton state's end set would; both rules are
+    monotone in the length."""
+    below = (1 << i) - 1
+    masks = []
+    D = at[i]
+    while D & (D - 1) if elsewhere else D & below:
+        masks.append(D)
+        i += 1
+        D = (D << 1) & at[i]
+    return masks
+
+
+def _match_masks(syms: tuple, rule: str) -> list[list[int]]:
+    """The exact searches' match table: ``masks[i]`` lists the occurrence
+    masks of T[i:i+1], T[i:i+2], ... for as long as the prefix also ends
+    before i (``"nonoverlap"``) or starts anywhere but i (``"elsewhere"``),
+    so ``len(masks[i])`` is the longest such match and ``masks[i][L-1]``
+    every occurrence of T[i:i+L].  One ``_prefix_masks`` walk per start,
+    O(n²) steps on masks of one machine word for the searches' texts of at
+    most a few dozen symbols; no automaton is built."""
+    at = _occurrence_masks(syms)
     elsewhere = rule == "elsewhere"
-    paths = []
-    for i in range(n):
-        path = []
-        v = 0
-        for j in range(i, n):
-            v = trans[v][syms[j]]
-            if (not ends[v] & (ends[v] - 1)) if elsewhere else (firstpos[v] > i):
-                break
-            path.append(v)
-        paths.append(path)
-    return paths, ends
+    return [_prefix_masks(at, i, elsewhere) for i in range(len(syms))]
+
+
+# the shortest text ``_lz_end`` parses on T's automaton rather than on
+# occurrence masks, which cost O(n/w) word steps per symbol read and per
+# phrase: at 128 and 256 symbols the masks loop ran 1.0-1.8x the speed of
+# the automaton loop, its automaton built cold, on random text of 2 to 256
+# letters, Fibonacci, Thue-Morse and a^n; from 512 symbols up random text
+# of 50 letters or more, nearly a phrase per symbol, fell to 0.75-0.9x,
+# and Fibonacci to 0.9x at 2,048 and 0.6x at 4,096
+_MASK_CUT = 256
 
 
 def _lz_end(T: SymbolString) -> list[tuple]:
-    """The greedy LZ-End loop: parsing into ``(start, length, kind, source)``
-    tuples where every copy's source ends exactly at the end of an earlier
-    phrase.
+    """The greedy LZ-End parse: ``(start, length, kind, source)`` tuples where
+    every copy's source ends exactly at the end of an earlier phrase.  A
+    phrase at i copies the longest T[i:i+L] that has an occurrence ending at
+    a phrase end before i, from the leftmost such occurrence (the one at the
+    smallest phrase end), and is a literal when there is none.  Texts
+    shorter than ``_MASK_CUT`` are parsed on occurrence masks
+    (``_lz_end_masks``), longer ones on T's automaton
+    (``_lz_end_automaton``); both give the same tuples."""
+    if len(T) < _MASK_CUT:
+        return _lz_end_masks(T)
+    return _lz_end_automaton(T)
+
+
+def _lz_end_masks(T: SymbolString) -> list[tuple]:
+    """``_lz_end`` on occurrence masks: the phrase ends so far are bits of
+    ``ends`` (bit e - 1 for the 1-based end e), and the phrase at i walks
+    ``_prefix_masks`` while the prefix also ends before i.  The longest
+    prefix whose mask meets ``ends`` is the copy, and the lowest common bit
+    its source's end.  Every phrase end lies before i, so the walk's stop
+    only cuts short a search that could find nothing more.  It builds no
+    automaton."""
+    syms = T.symbols
+    n = len(syms)
+    at = _occurrence_masks(syms)
+    ends = 0
+    phrases = []
+    i = 0
+    while i < n:
+        masks = _prefix_masks(at, i, False)
+        length = len(masks)
+        while length:
+            hit = masks[length - 1] & ends
+            if hit:
+                end = (hit & -hit).bit_length()  # 1-based
+                phrases.append((i + 1, length, "copy", end - length + 1))
+                i += length
+                break
+            length -= 1
+        else:
+            if masks:
+                # a repeated symbol always has an occurrence ending at some
+                # earlier phrase end; reaching here means a parser bug
+                raise AssertionError("internal: repeated symbol with no boundary occurrence")
+            phrases.append((i + 1, 1, "literal", None))
+            i += 1
+        ends |= 1 << (i - 1)
+    return phrases
+
+
+def _lz_end_automaton(T: SymbolString) -> list[tuple]:
+    """``_lz_end`` on T's suffix automaton.
 
     After each phrase its end e (1-based) is recorded as ``minend`` on the
     states of the suffixes of T[:e], walking suffix links up from the
@@ -403,11 +497,11 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
     _require_nonempty(T)
     n = len(T)
     config.check("REPSENS_LIMIT_LZEND_OPT", n)
-    paths, ends = _match_states(T, "nonoverlap")
+    table = _match_masks(T.symbols, "nonoverlap")
 
     # admissible lower bound: phrases needed if every position could jump its
     # longest fully-previous match (a superset of the really admissible moves)
-    lb = _jump_lower_bound([len(path) for path in paths])
+    lb = _jump_lower_bound(list(map(len, table)))
 
     best_parse = _lz_end(T)
     best_count = len(best_parse)
@@ -427,13 +521,13 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
         if prev is not None and prev <= count:
             return
         seen[key] = count
-        path = paths[pos0]
-        top = len(path)
+        masks = table[pos0]
+        top = len(masks)
         took_any = False
         for length in range(top, 0, -1):
             # bit e: an occurrence of the candidate ends at 1-based position
             # e, and so does a phrase so far (hence e <= pos0)
-            hit = (ends[path[length - 1]] << 1) & bmask
+            hit = (masks[length - 1] << 1) & bmask
             if not hit:
                 continue
             took_any = True

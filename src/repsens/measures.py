@@ -9,13 +9,13 @@ from itertools import accumulate, starmap
 from operator import index
 
 from . import config
-from .core import InputError, SymbolString, _integer, _state_ends, _suffix_automaton
+from .core import InputError, SymbolString, _integer, _suffix_automaton
 from .factorizers import (
     Factorization,
     Phrase,
     _greedy,
     _jump_lower_bound,
-    _match_states,
+    _match_masks,
     check_factorization,
 )
 
@@ -43,6 +43,19 @@ def delta(T: SymbolString) -> Fraction:
         if counts[k] * best > counts[best] * k:
             best = k
     return Fraction(counts[best], best)
+
+
+def _state_ends(link: list[int], length: list[int], prefix_state: list[int]) -> list[int]:
+    """For every automaton state, the bitmask of the 0-based end indices of
+    its substrings' occurrences (bit i for an occurrence ending at T[i]):
+    bit i set on ``prefix_state[i]``, then OR-ed up the suffix links, longest
+    state first."""
+    ends = [0] * len(length)
+    for i, v in enumerate(prefix_state):
+        ends[v] |= 1 << i
+    for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
+        ends[link[v]] |= ends[v]
+    return ends
 
 
 def _coverage_masks(T: SymbolString) -> list[int]:
@@ -236,9 +249,9 @@ def smallest_bms(T: SymbolString) -> Factorization:
     config.check("REPSENS_LIMIT_BMS", n)
     if n == 0:
         raise InputError("cannot build a macro scheme for the empty string")
-    # states of the prefixes at each position that occur somewhere else
-    paths, ends = _match_states(T, "elsewhere")
-    maxrep = [len(path) for path in paths]
+    # occurrence masks of the prefixes at each position that occur somewhere else
+    table = _match_masks(T.symbols, "elsewhere")
+    maxrep = list(map(len, table))
     lb = _jump_lower_bound(maxrep)
 
     refmap = [0] + [-1] * n
@@ -264,7 +277,7 @@ def smallest_bms(T: SymbolString) -> Factorization:
         top = min(max(1, maxrep[pos0]), n - pos0 - (left - 1))
         for length in range(top, 0, -1):
             sources = [0] if length == 1 else [
-                src0 + 1 for src0 in _other_starts(ends[paths[pos0][length - 1]], pos0, length)
+                src0 + 1 for src0 in _other_starts(table[pos0][length - 1], pos0, length)
             ]
             for src in sources:
                 refmap[start : start + length] = range(src, src + length)
@@ -287,8 +300,8 @@ def smallest_bms(T: SymbolString) -> Factorization:
 
 def _other_starts(ends: int, pos0: int, length: int) -> list[int]:
     """0-based starts, ascending, of the length-``length`` occurrences whose
-    end bits (``core._state_ends``) are in ``ends``, except the one at pos0;
-    so the left ones come first."""
+    end bits (``factorizers._match_masks``) are in ``ends``, except the one
+    at pos0; so the left ones come first."""
     starts = []
     ends &= ~(1 << (pos0 + length - 1))
     while ends:

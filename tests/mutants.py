@@ -20,7 +20,9 @@ pytest does not collect it.
 
 Equivalent mutants are left out: ``smallest_bms``'s ``chain_ok`` returning
 True passes all of ``tests/test_measures.py``, because the leaf
-``_map_terminates`` check is what rejects cycles.
+``_map_terminates`` check is what rejects cycles; and greedy LZ-End on
+occurrence masks walking without its ``below`` stop only walks further,
+because every phrase end it tests against lies below the phrase start.
 """
 
 from __future__ import annotations
@@ -77,6 +79,32 @@ MUTANTS = (
         (
             "tests/test_measures.py::test_exact_referee_outputs_pinned",
             "tests/test_factorizers.py::test_lzend_optimal_matches_plain_backtracking",
+        ),
+    ),
+    # the occurrence-mask walk of the match tables and of greedy LZ-End
+    Mutant(
+        "match-below-one-bit-wide",
+        "factorizers.py",
+        "below = (1 << i) - 1\n",
+        "below = (1 << (i + 1)) - 1\n",
+        ("tests/test_factorizers.py::test_match_tables_match_naive_exhaustive",),
+    ),
+    Mutant(
+        "match-elsewhere-any-occurrence",
+        "factorizers.py",
+        "while D & (D - 1) if elsewhere else D & below:",
+        "while D if elsewhere else D & below:",
+        ("tests/test_factorizers.py::test_match_tables_match_naive_exhaustive",),
+    ),
+    Mutant(
+        "lz-end-masks-highest-end",
+        "factorizers.py",
+        "end = (hit & -hit).bit_length()",
+        "end = hit.bit_length()",
+        (
+            "tests/test_factorizers.py::test_parsers_match_naive_references",
+            "tests/test_factorizers.py::test_lz_end_mask_and_automaton_loops_agree",
+            "tests/test_factorizers.py::test_lz_end_greedy_matches_naive_on_every_ternary_text",
         ),
     ),
     # the one greedy LZSS/LZ77 loop, on a text's string

@@ -26,7 +26,16 @@ from repsens import (
     verify_factorization,
 )
 import repsens.core
-from repsens.factorizers import FACTORIZERS, _PACK_FLOOR, _greedy_walk, _match_states, _packed
+from repsens.factorizers import (
+    FACTORIZERS,
+    _MASK_CUT,
+    _PACK_FLOOR,
+    _greedy_walk,
+    _lz_end_automaton,
+    _lz_end_masks,
+    _match_masks,
+    _packed,
+)
 from repsens.measures import _other_starts
 
 # every factorizer with a parse loop: all but the exact LZ-End search
@@ -77,6 +86,43 @@ def test_lz77_examples():
 def test_lzend_greedy_examples():
     assert lz_end_greedy(t("ababab")).size == 4
     assert lz_end_greedy(SymbolString([0])).size == 1
+
+
+def lz_end_texts():
+    """Texts of lengths on both sides of the LZ-End mask cut: random ones
+    over 2, 3 and 50 letters, Fibonacci, Thue-Morse and a^n prefixes, and the
+    lz_witness bases up to one past the cut."""
+    rng = random.Random(30)
+    texts = []
+    for n in (1, 2, 7, 40, 150, _MASK_CUT - 1, _MASK_CUT, _MASK_CUT + 1):
+        texts += [tuple(rng.randrange(sigma) for _ in range(n)) for sigma in (2, 3, 50)]
+        texts += [fibonacci(n), tuple(bin(i).count("1") & 1 for i in range(n)), (0,) * n]
+    p = 2
+    while len(texts[-1]) <= _MASK_CUT:
+        texts.append(lz_witness(p).base.symbols)
+        p += 1
+    return texts
+
+
+def test_lz_end_mask_and_automaton_loops_agree():
+    # the greedy LZ-End loop on occurrence masks and the one on T's automaton
+    # give the same tuples, sources included, on either side of the cut
+    for syms in lz_end_texts():
+        T = SymbolString(syms)
+        masks = _lz_end_masks(T)
+        assert masks == _lz_end_automaton(T), syms
+        assert [(p.start, p.length, p.kind, p.source) for p in lz_end_greedy(T).phrases] == masks
+
+
+def test_lz_end_greedy_matches_naive_on_every_ternary_text():
+    # both loops, sources included
+    for n in range(1, 8):
+        for syms in itertools.product((0, 1, 2), repeat=n):
+            T = SymbolString(syms)
+            naive = nv.naive_lzend_phrases(syms)
+            for loop in (_lz_end_masks, _lz_end_automaton):
+                pairs = [(length, src and src - 1) for _, length, _, src in loop(T)]
+                assert pairs == naive, (syms, loop.__name__)
 
 
 def test_lz78_examples():
@@ -176,8 +222,9 @@ def test_greedy_parses_match_naive_references_on_long_phrases():
 
 
 def test_greedy_factorizers_build_no_automaton(monkeypatch):
-    # the four greedy flavors parse T's string: no suffix automaton is built,
-    # and a long repetitive text costs little more than its string
+    # the four greedy flavors parse T's string and greedy LZ-End a text
+    # shorter than the cut on occurrence masks: no suffix automaton is
+    # built, and a long repetitive text costs little more than its string
     builds = []
 
     def counted(symbols):
@@ -189,10 +236,17 @@ def test_greedy_factorizers_build_no_automaton(monkeypatch):
     monkeypatch.setattr(repsens.core, "_cache", (None, None))
     T = SymbolString(fibonacci(2**17))
     greedy = [lzss_overlapping, lzss_nonoverlapping, lz77_overlapping, lz77_nonoverlapping]
-    for U in [T, t("abaababaab"), SymbolString([5, 2**40, 5, 2**40, 7])]:
+    short = [t("abaababaab"), SymbolString([5, 2**40, 5, 2**40, 7])]
+    short.append(SymbolString(fibonacci(_MASK_CUT - 1)))
+    for U in [T, *short]:
         for fn in greedy:
             fn(U)
+    for U in short:
+        lz_end_greedy(U)
     assert builds == []
+    lz_end_greedy(SymbolString(fibonacci(_MASK_CUT)))  # from the cut up, on T's automaton
+    assert builds == [fibonacci(_MASK_CUT)]
+    builds.clear()
     tracemalloc.start()
     try:
         lzss_overlapping(T)
@@ -307,6 +361,32 @@ def test_packed_walk_resumes_mid_text_and_stops_at_a_join(top, flavor):
         assert walk_pairs(U, starts[a], overlap, take_next, joins, barrier) == ([], starts[a])
 
 
+def test_greedy_ranks_a_small_alphabet_of_wide_symbols(monkeypatch):
+    # a/b text (bytes 97 and 98) parses as its 0/1 form does, on a packed
+    # view of its string; 17 letters stay unpacked, from the start or late
+    views = []
+
+    def recorded(U):
+        views.append(_packed(U)[1])
+        return _packed(U)
+
+    monkeypatch.setattr(repsens.factorizers, "_packed", recorded)
+    rng = random.Random(31)
+    bits = [rng.randrange(2) for _ in range(3 * _PACK_FLOOR)]
+    ab = SymbolString.from_text("".join("ab"[b] for b in bits))
+    letters = SymbolString(rng.randrange(97, 114) for _ in range(3 * _PACK_FLOOR))
+    late = SymbolString(ab.symbols + tuple(range(97, 114)))
+    for flavor in GREEDY_FLAVORS:
+        factorizer = FACTORIZERS[flavor][0]
+        views.clear()
+        assert factorizer(ab).phrases == factorizer(SymbolString(bits)).phrases, flavor
+        assert views == [7, 7], flavor  # q = 8 on both
+        views.clear()
+        factorizer(letters)
+        factorizer(late)
+        assert views == [len(letters), len(late)], flavor
+
+
 def test_packing_a_long_text_holds_linear_memory():
     # the packed view is built on one integer: a few bytes per symbol
     rng = random.Random(17)
@@ -326,11 +406,10 @@ def test_match_tables_match_naive_exhaustive():
     # fully-previous match and smallest_bms's longest repeat elsewhere
     for n in range(1, 13):
         for syms in itertools.product((0, 1), repeat=n):
-            T = SymbolString(syms)
-            assert [len(path) for path in _match_states(T, "nonoverlap")[0]] == [
+            assert list(map(len, _match_masks(syms, "nonoverlap"))) == [
                 nv.naive_longest_match(syms, i, False) for i in range(n)
             ], syms
-            assert [len(path) for path in _match_states(T, "elsewhere")[0]] == [
+            assert list(map(len, _match_masks(syms, "elsewhere"))) == [
                 nv.naive_longest_repeat(syms, i) for i in range(n)
             ], syms
 
@@ -340,15 +419,13 @@ def test_match_state_occurrences_match_naive_exhaustive():
     # smallest_bms's source candidates, for every matched prefix
     for n in range(1, 11):
         for syms in itertools.product((0, 1), repeat=n):
-            T = SymbolString(syms)
             for rule in ("nonoverlap", "elsewhere"):
-                paths, ends = _match_states(T, rule)
-                for i, path in enumerate(paths):
-                    for length, v in enumerate(path, 1):
+                for i, masks in enumerate(_match_masks(syms, rule)):
+                    for length, mask in enumerate(masks, 1):
                         starts = nv.naive_occurrences(syms, syms[i : i + length])
-                        assert ends[v] == sum(1 << (s + length - 1) for s in starts)
+                        assert mask == sum(1 << (s + length - 1) for s in starts)
                         others = [s for s in starts if s != i]
-                        assert _other_starts(ends[v], i, length) == others, (syms, i, length)
+                        assert _other_starts(mask, i, length) == others, (syms, i, length)
 
 
 def test_greedy_phrases_cannot_extend():
