@@ -3,11 +3,11 @@
 Texts are sequences of non-negative integer symbols rather than bytes so
 that constructions needing large parametric alphabets stay exact; symbols
 have no upper bound.  Substring questions follow one rule: greedy copies of
-any text, edited or not, go to its string; the exact searches' match
+any text, edited or not, go to its string; all three exact searches' match
 tables, and LZ-End copies in a text shorter than ``factorizers._MASK_CUT``,
 go to bit-parallel occurrence masks (``factorizers._prefix_masks``); and
 the questions about every distinct substring, LZ-End copies in longer
-texts, attractor coverage and the greedy sweeps' follow sets go to its
+texts, the attractor check and the greedy sweeps' follow sets go to its
 suffix automaton, which is built once and never mutated.
 ``_suffix_automaton(T)`` keeps the automaton of the last text it was asked
 for, so the parsers and measures called in turn on one text build it once;
@@ -17,12 +17,12 @@ are searched by ``str.find``, ``str.rfind`` and ``in``: the greedy
 LZSS/LZ77 parses (``factorizers._greedy_walk``) and the seam walk of
 ``repair.attractor_repair`` search them, and ``sensitivity._greedy_family``
 also asks T's string for the last occurrence of a phrase before a bound,
-which the automaton answers only with the n²-bit end sets of
-``measures._state_ends``.  The greedy parses and ``_greedy_family`` look
-for words longer than a few symbols in a string's packed view
-(``factorizers._packed``) when its characters are all below 16, as a full
-parse makes them in a text of at most 16 distinct symbols by ranking
-them.  All public position arguments are 1-based and slices are inclusive.
+which the automaton would answer only with n²-bit end sets.  The greedy
+parses and ``_greedy_family`` look for words longer than a few symbols in
+a string's packed view (``factorizers._packed``) when its characters are
+all below 16, as a full parse makes them in a text of at most 16 distinct
+symbols by ranking them.  All public position arguments are 1-based and
+slices are inclusive.
 
 An edit is applied in one place, ``_edited``, on a tuple of symbols, also
 the sweeps' placeholder edit by -1.  The sweeps stream ``(kind, position,

@@ -33,9 +33,10 @@ text of at most 16 distinct symbols) they search the words longer than a
 few symbols in a packed view of it, one character per q-gram (``_packed``),
 which gives the same leftmost starts in fewer steps.  An LZ-End copy's
 admissibility is not monotone in its length, so its longest copy cannot be
-found by galloping ``find`` calls.  The match tables of the exact searches
-(``_match_masks``) and greedy LZ-End on a text shorter than ``_MASK_CUT``
-(``_lz_end_masks``) read bit-parallel occurrence masks instead:
+found by galloping ``find`` calls.  The match tables (``_match_masks``) of
+the exact searches ``lz_end_optimal``, ``measures.smallest_attractor`` and
+``measures.smallest_bms``, and greedy LZ-End on a text shorter than
+``_MASK_CUT`` (``_lz_end_masks``), read bit-parallel occurrence masks:
 ``_prefix_masks``, the one Shift-And step, gives every occurrence of each
 prefix of T[i:] as a bitmask of end indices, which a mask of phrase ends
 meets by one AND, at O(n/w) word steps per symbol read.  Greedy LZ-End on a
@@ -334,22 +335,22 @@ def _lz_end(T: SymbolString) -> list[tuple]:
     return _lz_end_automaton(T)
 
 
-def _lz_end_masks(T: SymbolString) -> list[tuple]:
+def _lz_end_masks(T: SymbolString, table: list | None = None) -> list[tuple]:
     """``_lz_end`` on occurrence masks: the phrase ends so far are bits of
     ``ends`` (bit e - 1 for the 1-based end e), and the phrase at i walks
-    ``_prefix_masks`` while the prefix also ends before i.  The longest
-    prefix whose mask meets ``ends`` is the copy, and the lowest common bit
-    its source's end.  Every phrase end lies before i, so the walk's stop
-    only cuts short a search that could find nothing more.  It builds no
-    automaton."""
+    ``_prefix_masks`` while the prefix also ends before i, or reads that
+    walk's row of ``lz_end_optimal``'s match table when handed it.  The
+    longest prefix whose mask meets ``ends`` is the copy, and the lowest
+    common bit its source's end.  Every phrase end lies before i, so the
+    walk's stop only cuts short a search that could find nothing more."""
     syms = T.symbols
     n = len(syms)
-    at = _occurrence_masks(syms)
+    at = _occurrence_masks(syms) if table is None else None
     ends = 0
     phrases = []
     i = 0
     while i < n:
-        masks = _prefix_masks(at, i, False)
+        masks = _prefix_masks(at, i, False) if table is None else table[i]
         length = len(masks)
         while length:
             hit = masks[length - 1] & ends
@@ -488,9 +489,9 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
 
     The source constraint is circular (admissible sources depend on the phrase
     ends of the very parsing being built), so this is an exact branch-and-bound
-    search over parse prefixes, seeded by the greedy parse.  The prefix and
-    the best parse so far are ``(start, length, kind, source)`` tuples, the
-    seed being ``_lz_end``'s list as it is.  Texts longer than the
+    search over parse prefixes, seeded by the greedy parse on its own match
+    table (``_lz_end_masks``).  The prefix and the best parse so far are
+    ``(start, length, kind, source)`` tuples, the seed's list as it is.  Texts longer than the
     ``REPSENS_LIMIT_LZEND_OPT`` cap (``config.LIMITS``) raise
     ``CapabilityError``.
     """
@@ -503,7 +504,7 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
     # longest fully-previous match (a superset of the really admissible moves)
     lb = _jump_lower_bound(list(map(len, table)))
 
-    best_parse = _lz_end(T)
+    best_parse = _lz_end_masks(T, table)
     best_count = len(best_parse)
     seen: dict[tuple[int, int], int] = {}
 

@@ -45,40 +45,6 @@ def delta(T: SymbolString) -> Fraction:
     return Fraction(counts[best], best)
 
 
-def _state_ends(link: list[int], length: list[int], prefix_state: list[int]) -> list[int]:
-    """For every automaton state, the bitmask of the 0-based end indices of
-    its substrings' occurrences (bit i for an occurrence ending at T[i]):
-    bit i set on ``prefix_state[i]``, then OR-ed up the suffix links, longest
-    state first."""
-    ends = [0] * len(length)
-    for i, v in enumerate(prefix_state):
-        ends[v] |= 1 << i
-    for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
-        ends[link[v]] |= ends[v]
-    return ends
-
-
-def _coverage_masks(T: SymbolString) -> list[int]:
-    """For every suffix-automaton state, the bitmask of positions lying inside
-    at least one occurrence of its shortest substring (bit p-1 for position p).
-
-    A state's substrings share their end positions, so the shortest one's
-    occurrences lie inside the longer ones' and a position set stabs every
-    substring iff it intersects every mask.
-    """
-    link, length, prefix_state = _suffix_automaton(T)[:3]
-    ends = _state_ends(link, length, prefix_state)
-    masks = []
-    for v in range(1, len(length)):
-        mask, span, shortest = ends[v], 1, length[link[v]] + 1
-        while span < shortest:  # spread each end bit over `shortest` positions
-            step = min(span, shortest - span)
-            mask |= mask >> step
-            span += step
-        masks.append(mask)
-    return masks
-
-
 def _attractor_positions(positions) -> frozenset[int]:
     """``positions`` as a set of ints; InputError for a non-integer one,
     which the second pass names."""
@@ -91,14 +57,31 @@ def _attractor_positions(positions) -> frozenset[int]:
 
 def is_attractor(T: SymbolString, positions) -> bool:
     """True iff every distinct substring of ``T`` has an occurrence containing
-    one of the positions."""
+    one of the positions.
+
+    O(n) words beside T's automaton: ``near[v]``, the least e - q over the
+    0-based ends e of state v, q the last chosen index at or before e, is a
+    minimum up the suffix links, longest state first.  All of v's substrings
+    are hit iff ``near[v] <= length[link[v]]``: an occurrence ending at e
+    holds the shortest one's, of length ``length[link[v]] + 1``, and that
+    holds a position iff e - q is below its length."""
     n = len(T)
-    pmask = 0
-    for p in _attractor_positions(positions):
+    gamma = _attractor_positions(positions)
+    for p in gamma:
         if not 1 <= p <= n:
             raise InputError(f"attractor position {p} out of range [1, {n}]")
-        pmask |= 1 << (p - 1)
-    return all(m & pmask for m in _coverage_masks(T))
+    link, length, prefix_state = _suffix_automaton(T)[:3]
+    near = [n] * len(length)  # above every length[link[v]]: no position yet
+    last = -n
+    for e, v in enumerate(prefix_state):
+        if e + 1 in gamma:
+            last = e
+        near[v] = e - last
+    for v in sorted(range(1, len(length)), key=length.__getitem__, reverse=True):
+        if near[v] > length[link[v]]:
+            return False
+        near[link[v]] = min(near[link[v]], near[v])
+    return True
 
 
 def _disjoint_count(masks: list[int]) -> int:
@@ -117,15 +100,31 @@ def smallest_attractor(T: SymbolString) -> AttractorSet:
     Sizes are tried in increasing order; within a size the search branches on
     the positions of an uncovered substring mask, so the first solution found
     is minimum and the run itself certifies that one position fewer fails.
-    Texts longer than the ``REPSENS_LIMIT_ATTRACTOR`` cap
-    (``config.LIMITS``) raise ``CapabilityError``.
+    The masks to hit, from the ``"elsewhere"`` match table
+    (``factorizers._match_masks``), are each repeated T[i:i+L]'s end mask
+    spread over L positions and each start's shortest unique substring.
+    Each is a substring's coverage and every coverage contains one, so the
+    inclusion-minimal masks kept are those of all substrings.  Texts longer
+    than the ``REPSENS_LIMIT_ATTRACTOR`` cap (``config.LIMITS``) raise
+    ``CapabilityError``.
     """
     n = len(T)
     config.check("REPSENS_LIMIT_ATTRACTOR", n)
     if n == 0:
         return frozenset()
+    coverages = set()
+    for i, row in enumerate(_match_masks(T.symbols, "elsewhere")):
+        for shortest, mask in enumerate(row, 1):
+            span = 1
+            while span < shortest:  # spread each end bit over `shortest` positions
+                step = min(span, shortest - span)
+                mask |= mask >> step
+                span += step
+            coverages.add(mask)
+        if i + len(row) < n:
+            coverages.add(((2 << len(row)) - 1) << i)
     masks: list[int] = []
-    for m in sorted(set(_coverage_masks(T)), key=lambda m: (m.bit_count(), m)):
+    for m in sorted(coverages, key=lambda m: (m.bit_count(), m)):
         if not any(km & m == km for km in masks):
             masks.append(m)
 

@@ -81,6 +81,40 @@ MUTANTS = (
             "tests/test_factorizers.py::test_lzend_optimal_matches_plain_backtracking",
         ),
     ),
+    # the attractor check on T's automaton, and the search's coverage masks
+    Mutant(
+        "attractor-near-strict",
+        "measures.py",
+        "if near[v] > length[link[v]]:",
+        "if near[v] >= length[link[v]]:",
+        (
+            "tests/test_measures.py::test_is_attractor_matches_naive_exhaustive",
+            "tests/test_measures.py::test_is_attractor_matches_naive_random",
+            "tests/test_measures.py::test_is_attractor_long_texts",
+        ),
+    ),
+    Mutant(
+        "attractor-link-minimum-dropped",
+        "measures.py",
+        "        near[link[v]] = min(near[link[v]], near[v])\n",
+        "",
+        (
+            "tests/test_measures.py::test_is_attractor_matches_naive_exhaustive",
+            "tests/test_measures.py::test_is_attractor_matches_naive_random",
+            "tests/test_measures.py::test_is_attractor_long_texts",
+        ),
+    ),
+    Mutant(
+        "attractor-unique-interval-one-short",
+        "measures.py",
+        "((2 << len(row)) - 1) << i",
+        "((1 << len(row)) - 1) << i",
+        (
+            "tests/test_measures.py::test_smallest_attractor_outputs_pinned",
+            "tests/test_measures.py::test_smallest_attractor_matches_naive",
+            "tests/test_sensitivity.py::test_exhaustive_gamma_fixture",
+        ),
+    ),
     # the occurrence-mask walk of the match tables and of greedy LZ-End
     Mutant(
         "match-below-one-bit-wide",

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,41 @@ def test_is_attractor_long_texts():
         assert is_attractor(T, ends)
         zeros = {i for i, s in enumerate(T.symbols, 1) if s == 0}
         assert not is_attractor(T, zeros)
+
+
+def test_is_attractor_matches_naive_random():
+    # beyond the exhaustive lengths: random position sets, and the phrase
+    # ends of an LZSS parse (always an attractor) less one of them
+    rng = random.Random(61)
+    seen = set()
+    for n in range(9, 41):
+        for sigma in (2, 3, 4):
+            syms = tuple(rng.randrange(sigma) for _ in range(n))
+            T = SymbolString(syms)
+            ends = sorted(ph.end for ph in lzss_overlapping(T).phrases)
+            cases = [set(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(3)]
+            cases.append(set(ends) - {rng.choice(ends)})
+            for positions in cases:
+                got = is_attractor(T, positions)
+                assert got == nv.naive_is_attractor(syms, positions), (syms, positions)
+                seen.add(got)
+    assert seen == {True, False}
+
+
+def test_is_attractor_holds_linear_memory():
+    # the check keeps O(n) words beside T's automaton; per-state end-position
+    # bitmasks held n^2 bits, 109 MiB traced at this length
+    rng = random.Random(149)
+    T = SymbolString(rng.randrange(2) for _ in range(20_000))
+    ends = {ph.end for ph in lzss_overlapping(T).phrases}
+    repsens.core._suffix_automaton(T)  # the shared one, built before tracing
+    tracemalloc.start()
+    try:
+        assert is_attractor(T, ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak
 
 
 # sha256 over the sorted smallest_attractor positions of every binary text of
@@ -266,7 +302,7 @@ def test_smallest_bms_capability():
         smallest_bms(SymbolString([0] * 17))
 
 
-@pytest.mark.parametrize("search", [lz_end_optimal, smallest_bms])
+@pytest.mark.parametrize("search", [lz_end_optimal, smallest_attractor, smallest_bms])
 def test_exact_search_builds_one_automaton(monkeypatch, search):
     # builds are counted where they happen, at the cache misses in core; the
     # search reads occurrence masks and builds no automaton, the greedy

@@ -35,6 +35,7 @@ from repsens import (
     lz_witness,
     sensitivity_of_string,
 )
+import repsens.core
 import repsens.factorizers as fz
 import repsens.sensitivity as sv
 from repsens.core import EDIT_KINDS, _edit_fields, _edited, _sa_new, _suffix_automaton
@@ -143,6 +144,16 @@ def test_exhaustive_gamma_fixture():
     frozen = {2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 2, 9: 2, 10: 2}
     for n, want in frozen.items():
         assert exhaustive_sensitivity("gamma", n, 2, "sub").AS == want
+
+
+def test_exhaustive_gamma_builds_no_automaton(monkeypatch):
+    # smallest_attractor reads the occurrence masks of the match table
+    def no_automaton(symbols):
+        raise AssertionError("a suffix automaton was built")
+
+    monkeypatch.setattr(repsens.core, "_sa_new", no_automaton)
+    monkeypatch.setattr(repsens.core, "_cache", (None, None))
+    assert exhaustive_sensitivity("gamma", 7, 2, "sub").AS == 2
 
 
 def test_witness_never_beats_exhaustive():
@@ -809,8 +820,8 @@ def test_greedy_sweeps_of_the_empty_text(flavor):
 
 
 def test_greedy_family_setup_holds_no_quadratic_memory():
-    # the fragile intervals come from T as a string; end-position bitmasks
-    # on T's automaton (core._state_ends) held n^2 bits, 44 MB at this length
+    # the fragile intervals come from T as a string; per-state end-position
+    # bitmasks on T's automaton held n^2 bits, 44 MB at this length
     rng = random.Random(137)
     syms = tuple(rng.randrange(2) for _ in range(16_000))
     _suffix_automaton(SymbolString._trusted(syms))  # the shared one, read by the danger sets
