@@ -1236,8 +1236,15 @@ def test_exhaustive_exact_searches_are_pinned(measure, n, kind):
 # argmax's digits.  Frozen from the sweep that keyed every edited string by
 # its own renaming and measured every class; lz78 reaches past n = 10 and to
 # sigma = 3, on both sides of the sizes where its ceiling binds, and the
-# LZ-End measures do so over the parses and searches of short texts.
+# LZ-End measures do so over the parses and searches of short texts.  The
+# gamma, bms and lzend_opt entries are frozen from the exact searches that
+# kept a greedy seed and bound, an LZ-End memo and an inclusion-minimal
+# attractor mask filter.
 EXHAUSTIVE_PINS = {
+    ("bms", 2, 11): "15e4050f23efacffb832376f2caeed72ca4e489879399eaa988eb4dd258c66f7",
+    ("bms", 3, 7): "0e64e74ca2619cf660b2e52e6ee22bcbf1517033865183d881fb79e557663635",
+    ("gamma", 2, 11): "25b5cedb575ec48301c96f8c6d1af8e5893d4b543d90dd3d799a6a2442152c2b",
+    ("gamma", 3, 8): "42482f3972e9fb3928d426a3339db1605b5e877262db99695ae2995e35ba201f",
     ("lz77_nonoverlap", 2, 10): "01c1dc822903d6b34811c456a39d2be184adb8060f0607d5fb0f1d259491adcc",
     ("lz77_overlap", 2, 10): "81612b2fe416d1c0f4ed6b346237cb2eb36c57ba00aa3845fa3db8c6b18d41ed",
     ("lz78", 2, 12): "0179e869c3d5454483f76f94c9b443b64d93601f153f4a9c7300fc6e966abd35",
@@ -1245,8 +1252,8 @@ EXHAUSTIVE_PINS = {
     ("lzend", 2, 10): "8684f93bd02fc4fec1de206aa8b4ddcca8fac24a05e11f92f4ec5783575268b4",
     ("lzend", 2, 12): "b27491e261c548360654c3a22f9f147c4c1336ac38ca85580de49b6cd92d627c",
     ("lzend", 3, 7): "31758043cd5d54a03fe7c83393eae981880953abdfec7f79602b5af0a349f65a",
-    ("lzend_opt", 2, 11): "814e572dd7b4f717afd72791e8604dfcede3e4cc57685734733227189dc22eac",
-    ("lzend_opt", 3, 6): "08f694e9dba35a0ce87dca4f6e54c39754413b3a2a802ce39004dabcd7518d90",
+    ("lzend_opt", 2, 12): "627942f3b0061b1070d310799253a32a4a126d35535e079d0bc8f979e023ffe9",
+    ("lzend_opt", 3, 7): "c7e0deb988964a008d470cd47b6c3e9ea035798ce0e7ce16d7a546b188bdfe76",
     ("lzss_nonoverlap", 2, 10): "6ba5b2f3b225dd71e7e62d81732bb9a9af3dd3be7e1c6478abad6c4db2b83f34",
     ("lzss_overlap", 2, 10): "789b9b8d13d1ea323c3a34a140e5013d4fcf253b084fe2efe16c7908e0497c9d",
 }
