@@ -14,9 +14,10 @@ source)`` tuples: ``_greedy_walk`` for LZSS/LZ77 and ``_lz78``; greedy
 LZ-End has two, one per side of a text length (``_lz_end``).  The two exact
 searches, ``lz_end_optimal`` and ``measures.smallest_bms``, keep the parse
 they build in the same tuples and make ``Phrase`` objects once, for the
-result.  ``FACTORIZERS`` is the one place that names each factorizer and
-its parse call: the public factorizers build a ``Factorization`` of
-``Phrase`` objects from its tuples, the sweeps' sizes
+result; no greedy parse seeds or bounds them.  ``FACTORIZERS`` is the one
+place that names each factorizer and its parse call: the public
+factorizers build a ``Factorization`` of ``Phrase`` objects from its
+tuples, the sweeps' sizes
 (``sensitivity.MEASURES``) count them, and the CLI spellings
 (``cli.FLAVOR_FLAGS``) are its names with ``-`` for ``_``; each greedy
 flavor's ``_greedy`` flags are written there once, as a ``partial``.  The
@@ -335,22 +336,21 @@ def _lz_end(T: SymbolString) -> list[tuple]:
     return _lz_end_automaton(T)
 
 
-def _lz_end_masks(T: SymbolString, table: list | None = None) -> list[tuple]:
+def _lz_end_masks(T: SymbolString) -> list[tuple]:
     """``_lz_end`` on occurrence masks: the phrase ends so far are bits of
     ``ends`` (bit e - 1 for the 1-based end e), and the phrase at i walks
-    ``_prefix_masks`` while the prefix also ends before i, or reads that
-    walk's row of ``lz_end_optimal``'s match table when handed it.  The
-    longest prefix whose mask meets ``ends`` is the copy, and the lowest
-    common bit its source's end.  Every phrase end lies before i, so the
-    walk's stop only cuts short a search that could find nothing more."""
+    ``_prefix_masks`` while the prefix also ends before i.  The longest
+    prefix whose mask meets ``ends`` is the copy, and the lowest common bit
+    its source's end.  Every phrase end lies before i, so the walk's stop
+    only cuts short a search that could find nothing more."""
     syms = T.symbols
     n = len(syms)
-    at = _occurrence_masks(syms) if table is None else None
+    at = _occurrence_masks(syms)
     ends = 0
     phrases = []
     i = 0
     while i < n:
-        masks = _prefix_masks(at, i, False) if table is None else table[i]
+        masks = _prefix_masks(at, i, False)
         length = len(masks)
         while length:
             hit = masks[length - 1] & ends
@@ -489,10 +489,14 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
 
     The source constraint is circular (admissible sources depend on the phrase
     ends of the very parsing being built), so this is an exact branch-and-bound
-    search over parse prefixes, seeded by the greedy parse on its own match
-    table (``_lz_end_masks``).  The prefix and the best parse so far are
-    ``(start, length, kind, source)`` tuples, the seed's list as it is.  Texts longer than the
-    ``REPSENS_LIMIT_LZEND_OPT`` cap (``config.LIMITS``) raise
+    search over parse prefixes, held as ``(start, length, kind, source)``
+    tuples.  Trying the longest admissible copy first, from its lowest source
+    end, its first leaf is the greedy LZ-End parse with the same sources, so it
+    needs no seed; the bound cuts only subtrees with no strictly smaller parse,
+    so on a tie the earlier leaf stands.  A revisit of ``(pos0, bmask)`` with
+    no fewer phrases finds no parse better than the first visit's, which the
+    strict ``count < best_count`` rejects, so no memo is kept.  Texts longer
+    than the ``REPSENS_LIMIT_LZEND_OPT`` cap (``config.LIMITS``) raise
     ``CapabilityError``.
     """
     _require_nonempty(T)
@@ -504,9 +508,8 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
     # longest fully-previous match (a superset of the really admissible moves)
     lb = _jump_lower_bound(list(map(len, table)))
 
-    best_parse = _lz_end_masks(T, table)
-    best_count = len(best_parse)
-    seen: dict[tuple[int, int], int] = {}
+    best_parse = None
+    best_count = n + 1
 
     def dfs(pos0: int, bmask: int, count: int, acc: list) -> None:
         nonlocal best_count, best_parse
@@ -517,11 +520,6 @@ def lz_end_optimal(T: SymbolString) -> Factorization:
             return
         if count + lb[pos0] >= best_count:
             return
-        key = (pos0, bmask)
-        prev = seen.get(key)
-        if prev is not None and prev <= count:
-            return
-        seen[key] = count
         masks = table[pos0]
         top = len(masks)
         took_any = False

@@ -13,7 +13,6 @@ from .core import InputError, SymbolString, _integer, _suffix_automaton
 from .factorizers import (
     Factorization,
     Phrase,
-    _greedy,
     _jump_lower_bound,
     _match_masks,
     check_factorization,
@@ -99,13 +98,16 @@ def smallest_attractor(T: SymbolString) -> AttractorSet:
 
     Sizes are tried in increasing order; within a size the search branches on
     the positions of an uncovered substring mask, so the first solution found
-    is minimum and the run itself certifies that one position fewer fails.
-    The masks to hit, from the ``"elsewhere"`` match table
+    is minimum and the run itself certifies that one position fewer fails.  The
+    masks to hit, from the ``"elsewhere"`` match table
     (``factorizers._match_masks``), are each repeated T[i:i+L]'s end mask
-    spread over L positions and each start's shortest unique substring.
-    Each is a substring's coverage and every coverage contains one, so the
-    inclusion-minimal masks kept are those of all substrings.  Texts longer
-    than the ``REPSENS_LIMIT_ATTRACTOR`` cap (``config.LIMITS``) raise
+    spread over L positions and each start's shortest unique substring.  Each
+    is a substring's coverage and every coverage contains one.  They are not
+    filtered to the inclusion-minimal ones: in (bit count, value) order the
+    first uncovered mask is minimal (a strict subset sorts before it, uncovered
+    too), and ``_disjoint_count`` never takes a mask holding an earlier one, so
+    branching and bound are the minimal masks'.  Texts longer than the
+    ``REPSENS_LIMIT_ATTRACTOR`` cap (``config.LIMITS``) raise
     ``CapabilityError``.
     """
     n = len(T)
@@ -123,10 +125,7 @@ def smallest_attractor(T: SymbolString) -> AttractorSet:
             coverages.add(mask)
         if i + len(row) < n:
             coverages.add(((2 << len(row)) - 1) << i)
-    masks: list[int] = []
-    for m in sorted(coverages, key=lambda m: (m.bit_count(), m)):
-        if not any(km & m == km for km in masks):
-            masks.append(m)
+    masks = sorted(coverages, key=lambda m: (m.bit_count(), m))
 
     def search(uncovered: list[int], chosen: list[int], left: int):
         if not uncovered:
@@ -231,17 +230,17 @@ def as_bms(F: Factorization) -> Factorization:
 def smallest_bms(T: SymbolString) -> Factorization:
     """A minimum-size valid macro scheme, by exhaustive search.
 
-    Phrase counts are tried in increasing order.  Phrases are laid left to
-    right; every copy picks a source among the other occurrences of its
-    content (left candidates first, because an all-leftward assignment can
-    never cycle).  Partial reference chains are walked to cut wiring that
-    already loops, and the full termination check runs at each leaf; the
-    LZSS parse gives the upper bound.  ``refmap`` holds each position's
-    reference (0 ground, the source position of a copy, -1 unassigned): a
-    literal is a length-1 phrase with source 0, so literals and copies are
-    placed by one slice assignment and undone by another.  The phrases laid
-    so far are ``(start, length, kind, source)`` tuples, as in the parse
-    loops (``factorizers``).  Texts longer than the
+    Phrase counts are tried in increasing order up to n, where the all-literal
+    scheme always exists, so no greedy parse bounds the search.  Phrases are
+    laid left to right; every copy picks a source among the other occurrences
+    of its content (left candidates first, because an all-leftward assignment
+    can never cycle).  Partial reference chains are walked to cut wiring that
+    already loops, and the full termination check runs at each leaf.
+    ``refmap`` holds each position's reference (0 ground, the source position
+    of a copy, -1 unassigned): a literal is a length-1 phrase with source 0, so
+    literals and copies are placed by one slice assignment and undone by
+    another.  The phrases laid so far are ``(start, length, kind, source)``
+    tuples, as in the parse loops (``factorizers``).  Texts longer than the
     ``REPSENS_LIMIT_BMS`` cap (``config.LIMITS``) raise ``CapabilityError``.
     """
     n = len(T)
@@ -254,7 +253,6 @@ def smallest_bms(T: SymbolString) -> Factorization:
     lb = _jump_lower_bound(maxrep)
 
     refmap = [0] + [-1] * n
-    ub = len(_greedy(T, True, False))  # the LZSS size
     distinct = len(set(T.symbols))
 
     def chain_ok(x: int) -> bool:
@@ -290,11 +288,11 @@ def smallest_bms(T: SymbolString) -> Factorization:
                     return found
         return None
 
-    for size in range(max(distinct, lb[0]), ub + 1):
+    for size in range(max(distinct, lb[0]), n + 1):
         found = place(0, size, [])
         if found is not None:
             return Factorization(tuple(starmap(Phrase, found)), "bms")
-    raise AssertionError("internal: the greedy parsing bound was not reachable")
+    raise AssertionError("internal: the all-literal scheme is always valid")
 
 
 def _other_starts(ends: int, pos0: int, length: int) -> list[int]:

@@ -96,10 +96,10 @@ MEASURES.update(
 UPPER_BOUNDS = {"lzend_opt": "lzend", "bms": "lzss_overlap"}
 """Exact measure -> a cheap measure that is never smaller on any text:
 
-* lzend_opt <= lzend: the greedy LZ-End parse is an LZ-End parse, and
-  ``lz_end_optimal`` seeds its search with it;
+* lzend_opt <= lzend: the greedy LZ-End parse is an LZ-End parse, so the
+  smallest one has no more phrases;
 * bms <= lzss_overlap: the greedy LZSS parse, its sources all to the left,
-  is a valid macro scheme, and ``smallest_bms`` takes it as its upper bound.
+  is a valid macro scheme, so the smallest one has no more phrases.
 
 The sweeps (``_first_max``) run the exact search on an edited text only when
 its bound is above the value it has to beat.  gamma has no entry: with

@@ -81,6 +81,30 @@ MUTANTS = (
             "tests/test_factorizers.py::test_lzend_optimal_matches_plain_backtracking",
         ),
     ),
+    # a text of n distinct symbols (n = 1 among them) needs n phrases in
+    # both parse searches, so a start or a deepening one short finds none
+    Mutant(
+        "lzend-opt-incumbent-one-short",
+        "factorizers.py",
+        "best_count = n + 1\n",
+        "best_count = n\n",
+        (
+            "tests/test_measures.py::test_exact_referee_outputs_pinned",
+            "tests/test_measures.py::test_exact_searches_run_no_greedy_parse",
+            "tests/test_factorizers.py::test_lzend_optimal_matches_plain_backtracking",
+        ),
+    ),
+    Mutant(
+        "bms-deepening-one-short",
+        "measures.py",
+        "range(max(distinct, lb[0]), n + 1)",
+        "range(max(distinct, lb[0]), n)",
+        (
+            "tests/test_measures.py::test_exact_referee_outputs_pinned",
+            "tests/test_measures.py::test_exact_searches_run_no_greedy_parse",
+            "tests/test_measures.py::test_smallest_bms_examples",
+        ),
+    ),
     # the attractor check on T's automaton, and the search's coverage masks
     Mutant(
         "attractor-near-strict",

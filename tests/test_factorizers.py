@@ -467,6 +467,18 @@ def test_lzend_optimal_regression_fixture():
             assert lz_end_optimal(S).size == lz_end_greedy(S).size
 
 
+def test_lzend_optimal_keeps_the_greedy_parse_on_a_tie():
+    # the search's first leaf is the greedy parse, and only a strictly
+    # smaller parse replaces it: where the sizes tie the phrases are equal
+    for sigma, top in ((2, 12), (3, 7)):
+        for n in range(1, top + 1):
+            for syms in itertools.product(range(sigma), repeat=n):
+                T = SymbolString(syms)
+                opt, greedy = lz_end_optimal(T), lz_end_greedy(T)
+                if opt.size == greedy.size:
+                    assert opt.phrases == greedy.phrases, syms
+
+
 def test_lzend_optimal_matches_plain_backtracking():
     for n in range(1, 13):
         for bits in itertools.product((0, 1), repeat=n - 1):

@@ -34,6 +34,7 @@ from repsens import (
     smallest_bms,
 )
 import repsens.core
+import repsens.factorizers
 from repsens.factorizers import FACTORIZERS
 from repsens.measures import as_bms, format_attractor, parse_attractor
 
@@ -302,6 +303,13 @@ def test_smallest_bms_capability():
         smallest_bms(SymbolString([0] * 17))
 
 
+def exact_search_texts():
+    rng = random.Random(89)
+    texts = [t("abaababaab"), t("aaaaaaaa"), t("abcabcab"), SymbolString([0])]
+    texts += [SymbolString(rng.randrange(3) for _ in range(rng.randint(1, 12))) for _ in range(20)]
+    return texts
+
+
 @pytest.mark.parametrize("search", [lz_end_optimal, smallest_attractor, smallest_bms])
 def test_exact_search_builds_one_automaton(monkeypatch, search):
     # builds are counted where they happen, at the cache misses in core; the
@@ -318,9 +326,7 @@ def test_exact_search_builds_one_automaton(monkeypatch, search):
     new = repsens.core._sa_new
     monkeypatch.setattr(repsens.core, "_sa_new", counted)
     monkeypatch.setattr(repsens.core, "_cache", (None, None))
-    rng = random.Random(89)
-    texts = [t("abaababaab"), t("aaaaaaaa"), t("abcabcab"), SymbolString([0])]
-    texts += [SymbolString(rng.randrange(3) for _ in range(rng.randint(1, 12))) for _ in range(20)]
+    texts = exact_search_texts()
     readers = [FACTORIZERS[name][0] for name in FACTORIZERS if name != "lz78"]
     readers += [delta, lambda T: distinct_substrings(T, 1), lambda T: is_attractor(T, [1])]
     assert len(readers) == 9
@@ -331,6 +337,31 @@ def test_exact_search_builds_one_automaton(monkeypatch, search):
         for read in readers:
             read(T)
         assert builds == [T.symbols], T
+
+
+# sha256 over the three exact searches' outputs on every binary text of
+# length 1..8 and on exact_search_texts(), frozen from the searches that
+# seeded (lz_end_optimal) and bounded (smallest_bms) themselves with a
+# greedy parse
+NO_GREEDY_DIGEST = "f0bba164d338b5f71166805e6eacc803397d6510b107a0bd36ec3196999f25ca"
+
+
+def test_exact_searches_run_no_greedy_parse(monkeypatch):
+    # each search reads only its own match table and lower bounds: with
+    # every greedy parse loop refusing to run, the outputs are unchanged
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact search ran a greedy parse")
+
+    for name in ("_lz_end_masks", "_lz_end_automaton", "_greedy_walk"):
+        monkeypatch.setattr(repsens.factorizers, name, refuse)
+    texts = [SymbolString(s) for n in range(1, 9) for s in itertools.product((0, 1), repeat=n)]
+    h = hashlib.sha256()
+    for T in texts + exact_search_texts():
+        n = len(T)
+        h.update(f"{' '.join(map(str, sorted(smallest_attractor(T))))}\n".encode())
+        h.update(format_factorization(lz_end_optimal(T), n).encode())
+        h.update(format_factorization(smallest_bms(T), n).encode())
+    assert h.hexdigest() == NO_GREEDY_DIGEST
 
 
 def test_as_bms_reinterprets_parsings():
